@@ -9,7 +9,7 @@ package serves that workload with bounded memory and batched throughput:
 * :mod:`~repro.inference.cache` — a bounded LRU cache of encoded latent
   tiles;
 * :mod:`~repro.inference.planner` — a batched query planner that groups
-  points by owning tile and packs fused decode batches;
+  points by owning tile, in tile-major order;
 * :mod:`~repro.inference.engine` — :class:`InferenceEngine`, the user-facing
   entry point, wired into ``MeshfreeFlowNet.predict_grid`` /
   ``super_resolve``.

@@ -11,10 +11,10 @@ arbitrarily large domains:
   decodes from latent vertices identical to a full-domain encode;
 * each tile is encoded at most once and held in a bounded LRU cache
   (:mod:`repro.inference.cache`);
-* query points are grouped by owning tile and decoded in fused batches
-  (:mod:`repro.inference.planner`) of bounded size, under
-  :func:`repro.autodiff.inference_mode`, with smooth partition-of-unity
-  blending across tile overlaps.
+* query points are grouped by owning tile (:mod:`repro.inference.planner`)
+  and decoded in flat blocks of bounded size — one ImNet call per block,
+  no padding — under :func:`repro.autodiff.inference_mode`, with smooth
+  partition-of-unity blending across tile overlaps.
 
 With ``tile_shape=None`` the engine runs in *direct* mode — a single tile
 covering the whole domain — which reproduces the seed path exactly.  In
@@ -39,7 +39,7 @@ from ..backend import canonical_dtype, precision
 from ..core.latent_grid import query_latent_grid, regular_grid_coordinates
 from ..obs.trace import span as _span
 from .cache import LatentTileCache
-from .planner import GridQueryPlanner, QueryPlanner, TileGroup, pack_groups
+from .planner import GridQueryPlanner, QueryPlanner
 from .tiling import TileLayout
 
 __all__ = ["InferenceEngine", "TiledLatentField"]
@@ -49,6 +49,9 @@ __all__ = ["InferenceEngine", "TiledLatentField"]
 #: replicas) can never alias each other's cache entries.
 _TOKEN_COUNTER = itertools.count()
 _TOKEN_LOCK = threading.Lock()
+
+#: A cell's eight corner offsets along ``(t, z, x)``, in :func:`query_latent_grid`'s order.
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 
 
 class InferenceEngine:
@@ -72,8 +75,10 @@ class InferenceEngine:
         Width (in low-resolution vertex units) of the smooth blending ramp
         inside each tile overlap.
     chunk_size:
-        Upper bound on decoded query slots per fused batch — bounds decode
-        memory exactly like the seed path's chunking.
+        Upper bound on rows per decoder call in tiled mode (eight per query
+        point and sample; on points per call in direct mode) — bounds decode
+        memory.  Past ~15000 rows BLAS changes kernel and a coalesced request
+        stops being bit-identical to the same request alone.
     cache_tiles:
         LRU capacity of the latent-tile cache, in tiles (``None`` for
         unbounded).  Queries are decoded in tile-major order, so even
@@ -98,7 +103,7 @@ class InferenceEngine:
         Opt-in fused decode: the engine wraps the model's ImNet with
         :func:`repro.compile.compile` (``copy_outputs=False`` — decode
         batches are consumed immediately, so the allocation-free arena
-        contract is safe) and routes every fused decode batch through the
+        contract is safe) and routes every decoder call through the
         compiled plans.  Results are bit-identical to eager decoding;
         plans are keyed per batch shape and precision policy, and
         anything a plan cannot replay falls back to eager automatically.
@@ -293,8 +298,8 @@ class TiledLatentField:
     """One low-resolution domain opened through an :class:`InferenceEngine`.
 
     Holds the tile layout and a cache token; latent tiles are encoded on
-    demand (at most once while cached) and queries are decoded in fused,
-    bounded-memory batches.  Obtain instances via
+    demand (at most once while cached) and queries are decoded in
+    bounded-memory blocks.  Obtain instances via
     :meth:`InferenceEngine.open` rather than constructing them directly.
     """
 
@@ -357,13 +362,11 @@ class TiledLatentField:
         cell instead).
 
         Points are planned per window of ``engine.plan_chunk_size``, then
-        decoded in *tile-major* order — all of a tile's points (split into
-        pieces of at most ``engine.chunk_size`` slots) before moving to the
-        next tile — so each latent tile is encoded once per pass regardless
-        of cache capacity.  Consecutive pieces are stacked along the batch
-        axis of a single fused :func:`query_latent_grid` call and the
-        per-tile outputs are blended with the planner's partition-of-unity
-        weights.
+        decoded in *tile-major* order — all of a tile's points before moving
+        to the next tile — so each latent tile is encoded once per pass
+        regardless of cache capacity.  Consecutive groups share flat decoder
+        calls of at most ``engine.chunk_size`` rows and the per-tile outputs
+        are blended with the planner's partition-of-unity weights.
         """
         coords = np.asarray(coords, dtype=self.dtype)
         if coords.ndim != 2 or coords.shape[1] != 3:
@@ -394,46 +397,74 @@ class TiledLatentField:
         return out
 
     def _decode_tile_major(self, groups, out_view: np.ndarray) -> None:
-        """Decode tile-major-ordered groups into ``out_view`` in fused chunks.
+        """Decode tile-major-ordered groups into ``out_view`` in flat blocks.
 
-        Groups are split into pieces of at most ``engine.chunk_size`` points
-        and packed, order-preserving, into fused batches; tile-major order
-        means each latent tile is encoded once and then retired.
+        Groups are cut, order-preserving, into blocks of at most
+        ``chunk_size // (8 * n_batch)`` points, so no decoder call sees more
+        than ``engine.chunk_size`` rows; tile-major order means each latent
+        tile is encoded once and then retired.
         """
-        chunk = self.engine.chunk_size
+        limit = max(1, self.engine.chunk_size // (8 * self.n_batch))
+        block, room = [], limit  # (group, slice of it) pairs; points still free
+        for group in groups:
+            start = 0
+            while start < group.n:
+                stop = min(start + room, group.n)
+                block.append((group, slice(start, stop)))
+                room -= stop - start
+                start = stop
+                if room == 0:
+                    self._decode_block(block, out_view)
+                    block, room = [], limit
+        if block:
+            self._decode_block(block, out_view)
 
-        def pieces():
-            for group in groups:
-                for piece_start in range(0, group.n, chunk):
-                    sel = slice(piece_start, min(piece_start + chunk, group.n))
-                    yield TileGroup(
-                        tile=group.tile, rows=group.rows[sel],
-                        local_coords=group.local_coords[sel],
-                        weights=group.weights[sel],
-                    )
+    def _decode_block(self, block, out_view: np.ndarray) -> None:
+        """Decode one block of group slices in a single decoder call and blend.
 
-        for fused in pack_groups(pieces(), budget=chunk):
-            self._decode_fused(fused, out_view)
-
-    def _decode_fused(self, fused, out_view: np.ndarray) -> None:
-        """Decode one fused batch of tile groups and blend into ``out_view``."""
-        engine = self.engine
-        model = engine.model
-        n_batch = self.n_batch
-        width = max(g.n for g in fused)
-        grids = np.concatenate([self.latent_tile(g.tile) for g in fused], axis=0)
-        block = np.zeros((len(fused), width, 3), dtype=self.dtype)
-        for slot, g in enumerate(fused):
-            block[slot, : g.n] = g.local_coords
-        block = np.repeat(block, n_batch, axis=0)
-        with _span("engine.decode_tile", n_tiles=len(fused), width=width), \
-                precision(self.dtype), inference_mode():
-            pred = query_latent_grid(Tensor(grids), Tensor(block), engine.decoder,
-                                     interpolation=model.config.interpolation)
-        for slot, g in enumerate(fused):
-            values = pred.data[slot * n_batch:(slot + 1) * n_batch, : g.n]
-            weights = g.weights.astype(self.dtype, copy=False)
-            out_view[:, g.rows, :] += weights[None, :, None] * values
+        Cell index, in-cell fraction, corner weights and the order the eight
+        corner predictions are summed in are those of
+        :func:`~repro.core.latent_grid.query_latent_grid`, computed once in
+        NumPy for the whole block; the decoder gets one row per
+        (sample, corner, point) and no padding.
+        """
+        dt = self.dtype
+        tiles = [self.latent_tile(g.tile) for g, _ in block]
+        bounds = np.cumsum([0] + [sel.stop - sel.start for _, sel in block])
+        sizes = np.array(tiles[0].shape[2:])  # every tile of a layout has this shape
+        local = np.concatenate([g.local_coords[sel] for g, sel in block]).astype(dt, copy=False)
+        pos = local * np.maximum(sizes - 1, 1).astype(dt)
+        cell = np.clip(np.floor(pos), 0, np.maximum(sizes - 2, 0).astype(dt))
+        frac = pos - cell
+        if self.engine.model.config.interpolation == "trilinear":
+            offsets = _CORNERS[:, None, :]
+            axis_w = np.where(offsets == 1, frac, 1 - frac)
+            corner_w = axis_w[..., 0] * axis_w[..., 1] * axis_w[..., 2]
+        else:
+            offsets = (frac >= 0.5).astype(np.intp)[None]
+            corner_w = None
+        vertex = np.minimum(cell.astype(np.intp) + offsets, sizes - 1)  # (corners, P, 3)
+        inputs = np.empty((self.n_batch, *vertex.shape[:2], 3 + tiles[0].shape[1]), dtype=dt)
+        inputs[..., :3] = frac - offsets.astype(dt)
+        for tile, lo, hi in zip(tiles, bounds[:-1], bounds[1:]):
+            v = vertex[:, lo:hi]
+            inputs[:, :, lo:hi, 3:] = np.moveaxis(tile, 1, -1)[:, v[..., 0], v[..., 1], v[..., 2]]
+        flat = inputs.reshape(-1, inputs.shape[-1])
+        # One "nearest" point alone is decoded twice: a one-row matmul takes BLAS's
+        # matrix-vector kernel, whose bits differ from what the row gets in a batch.
+        feed = flat if len(flat) > 1 else np.repeat(flat, 2, axis=0)
+        with _span("engine.decode_tile", n_tiles=len(block), n_points=int(bounds[-1])), \
+                precision(dt), inference_mode():
+            pred = self.engine.decoder(Tensor(feed)).data
+        pred = pred[:len(flat)].reshape(*inputs.shape[:3], -1)
+        values = pred[:, 0]
+        if corner_w is not None:
+            values = corner_w[0][None, :, None] * values
+            for k in range(1, len(corner_w)):
+                values += corner_w[k][None, :, None] * pred[:, k]
+        for (g, sel), lo, hi in zip(block, bounds[:-1], bounds[1:]):
+            weights = g.weights[sel].astype(dt, copy=False)
+            out_view[:, g.rows[sel], :] += weights[None, :, None] * values[:, lo:hi]
 
     # ------------------------------------------------------------ dense grid
     def predict_grid(self, output_shape: Sequence[int]) -> np.ndarray:

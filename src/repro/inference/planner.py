@@ -1,14 +1,11 @@
-"""Batched query planner: group query points by owning tile, pack fused batches.
+"""Batched query planner: group query points by owning tile.
 
 Decoding a point requires the latent grid of every tile whose partition-of-
 unity weight at that point is non-zero (one tile in a tile's core, up to
 eight in overlap corners).  The planner turns a chunk of global query
 coordinates into per-tile groups — each carrying tile-local coordinates and
-blend weights — and then packs those groups into *fused batches*: several
-tiles stacked along the batch axis of a single
-:func:`repro.core.latent_grid.query_latent_grid` call, so the trilinear
-gather and the ImNet MLP run vectorised across crops instead of in a Python
-loop over tiles.
+blend weights — in tile-major order; the engine decodes consecutive groups
+together (:meth:`repro.inference.engine.TiledLatentField.query`).
 """
 
 from __future__ import annotations
@@ -219,15 +216,14 @@ class GridQueryPlanner:
 def pack_groups(groups, budget: int):
     """Lazily pack tile groups into fused batches bounded by padded size.
 
-    Each fused batch decodes ``len(batch) × max(group sizes)`` padded query
-    slots in one :func:`query_latent_grid` call; the greedy packing keeps
-    that product at or below ``budget`` (a batch always holds at least one
-    group, so a single oversized group still decodes alone).  ``groups`` may
-    be any iterable — batches are yielded as soon as they close, so a
-    streaming planner never has its whole output materialised.  Input order
-    is preserved: the engine feeds groups in tile-major order so that each
-    latent tile is encoded once and retired before the next is touched,
-    keeping the LRU cache effective even at capacity 1.
+    The engine no longer packs (its block decode pads nothing); this survives
+    only because ``bench/layers.py`` rebuilds the old padded decode with it.
+
+    A fused batch is ``len(batch) × max(group sizes)`` padded query slots;
+    the greedy packing keeps that product at or below ``budget`` (a batch
+    always holds at least one group, so a single oversized group is alone).
+    ``groups`` may be any iterable — batches are yielded as soon as they
+    close — and input order is preserved.
     """
     if budget < 1:
         raise ValueError("pack budget must be positive")

@@ -32,7 +32,7 @@ Quickstart
 >>> from repro import MeshfreeFlowNet, MeshfreeFlowNetConfig
 >>> from repro.serving import ModelServer, QueryRequest
 >>> model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval()
->>> server = ModelServer(model, n_workers=2)
+>>> server = ModelServer(model)
 >>> # server.register_domain("rb0", lowres)   # (N, C, nt, nz, nx) array
 >>> # result = server.query(QueryRequest("rb0", coords=points))
 >>> server.close()

@@ -9,15 +9,17 @@ full or the linger window closes.  :func:`run_batch` then groups the batch
 by domain and concatenates all point queries against one domain into a
 single :meth:`~repro.inference.engine.TiledLatentField.query` call — the
 engine's planner assigns every point (whichever request it came from) to
-its owning latent tile and ``pack_groups`` fuses tiles into shared decode
-batches, so queries from different clients that hit the same tile decode
-from one cached latent in one fused ImNet call.
+its owning latent tile and the block decode sends them to the ImNet
+together, so queries from different clients that hit the same tile decode
+from one cached latent in one ImNet call.
 
 Coalescing is exact: per-point decoding is element-wise in the point axis,
 and per-point blend weights and tile-accumulation order are independent of
 which other points share the batch, so every request's slice of a coalesced
 batch is bit-identical to issuing that request alone through the engine
-(asserted by ``tests/test_serving.py`` and the serving benchmark).
+(asserted by ``tests/test_serving.py`` and the serving benchmark) — while
+every decoder matmul stays in one BLAS kernel regime, which the tiled
+engine's 2..``chunk_size`` rows per call ensure (``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations

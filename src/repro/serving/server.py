@@ -62,8 +62,10 @@ class ModelServer:
         its replicas to eval mode — serving must not depend on batch
         statistics of whatever crop happens to be in flight.
     n_workers:
-        Worker threads (= engine replicas).  NumPy releases the GIL inside
-        its kernels, so workers overlap meaningfully even in one process.
+        Worker threads (= engine replicas).  One by default: small-ImNet
+        decodes are bound by Python dispatch, not NumPy kernels, so a second
+        worker convoys on the GIL (measured on two cores: two workers serve
+        0.5-0.9x what one does, ``serving.server.worker_scaling``).
     policy:
         Micro-batch formation policy; defaults to :class:`BatchPolicy`.
     max_pending:
@@ -100,7 +102,7 @@ class ModelServer:
         Forwarded to every :class:`~repro.inference.InferenceEngine`
         replica (``cache_tiles`` sizes the single shared latent cache;
         cache keys embed the precision, so fleets never alias tiles).
-        Pass ``compile=True`` to run every replica's fused decode batches
+        Pass ``compile=True`` to run every replica's decoder calls
         through the graph-captured executor (:mod:`repro.compile`): each
         worker engine owns its own plan cache (compiled wrappers are
         thread-affine) and each precision's replicas trace under their
@@ -108,7 +110,7 @@ class ModelServer:
         per dtype.  Outputs stay bit-identical to the eager engines.
     """
 
-    def __init__(self, model, n_workers: int = 2,
+    def __init__(self, model, n_workers: int = 1,
                  policy: Optional[BatchPolicy] = None,
                  max_pending: int = 256,
                  tile_shape: Optional[Sequence[int]] = None,

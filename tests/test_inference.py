@@ -82,6 +82,23 @@ class TestTiledDirectEquivalence:
         tiled = InferenceEngine(model, tile_shape=(4, 16, 16)).query_points(lowres, coords)
         assert np.max(np.abs(tiled - direct)) < 1e-8
 
+    @pytest.mark.parametrize("dtype,tol", [("float64", 1e-8), ("float32", 1e-5)])
+    def test_nearest_interpolation_matches_direct(self, lowres, dtype, tol):
+        """``interpolation="nearest"`` (one corner per point) through the tiled engine."""
+        cfg = MeshfreeFlowNetConfig.tiny(interpolation="nearest")
+        nearest = MeshfreeFlowNet(cfg).eval().astype(dtype)
+        direct = InferenceEngine(nearest)
+        tiled = InferenceEngine(nearest, tile_shape=(4, 16, 16))
+        coords = np.random.default_rng(3).random((500, 3))
+        points = tiled.query_points(lowres, coords)
+        grid = tiled.predict_grid(lowres, (8, 32, 48))
+        assert points.dtype == grid.dtype == np.dtype(dtype)
+        assert np.max(np.abs(points - direct.query_points(lowres, coords))) < tol
+        assert np.max(np.abs(grid - direct.predict_grid(lowres, (8, 32, 48)))) < tol
+        # One point is one decoder row; alone it must get the bits it gets in a batch.
+        alone = np.concatenate([tiled.query_points(lowres, coords[i:i + 1]) for i in range(50)], 1)
+        assert np.array_equal(alone, points[:, :50])
+
     def test_batched_samples(self, model):
         """Equivalence holds with more than one sample in the batch."""
         rng = np.random.default_rng(11)
@@ -269,6 +286,29 @@ class TestTilingAndPlanner:
             width = max(g.n for g in batch)
             assert len(batch) == 1 or len(batch) * width <= budget
         assert [g.tile for b in batches for g in b] == [g.tile for g in groups]
+
+    @pytest.mark.parametrize("n_batch", [1, 2])
+    def test_decoder_calls_are_flat_bounded_and_unpadded(self, model, n_batch, monkeypatch):
+        """Every decoder call is 2-D with 8..chunk_size rows; no row is padding."""
+        chunk_size = 1000
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16), chunk_size=chunk_size)
+        calls = []
+
+        def recording_decoder(x):
+            calls.append(x.shape)
+            return model.imnet(x)
+
+        monkeypatch.setattr(InferenceEngine, "decoder", property(lambda self: recording_decoder))
+        lowres = np.random.default_rng(5).standard_normal((n_batch, 4, 4, 24, 40))
+        field = engine.open(lowres)
+        n_in = 3 + model.config.latent_channels
+        for coords in (np.random.default_rng(6).random((700, 3)), np.full((1, 3), 0.25)):
+            calls.clear()
+            field.query(coords)
+            assert all(len(shape) == 2 and shape[1] == n_in for shape in calls)
+            assert all(8 <= shape[0] <= chunk_size for shape in calls)
+            planned = sum(g.n for g in field.planner.plan(coords))
+            assert sum(shape[0] for shape in calls) == 8 * n_batch * planned
 
     def test_layout_validation_errors(self):
         with pytest.raises(ValueError, match="not divisible"):

@@ -200,12 +200,20 @@ class TestCoalescingExactness:
             assert np.array_equal(result.values, want)
 
     def test_tiled_mode_coalescing_bit_identical(self, model, big_domain):
-        """Cross-request coalescing stays exact with a multi-tile layout."""
+        """Cross-request coalescing stays exact with a multi-tile layout.
+
+        Requests of 1-3 points are the hard case: alone they decode only a
+        handful of rows, and a decoder matmul with a single row takes BLAS's
+        matrix-vector path, whose bits differ from the matrix-matrix path a
+        coalesced batch takes.  The linger window is long enough that the
+        requests do share one micro-batch.
+        """
         engine = InferenceEngine(model, tile_shape=(4, 16, 16))
         rng = np.random.default_rng(2)
-        point_sets = [rng.random((11, 3)) for _ in range(6)]
+        point_sets = [rng.random((n, 3)) for n in (1, 2, 3, 11) * 4]
         expected = [engine.query_points(big_domain, coords) for coords in point_sets]
-        with make_server(model, tile_shape=(4, 16, 16)) as server:
+        with make_server(model, tile_shape=(4, 16, 16), n_workers=1,
+                         policy=BatchPolicy(max_wait=0.05)) as server:
             server.register_domain("dom", big_domain)
             futures = [server.submit(QueryRequest("dom", coords=c)) for c in point_sets]
             for future, want in zip(futures, expected):
