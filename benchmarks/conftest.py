@@ -8,7 +8,8 @@ micro-benchmarks in ``test_microbenchmarks.py`` use normal multi-round timing.
 
 Benchmarks that want their numbers tracked *across PRs* record entries
 through the ``bench_artifact`` fixture; at session end the collected
-entries are written to per-PR artifact files at the repository root
+entries are written to per-PR artifact files under the git-ignored
+``.benchmarks/`` directory — a test run never touches a tracked file —
 (``BENCH_pr3.json`` for the precision/serving gates, ``BENCH_pr4.json``
 for the training gates, ``BENCH_pr5.json`` for the compiled-decode
 gates, ``BENCH_pr7.json`` for the observability overhead gate,
@@ -55,7 +56,7 @@ def bench_artifact():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Merge collected benchmark entries into the repo-root artifact files.
+    """Merge collected benchmark entries into the ``.benchmarks/`` artifact files.
 
     Entries recorded this session replace same-named entries from previous
     runs; everything else is kept, so a partial benchmark run (one file)
@@ -64,7 +65,8 @@ def pytest_sessionfinish(session, exitstatus):
     for artifact, entries in _artifact_entries.items():
         if not entries:
             continue
-        path = Path(str(session.config.rootpath)) / artifact
+        path = Path(str(session.config.rootpath)) / ".benchmarks" / artifact
+        path.parent.mkdir(exist_ok=True)
         merged = {}
         if path.exists():
             try:

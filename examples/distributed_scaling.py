@@ -6,9 +6,10 @@ Three parts:
 1. **Throughput / efficiency (Fig. 7a)** — the α–β performance model of ring
    all-reduce over NVLink (intra-node) and InfiniBand (inter-node) links,
    evaluated from 1 to 128 workers.
-2. **Gradient-synchronisation numerics** — an in-process
-   ``DataParallelGroup`` with real ring all-reduce on the gradients, verifying
-   that replicas stay bit-identical while training.
+2. **Gradient-synchronisation traffic** — a short ``DistributedTrainer`` run
+   (sharded samplers, per-node fused micro-batches, bucketed ring all-reduce
+   on the gradients), printing the per-epoch loss and the bytes moved /
+   collectives issued that its history records.
 3. **Loss vs. epochs / wall time (Fig. 7b-c)** — synchronous data-parallel
    training simulated by gradient averaging over per-worker micro-batches;
    wall times come from the performance model.
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
-from repro.autodiff import Tensor, ops
-from repro import nn
-from repro.distributed import DataParallelGroup, ScalingPerformanceModel
+from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
+from repro.data import SuperResolutionDataset
+from repro.distributed import ScalingPerformanceModel
 from repro.experiments import run_fig7_scaling
-from repro.optim import SGD
+from repro.simulation import synthetic_convection
+from repro.training import DistributedTrainer, TrainerConfig
 
 
 def part1_throughput(world_sizes) -> None:
@@ -41,26 +41,22 @@ def part1_throughput(world_sizes) -> None:
     print()
 
 
-def part2_gradient_sync(world_size: int = 4, steps: int = 5) -> None:
-    print(f"=== Ring all-reduce gradient synchronisation ({world_size} simulated ranks) ===")
-
-    def factory():
-        rng = np.random.default_rng(0)
-        return nn.Sequential(nn.Linear(6, 16, rng=rng), nn.Tanh(), nn.Linear(16, 1, rng=rng))
-
-    group = DataParallelGroup(factory, world_size=world_size,
-                              optimizer_factory=lambda p: SGD(p, lr=0.05))
-    rng = np.random.default_rng(1)
-    for step in range(steps):
-        losses = []
-        for rank in range(world_size):
-            x = Tensor(rng.standard_normal((8, 6)))
-            y = Tensor(rng.standard_normal((8, 1)))
-            losses.append(ops.mse_loss(group.replicas[rank](x), y))
-        values = group.step(losses)
-        print(f"  step {step}: per-rank losses = {[f'{v:.3f}' for v in values]}, "
-              f"replicas in sync = {group.parameters_in_sync()}")
-    print(f"  total gradient traffic (simulated): {group.communication_bytes()/1e3:.1f} kB\n")
+def part2_gradient_sync(world_size: int = 4, nodes: int = 2, epochs: int = 2) -> None:
+    print(f"=== Ring all-reduce gradient synchronisation "
+          f"({world_size} simulated ranks on {nodes} nodes) ===")
+    dataset = SuperResolutionDataset(
+        synthetic_convection(nt=16, nz=16, nx=64, seed=0), lr_factors=(2, 2, 4),
+        crop_shape_lr=(4, 4, 8), n_points=64, samples_per_epoch=16, seed=0,
+    )
+    model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny(unet_norm="group"))
+    trainer = DistributedTrainer(model, dataset, config=TrainerConfig(
+        epochs=epochs, batch_size=1, world_size=world_size, nodes=nodes, gamma=0.0))
+    trainer.train()
+    for record in trainer.history.records:
+        print(f"  epoch {record['epoch']}: loss = {record['loss']:.5f}, "
+              f"gradient traffic = {record['comm_bytes'] / 1e3:.1f} kB "
+              f"in {record['collectives']} collectives")
+    print()
 
 
 def part3_loss_curves(world_sizes, epochs: int) -> None:

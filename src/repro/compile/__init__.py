@@ -12,21 +12,26 @@ ImNet decode and derivative stacks.  This subsystem removes it:
    the same way.
 2. **Optimize** (:mod:`~repro.compile.passes`) — constant folding,
    dead-code elimination and alias/liveness analysis.
-3. **Fuse + codegen** (:mod:`~repro.compile.fuse`,
-   :mod:`~repro.compile.codegen`) — maximal runs of consecutive
-   elementwise kernel steps become *regions*; each region is emitted as
-   one generated Python function (compiled once, cached with the plan)
-   whose body is a flat sequence of bound ``out=`` kernel calls.
-4. **Execute** (:mod:`~repro.compile.executor`) — a flat step list over
-   the backend's ``out=`` in-place kernel registry: elementwise chains
-   are fused through shared arena buffers and steady-state execution
-   allocates nothing.
-5. **Cache** (:mod:`~repro.compile.api`) — plans keyed by (module
+3. **Lower** (:mod:`~repro.compile.codegen`,
+   :mod:`~repro.compile.executor`) — one walk over the program assigns
+   every node an arena buffer (writing in place over a dying operand
+   where the op allows) and emits its lines from the op's single entry in
+   :data:`~repro.compile.codegen.LOWERINGS`; each maximal run of
+   elementwise nodes becomes one generated Python function (compiled
+   once, kept with the plan) whose body is a flat sequence of bound
+   ``out=`` kernel calls.  Steady-state execution allocates nothing.
+4. **Cache** (:mod:`~repro.compile.api`) — plans keyed by (module
    fingerprint, input shapes/dtypes, precision policy), with automatic
    eager fallback whenever replay could be wrong (trace failure,
    impure module, unsupported request).  Fallback is never silent: the
    wrapper warns once per reason (:class:`CompileFallbackWarning`) and
    counts occurrences in the observability registry.
+
+**Adding an op** is one ``LOWERINGS`` entry — its emitter, whether it may
+write over a dying same-shape operand, whether it joins elementwise
+regions — plus a case in ``tests/test_compile.py::LOWERING_CASES``; the
+test parametrised over the table's keys fails until the case exists.  An
+op without an entry still runs, as an eager-fallback step.
 
 Entry points: :func:`compile` for modules — with ``backward=True`` the
 wrapper serves gradient calls from a stack of compiled VJP plans that

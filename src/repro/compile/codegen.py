@@ -1,257 +1,291 @@
-"""Python source emission for fused elementwise regions.
+"""One lowering per op: the table every compiled kernel step is built from.
 
-:func:`emit_region` turns one fusion region (a consecutive run of
-elementwise kernel steps selected by :mod:`repro.compile.fuse`) into a
-single generated Python function, compiled once with :func:`compile` and
-cached on the plan.  The generated body is a flat sequence of backend
-``out=`` kernel calls — exactly the calls the individual step closures
-would have made, on exactly the same arena buffers, in exactly the same
-order — so fused execution is bit-identical to unfused execution by
-construction.  What changes is dispatch cost: one Python call replaces
-one call per op, and every *stable* operand is bound as a default
-argument (a local variable at run time) instead of being re-fetched from
-the environment list on every step.
+:data:`LOWERINGS` maps each op class the executor can run without its
+eager ``forward`` to one :class:`Lowering` — the op's whole compile-side
+contract: the emitter that writes its source lines, whether it may write
+over a dying same-shape operand, whether it may join an elementwise
+region, and which instances have a kernel lowering at all.  Nothing else
+in :mod:`repro.compile` lists op classes; an op absent from the table
+runs as an eager-fallback step.
+
+:class:`StepFunction` accumulates the lines of consecutive nodes into one
+generated Python function, compiled once and kept on the plan.  Its body
+is a flat sequence of backend ``out=`` kernel calls on arena buffers, so
+steady-state execution allocates nothing.
 
 Operand binding rules
 ---------------------
 
-* **Stable** arrays — trace constants and kernel-step arena buffers —
-  are bound as default arguments at ``def`` time.  Their ``env`` slots
-  are filled at compile time and never rebound.
+* **Stable** objects — trace constants, arena buffers (outputs and
+  transient scratch), kernels and scalar arguments — are the function's
+  default arguments, local variables at run time.  Parameters are named
+  by position, so structurally equal functions (the repeated layers of a
+  derivative graph) share one source and one code object.
 * **Unstable** slots — program inputs, view-step outputs and
-  eager-fallback outputs — are loaded from ``env`` in the region
+  eager-fallback outputs — are loaded from ``env`` in the function
   preamble, because :meth:`CompiledPlan.run` rebinds them on every call.
-* Scalars (``Pow`` exponents, ``LeakyReLU`` slopes) are embedded as
-  ``repr`` literals, which round-trips floats exactly.
-* Multi-kernel lowerings (ReLU, Sigmoid, Softplus, masks) receive
-  region-private scratch arrays allocated once at emit time, mirroring
-  the transient arena scratch of the closure builders.
-
-Steady-state execution of a region therefore allocates nothing.
+* Scratch is taken from the arena while the node is emitted and handed
+  back before the next node's output is assigned: it is free for any later
+  node's storage, and no generated function owns memory of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import functools
+import types
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..autodiff import ops as _ops
 from ..backend import get_backend
 
-__all__ = ["RegionInfo", "emit_region"]
+__all__ = ["LOWERINGS", "Lowering", "StepFunction", "lowering_of"]
 
 _B = get_backend()
-
-#: Backend kernels the generated source may reference, keyed by the name
-#: used in the emitted code.
-_KERNELS = {
-    "negative": _B.negative, "exp": _B.exp, "log": _B.log, "sin": _B.sin,
-    "cos": _B.cos, "tanh": _B.tanh, "abs": _B.abs, "sign": _B.sign,
-    "floor": _B.floor, "add": _B.add, "subtract": _B.subtract,
-    "multiply": _B.multiply, "divide": _B.divide, "maximum": _B.maximum,
-    "minimum": _B.minimum, "power": _B.power, "sqrt": _B.sqrt,
-    "log1p": _B.log1p, "greater": _B.greater,
-    "greater_equal": _B.greater_equal, "less_equal": _B.less_equal,
-    "copyto": _B.copyto,
-}
-
-_UNARY_NAMES = {
-    _ops.Neg: "negative", _ops.Exp: "exp", _ops.Log: "log", _ops.Sin: "sin",
-    _ops.Cos: "cos", _ops.Tanh: "tanh", _ops.Abs: "abs", _ops.Sign: "sign",
-    _ops.Floor: "floor",
-}
-
-_BINARY_NAMES = {
-    _ops.Add: "add", _ops.Sub: "subtract", _ops.Mul: "multiply",
-    _ops.Div: "divide", _ops.Maximum: "maximum", _ops.Minimum: "minimum",
-}
-
-_MASK_NAMES = {
-    _ops.GreaterMask: "greater",
-    _ops.GreaterEqualMask: "greater_equal",
-    _ops.LessEqualMask: "less_equal",
-}
+_NO_GLOBALS: dict = {}
 
 
-@dataclass
-class RegionInfo:
-    """One emitted fusion region: the compiled callable plus provenance."""
-
-    fn: Callable
-    name: str
-    source: str
-    op_names: list
-    n_ops: int
-    scratch_bytes: int
+def _always(op) -> bool:
+    return True
 
 
-def _emit_node(node, out, name_of, scratch, kern, values):
-    """Source lines computing one node into the (bound) buffer ``out``.
+def _never(op) -> bool:
+    return False
 
-    Each branch mirrors the corresponding closure in the executor's
-    ``_build_step`` — same kernels, same call order, same in-place
-    aliasing discipline — so fused and unfused execution agree bitwise.
+
+class Lowering(NamedTuple):
+    """The compile-side contract of one op class.
+
+    ``emit(fn, node, out, *operands)`` returns the source lines computing
+    ``node`` into the bound buffer named ``out``; ``operands`` are the
+    bound names of ``node.in_ids``.
     """
-    op = node.op
-    cls = type(op)
-    ids = node.in_ids
 
-    uname = _UNARY_NAMES.get(cls)
-    if uname is not None:
-        return [f"{kern(uname)}({name_of(ids[0])}, out={out})"]
-
-    bname = _BINARY_NAMES.get(cls)
-    if bname is not None:
-        return [f"{kern(bname)}({name_of(ids[0])}, {name_of(ids[1])}, out={out})"]
-
-    mname = _MASK_NAMES.get(cls)
-    if mname is not None:
-        return [f"{kern(mname)}({name_of(ids[0])}, {name_of(ids[1])}, out={out})"]
-
-    if cls is _ops.Pow:
-        a, p = name_of(ids[0]), op.exponent
-        if p == 2.0:
-            return [f"{kern('multiply')}({a}, {a}, out={out})"]
-        if p == 3.0:
-            # Reads the operand after the first write; the executor never
-            # aliases ``out`` with ``a`` for this exponent.
-            return [f"{kern('multiply')}({a}, {a}, out={out})",
-                    f"{kern('multiply')}({out}, {a}, out={out})"]
-        if p == 1.0:
-            return [f"{kern('copyto')}({out}, {a})"]
-        if p == 0.5:
-            return [f"{kern('sqrt')}({a}, out={out})"]
-        return [f"{kern('power')}({a}, {p!r}, out={out})"]
-
-    if cls is _ops.ReLU:
-        a = name_of(ids[0])
-        spec = values[node.out_id]
-        m = scratch(spec.shape, spec.dtype)
-        return [f"{kern('greater')}({a}, 0.0, out={m})",
-                f"{kern('multiply')}({a}, {m}, out={out})"]
-
-    if cls is _ops.LeakyReLU:
-        a = name_of(ids[0])
-        return [f"{kern('multiply')}({a}, {op.negative_slope!r}, out={out})",
-                f"{kern('maximum')}({out}, {a}, out={out})"]
-
-    if cls is _ops.LeakyReLUMask:
-        a = name_of(ids[0])
-        m = scratch(values[node.out_id].shape, np.bool_)
-        return [f"{kern('greater')}({a}, 0.0, out={m})",
-                f"{out}.fill({op.negative_slope!r})",
-                f"{kern('copyto')}({out}, 1.0, where={m})"]
-
-    if cls is _ops.Sigmoid:
-        a = name_of(ids[0])
-        spec = values[node.out_id]
-        s1 = scratch(spec.shape, spec.dtype)
-        s2 = scratch(spec.shape, spec.dtype)
-        m = scratch(spec.shape, np.bool_)
-        return [
-            f"{kern('greater_equal')}({a}, 0.0, out={m})",
-            f"{kern('abs')}({a}, out={s1})",
-            f"{kern('negative')}({s1}, out={s1})",
-            f"{kern('exp')}({s1}, out={s1})",
-            f"{kern('add')}({s1}, 1.0, out={s2})",
-            f"{kern('divide')}({s1}, {s2}, out={out})",
-            f"{kern('divide')}(1.0, {s2}, out={s1})",
-            f"{kern('copyto')}({out}, {s1}, where={m})",
-        ]
-
-    if cls is _ops.Softplus:
-        a = name_of(ids[0])
-        spec = values[node.out_id]
-        s = scratch(spec.shape, spec.dtype)
-        return [
-            f"{kern('abs')}({a}, out={s})",
-            f"{kern('negative')}({s}, out={s})",
-            f"{kern('exp')}({s}, out={s})",
-            f"{kern('log1p')}({s}, out={s})",
-            f"{kern('maximum')}({a}, 0.0, out={out})",
-            f"{kern('add')}({out}, {s}, out={out})",
-        ]
-
-    if cls is _ops.BroadcastTo:
-        return [f"{kern('copyto')}({out}, {name_of(ids[0])})"]
-
-    raise NotImplementedError(
-        f"no codegen emitter for fusible op {cls.__name__}; "
-        f"repro.compile.fuse.FUSIBLE and the emitters drifted apart"
-    )
+    emit: Callable
+    #: ``op -> bool``: the lines finish reading every operand before the
+    #: first write to ``out``, so ``out`` may be a dying operand's buffer.
+    inplace: Callable = _always
+    #: Elementwise: consecutive region-eligible nodes share one function.
+    region: bool = True
+    #: ``op -> bool``: instances it rejects take the eager-fallback step.
+    lowers: Callable = _always
 
 
-def emit_region(nodes, values, env, start: int) -> RegionInfo:
-    """Generate, compile and bind one fused-region function.
+@functools.lru_cache(maxsize=4096)
+def _code(source: str):
+    """Code object of the ``_step`` function ``source`` defines."""
+    namespace: dict = {}
+    exec(compile(source, "<repro.compile.codegen>", "exec"), namespace)
+    return namespace["_step"].__code__
 
-    Parameters
-    ----------
-    nodes:
-        The region's :class:`~repro.compile.tracer.Node` list (consecutive
-        fusible kernel steps, in program order).
-    values:
-        The program's value table.
-    env:
-        The plan environment at compile time: non-``None`` slots (trace
-        constants, kernel-step arena buffers) are stable arrays bound as
-        defaults; ``None`` slots are loaded in the preamble each run.
-    start:
-        Index of the region's first step in the plan, used for naming.
-    """
-    bindings: dict[str, object] = {}
-    preamble: list[str] = []
-    body: list[str] = []
-    names: dict[int, str] = {}
-    scratch_count = 0
-    scratch_bytes = 0
 
-    def kern(name: str) -> str:
-        bindings[name] = _KERNELS[name]
+class StepFunction:
+    """Source of one generated plan step, built node by node."""
+
+    def __init__(self, values, env, arena):
+        self.values, self.env, self.arena = values, env, arena
+        self.op_names: list[str] = []
+        self._bindings: dict[str, object] = {}  # default-argument name -> object
+        self._names: dict[int, str] = {}        # value id -> local name
+        self._preamble: list[str] = []
+        self._body: list[str] = []
+        self._transient: list[np.ndarray] = []
+
+    @property
+    def label(self) -> str:
+        """The op name of a one-op function, ``fused[N]`` for a region."""
+        n = len(self.op_names)
+        return self.op_names[0] if n == 1 else f"fused[{n}]"
+
+    def bind(self, obj) -> str:
+        """Bind ``obj`` as a default argument; returns its local name."""
+        name = f"x{len(self._bindings)}"
+        self._bindings[name] = obj
         return name
 
-    def name_of(vid: int) -> str:
-        nm = names.get(vid)
-        if nm is None:
-            nm = f"v{vid}"
-            names[vid] = nm
-            arr = env[vid]
-            if arr is not None:
-                bindings[nm] = arr
-            else:
-                preamble.append(f"{nm} = env[{vid}]")
-        return nm
+    def name_of(self, vid: int) -> str:
+        """Local name of value ``vid``, binding or loading it on first use."""
+        name = self._names.get(vid)
+        if name is None:
+            array = self.env[vid]
+            if array is not None:
+                name = self.bind(array)
+            else:  # unstable slot: re-read on every run
+                name = f"u{len(self._preamble)}"
+                self._preamble.append(f"{name} = env[{self.bind(vid)}]")
+            self._names[vid] = name
+        return name
 
-    def scratch(shape, dtype) -> str:
-        nonlocal scratch_count, scratch_bytes
-        arr = np.empty(shape, dtype=dtype)
-        scratch_bytes += arr.nbytes
-        nm = f"s{scratch_count}"
-        scratch_count += 1
-        bindings[nm] = arr
-        return nm
+    def scratch(self, like: str, dtype=None) -> str:
+        """Transient arena array shaped like the bound buffer ``like``."""
+        buf = self._bindings[like]
+        array = self.arena.acquire(buf.shape, buf.dtype if dtype is None else dtype)
+        self._transient.append(array)
+        return self.bind(array)
 
-    op_names: list[str] = []
-    for node in nodes:
-        out = name_of(node.out_id)  # arena buffer: always a stable binding
-        body.extend(_emit_node(node, out, name_of, scratch, kern, values))
-        op_names.append(node.op_name)
+    def call(self, kernel: str, *args, **kwargs) -> str:
+        """One backend kernel call; non-name arguments are bound objects."""
+        self._bindings[kernel] = getattr(_B, kernel)
+        parts = [a if isinstance(a, str) else self.bind(a) for a in args]
+        parts += [f"{k}={v if isinstance(v, str) else self.bind(v)}" for k, v in kwargs.items()]
+        return f"{kernel}({', '.join(parts)})"
 
-    fname = f"_region{start}"
-    params = "".join(f", {nm}={nm}" for nm in bindings)
-    lines = [f"def {fname}(env{params}):"]
-    lines.extend("    " + ln for ln in preamble)
-    lines.extend("    " + ln for ln in body)
-    source = "\n".join(lines) + "\n"
-    namespace = dict(bindings)
-    code = compile(source, f"<repro.compile.region{start}>", "exec")
-    exec(code, namespace)
-    return RegionInfo(
-        fn=namespace[fname],
-        name=f"fused[{len(nodes)}@{start}]",
-        source=source,
-        op_names=op_names,
-        n_ops=len(nodes),
-        scratch_bytes=scratch_bytes,
-    )
+    def add(self, node, lowering: Lowering) -> None:
+        """Emit ``node`` (its output buffer is already in ``env``)."""
+        out = self.name_of(node.out_id)
+        operands = [self.name_of(vid) for vid in node.in_ids]
+        self._body.extend(lowering.emit(self, node, out, *operands))
+        self.op_names.append(node.op_name)
+        for array in self._transient:
+            self.arena.release(array)
+        self._transient.clear()
+
+    def build(self) -> Callable:
+        """Compile the accumulated lines into ``step(env)``."""
+        lines = [f"def _step(env, {', '.join(self._bindings)}):"]
+        lines.extend("    " + line for line in self._preamble + self._body)
+        # Every name is a parameter: the function needs no globals of its own.
+        return types.FunctionType(_code("\n".join(lines) + "\n"), _NO_GLOBALS, "_step",
+                                  tuple(self._bindings.values()))
+
+
+# -------------------------------------------------------------------- emitters
+def _kernel(kernel: str) -> Callable:
+    """``kernel(*operands, out=out)`` — unary, binary and comparison-mask
+    ops (``np.greater(a, b, out=float_buf)`` performs the bool -> float
+    cast, matching the eager ``(a > b).astype(dtype)`` exactly), matmul."""
+    return lambda fn, node, out, *operands: [fn.call(kernel, *operands, out=out)]
+
+
+def _copy(fn, node, out, a):
+    return [fn.call("copyto", out, a)]
+
+
+def _pow(fn, node, out, a):
+    p = node.op.exponent
+    if p == 2.0:
+        return [fn.call("multiply", a, a, out=out)]
+    if p == 3.0:  # reads ``a`` after the first write: never in place
+        return [fn.call("multiply", a, a, out=out), fn.call("multiply", out, a, out=out)]
+    if p == 1.0:
+        return _copy(fn, node, out, a)
+    if p == 0.5:
+        return [fn.call("sqrt", a, out=out)]
+    return [fn.call("power", a, p, out=out)]
+
+
+def _relu(fn, node, out, a):
+    # Same form as the eager op (a * (a > 0)) rather than max(a, 0):
+    # bit-identical including the sign of zero for negative inputs.
+    mask = fn.scratch(out)
+    return [fn.call("greater", a, 0.0, out=mask), fn.call("multiply", a, mask, out=out)]
+
+
+def _leaky_relu(fn, node, out, a):
+    # max(slope*a, a) == leaky_relu(a) only for slopes in [0, 1] (the
+    # entry's ``lowers``); reads ``a`` after the first write.
+    return [fn.call("multiply", a, node.op.negative_slope, out=out),
+            fn.call("maximum", out, a, out=out)]
+
+
+def _leaky_relu_mask(fn, node, out, a):
+    # fill(slope) + copyto(1, where=a>0) == where(a > 0, 1, slope).
+    mask = fn.scratch(out, np.bool_)
+    return [fn.call("greater", a, 0.0, out=mask),
+            f"{out}.fill({fn.bind(node.op.negative_slope)})",
+            fn.call("copyto", out, 1.0, where=mask)]
+
+
+def _sigmoid(fn, node, out, a):
+    # Branchless form of the eager op's two-sided stable sigmoid,
+    # bit-identical per element: t = exp(-|a|); a >= 0 -> 1/(1+t),
+    # a < 0 -> t/(1+t).
+    s1, s2, mask = fn.scratch(out), fn.scratch(out), fn.scratch(out, np.bool_)
+    return [
+        fn.call("greater_equal", a, 0.0, out=mask),
+        fn.call("abs", a, out=s1),
+        fn.call("negative", s1, out=s1),
+        fn.call("exp", s1, out=s1),
+        fn.call("add", s1, 1.0, out=s2),
+        fn.call("divide", s1, s2, out=out),
+        fn.call("divide", 1.0, s2, out=s1),
+        fn.call("copyto", out, s1, where=mask),
+    ]
+
+
+def _softplus(fn, node, out, a):
+    s = fn.scratch(out)
+    return [
+        fn.call("abs", a, out=s),
+        fn.call("negative", s, out=s),
+        fn.call("exp", s, out=s),
+        fn.call("log1p", s, out=s),
+        fn.call("maximum", a, 0.0, out=out),
+        fn.call("add", out, s, out=out),
+    ]
+
+
+def _sum(fn, node, out, a):
+    return [fn.call("sum", a, axis=node.op.axis, keepdims=node.op.keepdims, out=out)]
+
+
+def _concatenate(fn, node, out, *operands):
+    buf, axis = fn.env[node.out_id], node.op.axis
+    lines, start = [], 0
+    for vid, name in zip(node.in_ids, operands):
+        index = [slice(None)] * buf.ndim
+        stop = start + fn.values[vid].shape[axis]
+        index[axis] = slice(start, stop)
+        lines.append(fn.call("copyto", fn.bind(buf[tuple(index)]), name))
+        start = stop
+    return lines
+
+
+def _pad(fn, node, out, a):
+    interior = fn.env[node.out_id][tuple(
+        slice(p[0], p[0] + d)
+        for p, d in zip(node.op.pad_width, fn.values[node.in_ids[0]].shape)
+    )]
+    return [f"{out}.fill(0.0)", fn.call("copyto", fn.bind(interior), a)]
+
+
+def _put_index(fn, node, out, a):
+    return [f"{out}.fill(0.0)", f"{fn.bind(np.add.at)}({out}, {fn.bind(node.op.index)}, {a})"]
+
+
+def _standalone(emit: Callable) -> Lowering:
+    """Kernel-bound ops: a function of their own, never in place."""
+    return Lowering(emit, inplace=_never, region=False)
+
+
+LOWERINGS: dict[type, Lowering] = {
+    **{cls: Lowering(_kernel(kernel)) for cls, kernel in (
+        (_ops.Neg, "negative"), (_ops.Exp, "exp"), (_ops.Log, "log"),
+        (_ops.Sin, "sin"), (_ops.Cos, "cos"), (_ops.Tanh, "tanh"),
+        (_ops.Abs, "abs"), (_ops.Sign, "sign"), (_ops.Floor, "floor"),
+        (_ops.Add, "add"), (_ops.Sub, "subtract"), (_ops.Mul, "multiply"),
+        (_ops.Div, "divide"), (_ops.Maximum, "maximum"), (_ops.Minimum, "minimum"),
+        (_ops.GreaterMask, "greater"), (_ops.GreaterEqualMask, "greater_equal"),
+        (_ops.LessEqualMask, "less_equal"),
+    )},
+    _ops.Pow: Lowering(_pow, inplace=lambda op: op.exponent != 3.0),
+    _ops.ReLU: Lowering(_relu),
+    _ops.LeakyReLU: Lowering(_leaky_relu, inplace=_never,
+                             lowers=lambda op: 0.0 <= op.negative_slope <= 1.0),
+    _ops.LeakyReLUMask: Lowering(_leaky_relu_mask),
+    _ops.Sigmoid: Lowering(_sigmoid),
+    _ops.Softplus: Lowering(_softplus),
+    _ops.BroadcastTo: Lowering(_copy, inplace=_never),
+    _ops.MatMul: _standalone(_kernel("matmul")),
+    _ops.Sum: _standalone(_sum),
+    _ops.Concatenate: _standalone(_concatenate),
+    _ops.Pad: _standalone(_pad),
+    _ops.PutIndex: _standalone(_put_index),
+}
+
+
+def lowering_of(op) -> Lowering | None:
+    """The table entry that lowers ``op``, or ``None`` (eager fallback)."""
+    entry = LOWERINGS.get(type(op))
+    return entry if entry is not None and entry.lowers(op) else None

@@ -1,21 +1,27 @@
-"""Fused plan execution: in-place kernels over a liveness-managed arena.
+"""Plan execution: generated kernel steps over a liveness-managed arena.
 
 :func:`compile_program` lowers a traced :class:`~repro.compile.tracer.Program`
-into a :class:`CompiledPlan` — a flat list of step closures plus a set of
-pre-allocated arena buffers:
+into a :class:`CompiledPlan` — a flat list of steps plus a set of
+pre-allocated arena buffers — in **one walk** over the program that
+assigns each node's storage and emits its code in the same step:
 
-* every elementwise / matmul / reduction op runs through the backend's
-  ``out=`` **in-place kernel registry**
-  (:class:`repro.backend.ArrayBackend`), writing into an arena buffer;
-* chains of single-consumer elementwise ops are *fused*: when an operand's
-  storage dies at the node that consumes it (liveness pass) and shapes
-  match, the node writes straight over the operand's buffer, so a whole
-  Linear-bias-softplus chain flows through one buffer with zero transient
-  arrays;
+* an op with an entry in :data:`repro.compile.codegen.LOWERINGS` writes
+  into an arena buffer through the backend's ``out=`` **in-place kernel
+  registry** (:class:`repro.backend.ArrayBackend`); its lines come from
+  that entry and nowhere else;
+* when an operand's storage dies at the node that consumes it (liveness
+  pass), shapes match and the entry allows it, the node writes straight
+  over the operand's buffer, so a whole Linear-bias-softplus chain flows
+  through one buffer with zero transient arrays;
+* each maximal run of consecutive region-eligible (elementwise) nodes —
+  of any length — becomes one generated function; matmuls, reductions,
+  concatenations, pads and scatters get a function each, and views and
+  fallbacks end a run because they rebind ``env`` slots generated code
+  must observe;
 * view ops (reshape / transpose / basic slicing) run as NumPy views and
   charge their liveness to the storage root;
-* ops with no in-place lowering (or with data-dependent fancy indexing)
-  fall back to the recorded op's eager ``forward`` — counted in
+* ops with no table entry (or with data-dependent fancy indexing) fall
+  back to the recorded op's eager ``forward`` — counted in
   ``runtime_allocs`` so the allocation-regression test can pin hot plans
   at zero.
 
@@ -35,36 +41,33 @@ from typing import Callable
 import numpy as np
 
 from ..autodiff import ops as _ops
-from ..backend import get_backend
 from ..obs import runtime as _obs
-from .codegen import emit_region
-from .fuse import fusible_regions, is_fusible
+from .codegen import StepFunction, lowering_of
 from .passes import alias_roots, constant_fold, dead_code_elim, is_view_node, last_uses
 from .tracer import CONSTANT, INTERMEDIATE, Node, Program
 
 __all__ = ["CompiledPlan", "PlanStats", "compile_program"]
 
-#: Active backend, resolved once (see the matching note in autodiff.ops).
-_B = get_backend()
-
 
 @dataclass
 class PlanStats:
-    """Compile- and run-time accounting for one plan."""
+    """Compile- and run-time accounting for one plan.
+
+    ``n_codegen_regions`` counts the maximal elementwise runs (length >= 1,
+    one generated function each) and ``n_codegen_ops`` the ops inside them.
+    """
 
     n_traced_ops: int = 0
     n_folded: int = 0
     n_dead: int = 0
     n_ops: int = 0
     n_inplace: int = 0
-    n_fused_chains: int = 0
     n_views: int = 0
     n_fallback: int = 0
     n_buffers: int = 0
     arena_bytes: int = 0
     n_codegen_regions: int = 0
     n_codegen_ops: int = 0
-    codegen_bytes: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -75,6 +78,7 @@ class _Arena:
 
     def __init__(self):
         self._free: dict[tuple, list[np.ndarray]] = {}
+        self._slots: dict[int, int] = {}
         self.allocated: list[np.ndarray] = []
 
     def acquire(self, shape, dtype) -> np.ndarray:
@@ -83,241 +87,16 @@ class _Arena:
         if pool:
             return pool.pop()
         buf = np.empty(shape, dtype=dtype)
+        self._slots[id(buf)] = len(self.allocated)
         self.allocated.append(buf)
         return buf
 
+    def slot(self, buf) -> int | None:
+        """Index in :attr:`allocated` of an arena-owned buffer, else ``None``."""
+        return self._slots.get(id(buf))
+
     def release(self, buf: np.ndarray) -> None:
         self._free.setdefault((buf.shape, buf.dtype.str), []).append(buf)
-
-
-# --------------------------------------------------------------------- kernels
-# Builders return a step closure ``step(env) -> None`` that reads operand
-# arrays from ``env`` (indexed by value id) and writes into the bound arena
-# buffer.  ``inplace_ok(op)`` says whether the node may write over a dying
-# operand's buffer (False whenever an operand is read after the first write).
-
-_UNARY = {
-    _ops.Neg: _B.negative,
-    _ops.Exp: _B.exp,
-    _ops.Log: _B.log,
-    _ops.Sin: _B.sin,
-    _ops.Cos: _B.cos,
-    _ops.Tanh: _B.tanh,
-    _ops.Abs: _B.abs,
-    _ops.Sign: _B.sign,
-    _ops.Floor: _B.floor,
-}
-
-_BINARY = {
-    _ops.Add: _B.add,
-    _ops.Sub: _B.subtract,
-    _ops.Mul: _B.multiply,
-    _ops.Div: _B.divide,
-    _ops.Maximum: _B.maximum,
-    _ops.Minimum: _B.minimum,
-}
-
-#: Comparison-mask ops: a boolean predicate cast into a floating buffer
-#: (``np.greater(a, b, out=float_buf)`` performs the bool -> float cast,
-#: matching the eager ``(a > b).astype(dtype)`` exactly).
-_MASKS = {
-    _ops.GreaterMask: _B.greater,
-    _ops.GreaterEqualMask: _B.greater_equal,
-    _ops.LessEqualMask: _B.less_equal,
-}
-
-
-def _build_step(node: Node, buf: np.ndarray, arena: _Arena, values) -> Callable:
-    """Lower one compute node to a step closure writing into ``buf``."""
-    op = node.op
-    cls = type(op)
-    ids = node.in_ids
-
-    kern = _UNARY.get(cls)
-    if kern is not None:
-        i = ids[0]
-        return lambda env: kern(env[i], out=buf)
-
-    kern = _BINARY.get(cls)
-    if kern is not None:
-        i, j = ids
-        return lambda env: kern(env[i], env[j], out=buf)
-
-    if cls is _ops.Pow:
-        i, p = ids[0], op.exponent
-        if p == 2.0:
-            return lambda env: _B.multiply(env[i], env[i], out=buf)
-        if p == 3.0:
-            # Reads the operand after the first write: never fused in place.
-            def step(env):
-                _B.multiply(env[i], env[i], out=buf)
-                _B.multiply(buf, env[i], out=buf)
-            return step
-        if p == 1.0:
-            return lambda env: _B.copyto(buf, env[i])
-        if p == 0.5:
-            return lambda env: _B.sqrt(env[i], out=buf)
-        return lambda env: _B.power(env[i], p, out=buf)
-
-    if cls is _ops.ReLU:
-        i = ids[0]
-        shape, dtype = values[node.out_id].shape, values[node.out_id].dtype
-        mask = arena.acquire(shape, dtype)
-        arena.release(mask)  # transient: free for any later node's storage
-
-        # Same form as the eager op (a * (a > 0)) rather than max(a, 0):
-        # bit-identical including the sign of zero for negative inputs.
-        def step(env):
-            a = env[i]
-            _B.greater(a, 0.0, out=mask)
-            _B.multiply(a, mask, out=buf)
-        return step
-
-    if cls is _ops.LeakyReLU:
-        i, slope = ids[0], op.negative_slope
-        # max(slope*a, a) == leaky_relu(a) for slopes in [0, 1]; other
-        # slopes never reach this builder (_has_kernel falls back).
-        def step(env):
-            _B.multiply(env[i], slope, out=buf)
-            _B.maximum(buf, env[i], out=buf)
-        return step
-
-    kern = _MASKS.get(cls)
-    if kern is not None:
-        i, j = ids
-        return lambda env: kern(env[i], env[j], out=buf)
-
-    if cls is _ops.LeakyReLUMask:
-        i, slope = ids[0], op.negative_slope
-        mask = arena.acquire(values[node.out_id].shape, np.bool_)
-        arena.release(mask)  # transient: free for any later node's storage
-
-        # fill(slope) + copyto(1, where=a>0) == where(a > 0, 1, slope);
-        # ``a`` is read (into the bool scratch) before the first write
-        # into ``buf``, so the node is in-place safe.
-        def step(env):
-            _B.greater(env[i], 0.0, out=mask)
-            buf.fill(slope)
-            _B.copyto(buf, 1.0, where=mask)
-        return step
-
-    if cls is _ops.Sigmoid:
-        i = ids[0]
-        shape, dtype = values[node.out_id].shape, values[node.out_id].dtype
-        s1 = arena.acquire(shape, dtype)
-        s2 = arena.acquire(shape, dtype)
-        mask = arena.acquire(shape, np.bool_)
-        for scratch in (s1, s2, mask):
-            arena.release(scratch)
-
-        def step(env):
-            # Branchless form of the eager op's two-sided stable sigmoid,
-            # bit-identical per element: t = exp(-|a|); a >= 0 -> 1/(1+t),
-            # a < 0 -> t/(1+t).  ``a`` is only read before the first write
-            # into ``buf``, so the node is in-place safe.
-            a = env[i]
-            _B.greater_equal(a, 0.0, out=mask)
-            _B.abs(a, out=s1)
-            _B.negative(s1, out=s1)
-            _B.exp(s1, out=s1)
-            _B.add(s1, 1.0, out=s2)
-            _B.divide(s1, s2, out=buf)
-            _B.divide(1.0, s2, out=s1)
-            _B.copyto(buf, s1, where=mask)
-        return step
-
-    if cls is _ops.Softplus:
-        i = ids[0]
-        scratch = arena.acquire(values[node.out_id].shape, values[node.out_id].dtype)
-        arena.release(scratch)  # transient: free for any later node's storage
-
-        def step(env):
-            a = env[i]
-            _B.abs(a, out=scratch)
-            _B.negative(scratch, out=scratch)
-            _B.exp(scratch, out=scratch)
-            _B.log1p(scratch, out=scratch)
-            _B.maximum(a, 0.0, out=buf)
-            _B.add(buf, scratch, out=buf)
-        return step
-
-    if cls is _ops.MatMul:
-        i, j = ids
-        return lambda env: _B.matmul(env[i], env[j], out=buf)
-
-    if cls is _ops.Sum:
-        i, axis, keepdims = ids[0], op.axis, op.keepdims
-        return lambda env: _B.sum(env[i], axis=axis, keepdims=keepdims, out=buf)
-
-    if cls is _ops.BroadcastTo:
-        i = ids[0]
-        return lambda env: _B.copyto(buf, env[i])
-
-    if cls is _ops.Concatenate:
-        axis = op.axis
-        views = []
-        start = 0
-        for vid in ids:
-            size = values[vid].shape[axis]
-            index = [slice(None)] * buf.ndim
-            index[axis] = slice(start, start + size)
-            views.append(buf[tuple(index)])
-            start += size
-
-        def step(env):
-            for view, vid in zip(views, ids):
-                _B.copyto(view, env[vid])
-        return step
-
-    if cls is _ops.Pad:
-        i = ids[0]
-        interior = buf[tuple(
-            slice(p[0], p[0] + d) for p, d in zip(op.pad_width, values[i].shape)
-        )]
-
-        def step(env):
-            buf.fill(0.0)
-            _B.copyto(interior, env[i])
-        return step
-
-    if cls is _ops.PutIndex:
-        i, index = ids[0], op.index
-
-        def step(env):
-            buf.fill(0.0)
-            np.add.at(buf, index, env[i])
-        return step
-
-    return None
-
-
-def _inplace_ok(op) -> bool:
-    """Whether the node's kernel may write over a dying same-shape operand."""
-    cls = type(op)
-    if (cls in _UNARY or cls in _BINARY or cls in _MASKS
-            or cls is _ops.ReLU or cls is _ops.LeakyReLUMask
-            or cls is _ops.Softplus or cls is _ops.Sigmoid):
-        return True
-    return cls is _ops.Pow and op.exponent != 3.0
-
-
-#: Op classes with an in-place lowering in :func:`_build_step`.
-_LOWERED = (
-    tuple(_UNARY) + tuple(_BINARY) + tuple(_MASKS)
-    + (_ops.Pow, _ops.ReLU, _ops.LeakyReLU, _ops.LeakyReLUMask,
-       _ops.Softplus, _ops.Sigmoid,
-       _ops.MatMul, _ops.Sum, _ops.BroadcastTo, _ops.Concatenate, _ops.Pad,
-       _ops.PutIndex)
-)
-
-
-def _has_kernel(op) -> bool:
-    """Whether the node lowers onto the in-place kernel registry."""
-    if isinstance(op, _ops.LeakyReLU):
-        # The fused max(slope*a, a) identity only holds for slopes in
-        # [0, 1]; anything else takes the eager fallback step.
-        return 0.0 <= op.negative_slope <= 1.0
-    return isinstance(op, _LOWERED)
 
 
 def _view_step(node: Node) -> Callable:
@@ -342,8 +121,7 @@ class CompiledPlan:
     """
 
     def __init__(self, program: Program, steps, env, input_ids, output_ids,
-                 stats: PlanStats, alloc_cell, step_names=None, layout=None,
-                 region_sources=None):
+                 stats: PlanStats, alloc_cell, step_names, layout):
         self.program = program
         self._steps = steps
         self._env = env
@@ -351,15 +129,14 @@ class CompiledPlan:
         self._output_ids = output_ids
         self.stats = stats
         self._alloc_cell = alloc_cell
-        #: Human-readable label per step (op class, ``view:X``,
-        #: ``fallback:X``, ``fused[N@j]``) used by the per-kernel profiler.
-        self.step_names = list(step_names) if step_names is not None else []
-        #: One record per *lowered op* (pre-fusion granularity): op name,
-        #: output value, storage kind, arena buffer slot, liveness and
-        #: fused-region membership.  Feeds :meth:`dump`.
-        self.layout = list(layout) if layout is not None else []
-        #: Generated source of each codegen region, in region order.
-        self.region_sources = list(region_sources) if region_sources is not None else []
+        #: What each step is — the op class of a one-op function,
+        #: ``fused[N]`` for an N-op region, ``view:X``, ``fallback:X`` —
+        #: and the ``kernel=`` label of the per-kernel profiler.
+        self.step_names = step_names
+        #: One record per *lowered op*: op name, output value, storage
+        #: kind, arena buffer slot, liveness and region membership.
+        #: Feeds :meth:`dump`.
+        self.layout = layout
         self._kernel_hists: dict = {}
 
     @property
@@ -400,7 +177,7 @@ class CompiledPlan:
         names = self.step_names
         emit = _obs.tracing
         for idx, step in enumerate(self._steps):
-            name = names[idx] if idx < len(names) else f"step{idx}"
+            name = names[idx]
             t0 = time.perf_counter()
             step(env)
             t1 = time.perf_counter()
@@ -466,38 +243,48 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
     arena = _Arena()
     alloc_cell = [0]
     buffers: dict[int, np.ndarray] = {}  # root vid -> owned arena buffer
-    inplace_bufs: set[int] = set()       # id(buffer) of chain-carrying buffers
-    steps = []
+    steps: list[Callable] = []
     step_names: list[str] = []
-    step_kinds: list[str] = []           # "kernel" | "view" | "fallback" per step
+    layout: list[dict] = []
     env: list = [None] * len(values)
     for value in values:
         if value.kind == CONSTANT:
             env[value.vid] = value.data
 
+    fn = region = None  # the open generated function; its id if a region
+
+    def close():
+        nonlocal fn, region
+        if fn is not None:
+            steps.append(fn.build())
+            step_names.append(fn.label)
+            fn = region = None
+
     for j, node in enumerate(program.nodes):
         out_val = values[node.out_id]
+        lowering = lowering_of(node.op)
+        buf = None
         if is_view_node(node):
+            close()
+            kind = "view"
             steps.append(_view_step(node))
-            step_names.append(f"view:{type(node.op).__name__}")
-            step_kinds.append("view")
             stats.n_views += 1
-        elif not _has_kernel(node.op):
-            # No in-place lowering: run the recorded op eagerly (fresh
+        elif lowering is None:
+            # No table entry lowers it: run the recorded op eagerly (fresh
             # output array each run) and count the allocation.
+            close()
+            kind = "fallback"
             in_ids, out_id, op = node.in_ids, node.out_id, node.op
 
             def step(env, in_ids=in_ids, out_id=out_id, op=op):
                 env[out_id] = op.forward(*(env[i] for i in in_ids))
                 alloc_cell[0] += 1
 
-            stats.n_fallback += 1
             steps.append(step)
-            step_names.append(f"fallback:{type(node.op).__name__}")
-            step_kinds.append("fallback")
+            stats.n_fallback += 1
         else:
-            buf = None
-            if _inplace_ok(node.op):
+            kind = "kernel"
+            if lowering.inplace(node.op):
                 for vid in node.in_ids:
                     root = roots.get(vid, vid)
                     source = values[vid]
@@ -507,32 +294,22 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
                             and source.dtype == out_val.dtype):
                         buf = buffers.pop(root)
                         stats.n_inplace += 1
-                        if id(buf) not in inplace_bufs:
-                            stats.n_fused_chains += 1
-                            inplace_bufs.add(id(buf))
                         break
             if buf is None:
                 buf = arena.acquire(out_val.shape, out_val.dtype)
-            buffers[node.out_id] = buf
-            env[node.out_id] = buf
-            steps.append(_build_step(node, buf, arena, values))
-            step_names.append(type(node.op).__name__)
-            step_kinds.append("kernel")
-        for vid in set(node.in_ids):
-            root = roots.get(vid, vid)
-            if last.get(root) == j and root in buffers:
-                arena.release(buffers.pop(root))
-
-    stats.n_buffers = len(arena.allocated)
-    stats.arena_bytes = int(sum(b.nbytes for b in arena.allocated))
-
-    # Per-op layout records (pre-fusion granularity), for dump().
-    slot_of = {id(b): k for k, b in enumerate(arena.allocated)}
-    layout = []
-    for j, node in enumerate(program.nodes):
-        out_val = values[node.out_id]
-        kind = step_kinds[j]
-        buf = env[node.out_id] if kind == "kernel" else None
+            buffers[node.out_id] = env[node.out_id] = buf
+            if region is None or not lowering.region:
+                close()
+                fn = StepFunction(values, env, arena)
+                if lowering.region:
+                    region = stats.n_codegen_regions
+                    stats.n_codegen_regions += 1
+            # Scratch the node takes is back in the arena before the next
+            # node's output is assigned (see repro.compile.codegen).
+            fn.add(node, lowering)
+            stats.n_codegen_ops += lowering.region
+        if kind != "kernel":
+            step_names.append(f"{kind}:{type(node.op).__name__}")
         layout.append({
             "index": j,
             "op": node.op_name,
@@ -540,35 +317,18 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
             "shape": tuple(out_val.shape),
             "dtype": np.dtype(out_val.dtype).str,
             "kind": kind,
-            "buffer": slot_of.get(id(buf)) if buf is not None else None,
+            "buffer": arena.slot(buf),
             "last_use": last.get(roots.get(node.out_id, node.out_id)),
-            "region": None,
+            "region": region,
         })
+        for vid in set(node.in_ids):
+            root = roots.get(vid, vid)
+            if last.get(root) == j and root in buffers:
+                arena.release(buffers.pop(root))
+    close()
 
-    # Codegen fusion tier: splice each maximal elementwise run into one
-    # generated function.  Splicing back-to-front keeps earlier region
-    # indices valid; fused execution is bit-identical by construction
-    # (same kernels, same buffers, same order — see repro.compile.codegen).
-    flags = [
-        kind == "kernel" and is_fusible(node.op)
-        for kind, node in zip(step_kinds, program.nodes)
-    ]
-    regions = fusible_regions(flags)
-    region_sources: list[str] = []
-    for r_index, (start, end) in enumerate(regions):
-        for j in range(start, end):
-            layout[j]["region"] = r_index
-    for start, end in reversed(regions):
-        info = emit_region(program.nodes[start:end], values, env, start)
-        steps[start:end] = [info.fn]
-        step_names[start:end] = [info.name]
-        region_sources.append(info.source)
-        stats.n_codegen_regions += 1
-        stats.n_codegen_ops += info.n_ops
-        stats.codegen_bytes += info.scratch_bytes
-    region_sources.reverse()
-
+    stats.n_buffers = len(arena.allocated)
+    stats.arena_bytes = int(sum(b.nbytes for b in arena.allocated))
     return CompiledPlan(program, steps, env, list(program.input_ids),
                         list(program.output_ids), stats, alloc_cell,
-                        step_names=step_names, layout=layout,
-                        region_sources=region_sources)
+                        step_names, layout)

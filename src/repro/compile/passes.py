@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import ops as _ops
-from .tracer import CONSTANT, INTERMEDIATE, Node, Program, Value
+from .tracer import CONSTANT, Node, Program
 
 __all__ = ["constant_fold", "dead_code_elim", "alias_roots", "last_uses", "FOLD_LIMIT_BYTES"]
 
@@ -136,8 +136,3 @@ def last_uses(program: Program, roots: dict[int, int]) -> dict[int, int]:
     for vid in program.output_ids:
         last[roots.get(vid, vid)] = sentinel
     return last
-
-
-def intermediate_values(program: Program) -> list[Value]:
-    """All values that still need storage after folding (for stats)."""
-    return [v for v in program.values if v.kind == INTERMEDIATE]

@@ -3,7 +3,6 @@
 from .allreduce import AllReduceStats, naive_allreduce, reduce_scatter_allgather_cost, ring_allreduce
 from .buckets import GradientBuckets
 from .comm import SimulatedCommunicator
-from .ddp import DataParallelGroup, average_gradients
 from .perf_model import ClusterSpec, ScalingPerformanceModel, ScalingPoint
 from .sampler import DistributedSampler
 
@@ -15,8 +14,6 @@ __all__ = [
     "GradientBuckets",
     "SimulatedCommunicator",
     "DistributedSampler",
-    "DataParallelGroup",
-    "average_gradients",
     "ClusterSpec",
     "ScalingPerformanceModel",
     "ScalingPoint",

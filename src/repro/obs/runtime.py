@@ -6,7 +6,7 @@ per-kernel timing loop in :class:`repro.compile.executor.CompiledPlan` —
 guards itself on one of the module-level booleans below (``tracing``,
 ``ops``, ``kernels``, ``memory``).  With everything off (the default) the
 only cost a hot path pays is a module-attribute read and a falsy check;
-the instrumentation-overhead benchmark (``BENCH_pr7.json``) enforces that
+the instrumentation-overhead benchmark (``.benchmarks/BENCH_pr7.json``) enforces that
 this stays within 3% of the uninstrumented compiled decode path.
 
 State is deliberately *process-wide*, not thread-local: serving worker

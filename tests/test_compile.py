@@ -19,9 +19,11 @@ The contract under test (ISSUE 5 acceptance criteria):
   backward=True)`` and :class:`~repro.compile.CompiledTrainingStep`
   replay the whole equation-loss training step (forward, residuals,
   loss, parameter VJP and BatchNorm effects) bit-identically (ISSUE 8);
-* maximal elementwise runs are emitted as generated per-region callables
-  (the codegen fusion tier), preserving both bit-exactness and the
-  steady-state zero-allocation pin (ISSUE 8).
+* every kernel step is a generated function built from the one lowering
+  table (``repro.compile.codegen.LOWERINGS``, each entry checked against
+  eager by a test parametrised over its keys), maximal elementwise runs
+  sharing one function, preserving both bit-exactness and the
+  steady-state zero-allocation pin (ISSUE 8, ISSUE 14).
 """
 
 import tracemalloc
@@ -34,6 +36,7 @@ from repro import compile as rc
 from repro import nn
 from repro.autodiff import Tensor, grad, inference_mode, no_grad, ops
 from repro.backend import precision
+from repro.compile.codegen import LOWERINGS, lowering_of
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
 from repro.core.imnet import ImNet
 from repro.inference import InferenceEngine
@@ -310,6 +313,96 @@ class TestCompiledBackward:
             assert np.array_equal(pe.data, pc.data)
 
 
+_S = (3, 4, 5)
+
+
+def _case(build, *shapes, positive=False):
+    """One table-test case: ``build(*tensors)`` applies the op once."""
+    return build, shapes or (_S,), positive
+
+
+#: At least one case per key of ``codegen.LOWERINGS`` — the parametrised
+#: test below fails for a table entry that has none.
+LOWERING_CASES = {
+    ops.Neg: [_case(ops.neg)],
+    ops.Exp: [_case(ops.exp)],
+    ops.Log: [_case(ops.log, positive=True)],
+    ops.Sin: [_case(ops.sin)],
+    ops.Cos: [_case(ops.cos)],
+    ops.Tanh: [_case(ops.tanh)],
+    ops.Abs: [_case(ops.abs)],
+    ops.Sign: [_case(ops.sign)],
+    ops.Floor: [_case(ops.floor)],
+    ops.Add: [_case(ops.add, _S, _S), _case(ops.add, _S, (5,))],
+    ops.Sub: [_case(ops.sub, _S, _S)],
+    ops.Mul: [_case(ops.mul, _S, _S), _case(lambda a: ops.mul(a, 0.3))],
+    ops.Div: [_case(ops.div, _S, _S)],
+    ops.Maximum: [_case(ops.maximum, _S, _S)],
+    ops.Minimum: [_case(ops.minimum, _S, _S)],
+    ops.GreaterMask: [_case(ops.greater_mask, _S, _S)],
+    ops.GreaterEqualMask: [_case(ops.greater_equal_mask, _S, _S)],
+    ops.LessEqualMask: [_case(ops.less_equal_mask, _S, _S)],
+    ops.Pow: [_case(lambda a, p=p: ops.pow(a, p), positive=True)
+              for p in (0.5, 1.0, 2.0, 3.0, 2.5)],
+    ops.ReLU: [_case(ops.relu)],
+    ops.LeakyReLU: [_case(lambda a, s=s: ops.leaky_relu(a, s)) for s in (0.1, 1.5)],
+    ops.LeakyReLUMask: [_case(lambda a: ops.leaky_relu_mask(a, 0.1))],
+    ops.Sigmoid: [_case(ops.sigmoid)],
+    ops.Softplus: [_case(ops.softplus)],
+    ops.BroadcastTo: [_case(lambda a: ops.broadcast_to(a, _S), (4, 1)),
+                      _case(lambda a: ops.broadcast_to(a, _S))],
+    ops.MatMul: [_case(ops.matmul, (3, 4), (4, 5)), _case(ops.matmul, (2, 3, 4), (4, 4))],
+    ops.Sum: [_case(ops.sum),
+              _case(lambda a: ops.sum(a, axis=1)),
+              _case(lambda a: ops.sum(a, axis=(0, 2), keepdims=True))],
+    ops.Concatenate: [_case(lambda a, b: ops.concatenate([a, b], axis=1), _S, (3, 2, 5)),
+                      _case(lambda a, b: ops.concatenate([a, b], axis=-1), _S, _S)],
+    ops.Pad: [_case(lambda a: ops.pad(a, ((1, 2), (0, 0), (0, 1))))],
+    ops.PutIndex: [_case(lambda a: ops.put_index(a, (slice(None), [0, 2, 2, 1]), (3, 6, 5))),
+                   _case(lambda a: ops.put_index(a, (slice(1, 4),), (5, 4, 5)))],
+}
+
+
+class TestLoweringTable:
+    """Every entry of the one lowering table, by construction: a new entry
+    without a case here fails, and each case runs alone and fed by a dying
+    same-shape intermediate (the in-place candidate)."""
+
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("cls", list(LOWERINGS), ids=lambda cls: cls.__name__)
+    def test_entry_matches_eager(self, cls, policy):
+        assert cls in LOWERING_CASES, f"add a LOWERING_CASES entry for {cls.__name__}"
+        rng = np.random.default_rng(7)
+        for build, shapes, positive in LOWERING_CASES[cls]:
+            arrays = [rng.standard_normal(shape) for shape in shapes]
+            if positive:
+                arrays = [np.abs(a) + 0.5 for a in arrays]
+            variants = {
+                "alone": build,
+                "dying operand": lambda a, *rest: build(ops.mul(a, 1.5), *rest),
+            }
+            for label, fn in variants.items():
+                with precision(policy), no_grad():
+                    xs = [Tensor(a.astype(policy)) for a in arrays]
+                    cf = rc.compile_fn(fn)
+                    cf(*xs)                      # served by the trace
+                    replay = cf(*xs)
+                    eager = fn(*xs)
+                plan = cf.plans[0]
+                op = plan.program.nodes[-1].op
+                assert type(op) is cls
+                assert replay.dtype == eager.dtype == np.dtype(policy)
+                assert np.array_equal(replay.data, eager.data), (cls.__name__, label)
+                if lowering_of(op) is None:
+                    assert plan.stats.n_fallback == 1 and plan.runtime_allocs == 1
+                    continue
+                assert plan.stats.n_fallback == 0 and plan.runtime_allocs == 0
+                # The rule is the entry's: in place exactly when it says so
+                # and the dying intermediate has the output's shape.
+                fits = label != "alone" and eager.shape == arrays[0].shape
+                assert plan.stats.n_inplace == int(fits and LOWERINGS[cls].inplace(op))
+
+
 class TestKernelExactness:
     """Fused lowerings whose natural fast form would diverge from eager."""
 
@@ -550,11 +643,12 @@ class TestFusionTier:
         x = decoder_input()
         with inference_mode():
             y = cm(x)
-            stats = cm.plans[0].stats
+            plan = cm.plans[0]
+            stats = plan.stats
             assert stats.n_codegen_regions >= 1
-            # A region is worth emitting only when it spans >= 2 ops.
-            assert stats.n_codegen_ops >= 2 * stats.n_codegen_regions
-            assert stats.codegen_bytes > 0
+            # Regions are maximal elementwise runs of any length >= 1.
+            assert stats.n_codegen_ops >= stats.n_codegen_regions
+            assert any(name.startswith("fused[") for name in plan.step_names)
             assert np.array_equal(y.data, imnet(x).data)
 
     def test_fused_regions_bitwise_equal_across_replays(self):

@@ -1,26 +1,21 @@
-"""Distributed substrate: all-reduce, communicator, sampler, DDP, performance model."""
+"""Distributed substrate: all-reduce, communicator, sampler, buckets, performance model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import nn
-from repro.autodiff import Tensor, ops
 from repro.distributed import (
     ClusterSpec,
-    DataParallelGroup,
     DistributedSampler,
     GradientBuckets,
     ScalingPerformanceModel,
     SimulatedCommunicator,
-    average_gradients,
     naive_allreduce,
     reduce_scatter_allgather_cost,
     ring_allreduce,
 )
 from repro.nn.module import Parameter
-from repro.optim import SGD
 
 
 class TestAllReduce:
@@ -236,64 +231,6 @@ class TestGradientBuckets:
             buckets.flatten([np.zeros(4), np.zeros(4)])
         with pytest.raises(ValueError):
             GradientBuckets(params, bucket_bytes=0)
-
-
-def _make_model_factory(seed=0):
-    def factory():
-        rng = np.random.default_rng(seed)
-        return nn.Sequential(nn.Linear(3, 8, rng=rng), nn.Tanh(), nn.Linear(8, 1, rng=rng))
-    return factory
-
-
-class TestDataParallelGroup:
-    def test_replicas_stay_in_sync(self, rng):
-        group = DataParallelGroup(_make_model_factory(), world_size=3,
-                                  optimizer_factory=lambda p: SGD(p, lr=0.05))
-        assert group.parameters_in_sync()
-        x = [Tensor(rng.standard_normal((4, 3))) for _ in range(3)]
-        y = [Tensor(rng.standard_normal((4, 1))) for _ in range(3)]
-        for _ in range(3):
-            losses = [ops.mse_loss(r(xi), yi) for r, xi, yi in zip(group.replicas, x, y)]
-            group.step(losses)
-        assert group.parameters_in_sync()
-        assert group.communication_bytes() > 0
-
-    def test_equivalent_to_large_batch_single_process(self, rng):
-        """DDP over shards == single model trained on the concatenated batch."""
-        x = rng.standard_normal((8, 3))
-        y = rng.standard_normal((8, 1))
-
-        single = _make_model_factory()()
-        opt = SGD(single.parameters(), lr=0.1)
-        opt.zero_grad()
-        ops.mse_loss(single(Tensor(x)), Tensor(y)).backward()
-        opt.step()
-
-        group = DataParallelGroup(_make_model_factory(), world_size=2,
-                                  optimizer_factory=lambda p: SGD(p, lr=0.1))
-        losses = [
-            ops.mse_loss(group.replicas[0](Tensor(x[:4])), Tensor(y[:4])),
-            ops.mse_loss(group.replicas[1](Tensor(x[4:])), Tensor(y[4:])),
-        ]
-        group.step(losses)
-
-        for p_single, p_ddp in zip(single.parameters(), group.model.parameters()):
-            assert np.allclose(p_single.data, p_ddp.data, atol=1e-10)
-
-    def test_wrong_loss_count(self, rng):
-        group = DataParallelGroup(_make_model_factory(), world_size=2,
-                                  optimizer_factory=lambda p: SGD(p, lr=0.1))
-        with pytest.raises(ValueError):
-            group.step([Tensor(np.array(1.0))])
-
-    def test_average_gradients_function(self, rng):
-        replicas = [_make_model_factory()() for _ in range(2)]
-        comm = SimulatedCommunicator(2)
-        for i, r in enumerate(replicas):
-            ops.sum(r(Tensor(rng.standard_normal((2, 3))))).backward()
-        average_gradients(replicas, comm)
-        for p0, p1 in zip(replicas[0].parameters(), replicas[1].parameters()):
-            assert np.allclose(p0.grad, p1.grad)
 
 
 class TestPerformanceModel:

@@ -1,5 +1,6 @@
 """Observability layer: metrics registry, span tracing, profiling, exporters."""
 
+import collections
 import json
 import math
 import threading
@@ -7,9 +8,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro import compile as rc
 from repro import obs
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, inference_mode
 from repro.autodiff import tensor as tensor_mod
+from repro.core.imnet import ImNet
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import QueryResult, ServerTelemetry
 from repro.serving.requests import STATUS_OK
@@ -282,6 +285,28 @@ class TestRuntime:
         snap = obs.REGISTRY.snapshot()
         hist = snap["histograms"].get("tape.op_alloc_bytes{op=Mul}")
         assert hist is not None and hist["count"] >= 1
+
+    def test_kernel_profiling_labels_steps_by_what_they_are(self):
+        """``compile.kernel_seconds`` is labelled by the step's op name or
+        ``fused[N]``, never by its position: regions of one length share a
+        series, so a profiled plan stays aggregable."""
+        imnet = ImNet(coord_dim=3, latent_dim=6, out_channels=4, hidden=(16, 16, 16, 16)).eval()
+        cm = rc.compile(imnet)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 32, 9)))
+        prefix = "compile.kernel_seconds{kernel=fused["
+        before = set(obs.REGISTRY.snapshot()["histograms"])
+        with inference_mode():
+            cm(x)  # served by the trace
+            obs.enable(trace=False, profile_kernels=True)
+            cm(x)
+            cm(x)
+        after = set(obs.REGISTRY.snapshot()["histograms"])
+        sizes = collections.Counter(
+            e["region"] for e in cm.plans[0].layout if e["region"] is not None)
+        lengths = set(sizes.values())
+        assert len(sizes) > len(lengths)  # several regions share a length
+        assert len([k for k in after - before if k.startswith(prefix)]) <= len(lengths)
+        assert {f"{prefix}{n}]}}" for n in lengths if n > 1} <= after
 
     def test_observed_context_manager(self):
         with obs.observed(profile_ops=True):
