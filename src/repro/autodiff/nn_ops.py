@@ -1,21 +1,26 @@
 """Neural-network specific primitives: 3D convolution, pooling, upsampling.
 
 These ops back the U-Net encoder (Context Generation Network) and the
-convolutional-decoder baseline.  Their backward rules are themselves
-*recorded primitives* (``Conv3dGradInput`` / ``Conv3dGradWeight`` and the
-pooling/upsampling adjoints below) whose forwards recompute everything from
-their live operands — no forward-cached arrays — so a :mod:`repro.compile`
-graph capture of a whole training step replays the encoder VJP correctly on
-new batches.  The grad primitives are first-order only (their own
-``backward`` raises), which is sufficient because the MeshfreeFlowNet
-equation loss only needs higher-order derivatives through the continuous
-decoding MLP, never through the convolutional encoder (the latent context
-enters the MLP as an input, so the encoder only ever sees first-order
-gradients).
+convolutional-decoder baseline.  The convolution family shares one
+channel-major GEMM layout, ``W(C_out, K) @ cols(N, K, L) -> (N, C_out, L)``
+with ``K = C_in*kd*kh*kw`` and ``L = D_out*H_out*W_out``: the product *is*
+the C-contiguous NCDHW result, so nothing is transposed or copied after the
+GEMM.  Backward rules are themselves *recorded primitives*
+(``Conv3dGradInput`` / ``Conv3dGradWeight`` and the pooling/upsampling
+adjoints below) whose forwards recompute everything from their live
+operands — no forward-cached arrays — so a :mod:`repro.compile` graph
+capture of a whole training step replays the encoder VJP correctly on new
+batches.  The grad primitives are first-order only (their own ``backward``
+raises), which is sufficient because the MeshfreeFlowNet equation loss only
+needs higher-order derivatives through the continuous decoding MLP, never
+through the convolutional encoder (the latent context enters the MLP as an
+input, so the encoder only ever sees first-order gradients).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 
 import numpy as np
 
@@ -33,24 +38,47 @@ def _triple(value) -> tuple[int, int, int]:
 
 
 def _extract_patches(x: np.ndarray, kernel: tuple[int, int, int], stride: tuple[int, int, int]) -> np.ndarray:
-    """Return a strided view of shape (N, C, Do, Ho, Wo, kd, kh, kw)."""
-    n, c, d, h, w = x.shape
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
-    do = (d - kd) // sd + 1
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sw + 1
-    sn, sc, s0, s1, s2 = x.strides
-    shape = (n, c, do, ho, wo, kd, kh, kw)
-    strides = (sn, sc, s0 * sd, s1 * sh, s2 * sw, s0, s1, s2)
-    return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    """Return a read-only strided view of shape (N, C, Do, Ho, Wo, kd, kh, kw)."""
+    out = tuple((size - k) // s + 1 for size, k, s in zip(x.shape[2:], kernel, stride))
+    strides = (*x.strides[:2], *(step * s for step, s in zip(x.strides[2:], stride)), *x.strides[2:])
+    # The windows overlap in memory, so a write through the view would land
+    # in several patches at once: hand it out read-only.
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(*x.shape[:2], *out, *kernel), strides=strides, writeable=False)
+
+
+def _is_pointwise(kernel, stride, padding) -> bool:
+    """A 1x1x1, stride-1, unpadded convolution: a plain channel-mixing GEMM."""
+    return kernel == (1, 1, 1) and stride == (1, 1, 1) and not any(padding)
+
+
+def _im2col(x: np.ndarray, kernel, stride, padding) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Channel-major columns ``(N, C*kd*kh*kw, L)`` of ``x`` and the output spatial shape.
+
+    ``L = Do*Ho*Wo`` is the innermost axis, so the one copy this makes moves
+    ``Wo``-long contiguous runs.  A pointwise convolution needs no patches at
+    all: its columns are ``x`` itself with the spatial axes flattened.
+    """
+    n, c = x.shape[:2]
+    if _is_pointwise(kernel, stride, padding):
+        return x.reshape(n, c, -1), x.shape[2:]
+    if any(padding):
+        x = np.pad(x, ((0, 0), (0, 0), *((p, p) for p in padding)))
+    patches = _extract_patches(x, kernel, stride)
+    spatial = patches.shape[2:5]
+    return patches.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(n, -1, math.prod(spatial)), spatial
 
 
 class Conv3d(Op):
-    """3D cross-correlation via im2col + matmul.
+    """3D cross-correlation as one channel-major GEMM per sample.
 
     Input ``(N, C_in, D, H, W)``; weight ``(C_out, C_in, kd, kh, kw)``;
-    output ``(N, C_out, D_out, H_out, W_out)``.
+    output ``(N, C_out, D_out, H_out, W_out)``, written by the GEMM straight
+    into a freshly allocated array: it owns its memory, is C-contiguous and
+    never aliases ``x``.  That matters beyond speed — reductions (BatchNorm
+    means, loss sums) are pairwise and therefore layout-sensitive, and a
+    compiled replay serves this value from a C-contiguous arena buffer, so
+    the eager layout must match or the two drift by ~1 ulp.
     """
 
     def __init__(self, stride=1, padding=0):
@@ -59,45 +87,30 @@ class Conv3d(Op):
 
     def forward(self, x, weight):
         self._x_shape = x.shape
-        n, c_in, d, h, w = x.shape
-        c_out, c_in_w, kd, kh, kw = weight.shape
+        n, c_in = x.shape[:2]
+        c_out, c_in_w = weight.shape[:2]
         if c_in != c_in_w:
             raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
-        pd, ph, pw = self.padding
-        if any(self.padding):
-            x = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-        patches = _extract_patches(x, (kd, kh, kw), self.stride)
-        n, _, do, ho, wo, _, _, _ = patches.shape
-        # (N, L, C_in*kd*kh*kw)
-        cols = patches.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(n, do * ho * wo, c_in * kd * kh * kw)
-        w2 = weight.reshape(c_out, -1)
-        out = cols @ w2.T  # (N, L, C_out)
-        out = out.transpose(0, 2, 1).reshape(n, c_out, do, ho, wo)
-        # The reshape above merely splits the L axis, so NumPy hands back a
-        # transposed *view*.  Materialize it: reductions (BatchNorm means,
-        # loss sums) are pairwise and therefore layout-sensitive, and a
-        # compiled replay serves this value from a C-contiguous arena
-        # buffer — the eager layout must match or the two drift by ~1 ulp.
-        return np.ascontiguousarray(out)
+        cols, spatial = _im2col(x, weight.shape[2:], self.stride, self.padding)
+        out = np.empty((n, c_out, *spatial), dtype=np.result_type(x, weight))
+        np.matmul(weight.reshape(c_out, -1), cols, out=out.reshape(n, c_out, -1))
+        return out
 
     def backward(self, grad):
         x, weight = self.inputs
-        grad_x = Conv3dGradInput.apply(
-            grad, weight, stride=self.stride, padding=self.padding, x_shape=self._x_shape
-        )
-        grad_w = Conv3dGradWeight.apply(
-            grad, x, stride=self.stride, padding=self.padding,
-            kernel=weight.shape[2:],
-        )
-        return grad_x, grad_w
+        geometry = dict(stride=self.stride, padding=self.padding)
+        return (Conv3dGradInput.apply(grad, weight, x_shape=self._x_shape, **geometry),
+                Conv3dGradWeight.apply(grad, x, kernel=weight.shape[2:], **geometry))
 
 
 class Conv3dGradInput(Op):
     """VJP of :class:`Conv3d` with respect to its input (col2im).
 
-    A recorded primitive: the column expansion is recomputed from the live
-    ``grad`` / ``weight`` operands each run, so a captured plan replays the
-    convolution backward on new batches.  First-order only.
+    A recorded primitive: the column expansion ``W^T(K, C_out) @ g(N, C_out, L)``
+    is recomputed from the live ``grad`` / ``weight`` operands each run, so a
+    captured plan replays the convolution backward on new batches.  The
+    columns are channel-major like the forward's, so each of the ``kd*kh*kw``
+    scatter-adds reads contiguous rows.  First-order only.
     """
 
     def __init__(self, stride, padding, x_shape):
@@ -108,22 +121,19 @@ class Conv3dGradInput(Op):
     def forward(self, g, weight):
         n, c_out, do, ho, wo = g.shape
         _, c_in, kd, kh, kw = weight.shape
-        g2 = g.reshape(n, c_out, do * ho * wo).transpose(0, 2, 1)  # (N, L, C_out)
-        w2 = weight.reshape(c_out, -1)
-        gcols = g2 @ w2  # (N, L, C_in*k^3)
-        gcols = gcols.reshape(n, do, ho, wo, c_in, kd, kh, kw).transpose(0, 4, 1, 2, 3, 5, 6, 7)
+        gcols = np.matmul(weight.reshape(c_out, -1).T, g.reshape(n, c_out, -1))  # (N, K, L)
+        if _is_pointwise((kd, kh, kw), self.stride, self.padding):
+            return gcols.reshape(self.x_shape)
+        gcols = gcols.reshape(n, c_in, kd, kh, kw, do, ho, wo)
 
         pd, ph, pw = self.padding
         d, h, w = self.x_shape[2:]
-        padded_shape = (n, c_in, d + 2 * pd, h + 2 * ph, w + 2 * pw)
-        grad_padded = np.zeros(padded_shape, dtype=g.dtype)
+        grad_padded = np.zeros((n, c_in, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
         sd, sh, sw = self.stride
-        for i in range(kd):
-            for j in range(kh):
-                for k in range(kw):
-                    grad_padded[
-                        :, :, i : i + sd * do : sd, j : j + sh * ho : sh, k : k + sw * wo : sw
-                    ] += gcols[:, :, :, :, :, i, j, k]
+        for i, j, k in itertools.product(range(kd), range(kh), range(kw)):
+            grad_padded[
+                :, :, i : i + sd * do : sd, j : j + sh * ho : sh, k : k + sw * wo : sw
+            ] += gcols[:, :, i, j, k]
         return grad_padded[:, :, pd : pd + d, ph : ph + h, pw : pw + w]
 
     def backward(self, grad):  # pragma: no cover - never on a differentiated path
@@ -131,11 +141,11 @@ class Conv3dGradInput(Op):
 
 
 class Conv3dGradWeight(Op):
-    """VJP of :class:`Conv3d` with respect to its weight (im2col + einsum).
+    """VJP of :class:`Conv3d` with respect to its weight: ``sum_n g(C_out, L) @ cols(K, L)^T``.
 
-    Recomputes the input columns from the live ``x`` operand instead of
-    reusing the forward pass's cache, for the same replayability reason as
-    :class:`Conv3dGradInput`.  First-order only.
+    Recomputes the input columns from the live ``x`` operand (the forward's
+    :func:`_im2col`) instead of reusing the forward pass's cache, for the
+    same replayability reason as :class:`Conv3dGradInput`.  First-order only.
     """
 
     def __init__(self, stride, padding, kernel):
@@ -144,19 +154,32 @@ class Conv3dGradWeight(Op):
         self.kernel = _triple(kernel)
 
     def forward(self, g, x):
-        n, c_out, do, ho, wo = g.shape
-        c_in = x.shape[1]
-        pd, ph, pw = self.padding
-        if any(self.padding):
-            x = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-        kd, kh, kw = self.kernel
-        patches = _extract_patches(x, (kd, kh, kw), self.stride)
-        cols = patches.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(n, do * ho * wo, c_in * kd * kh * kw)
-        g2 = g.reshape(n, c_out, do * ho * wo).transpose(0, 2, 1)  # (N, L, C_out)
-        return np.einsum("nlc,nlk->ck", g2, cols).reshape(c_out, c_in, kd, kh, kw)
+        n, c_out = g.shape[:2]
+        cols, _ = _im2col(x, self.kernel, self.stride, self.padding)
+        grad_w = np.matmul(g.reshape(n, c_out, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        return grad_w.reshape(c_out, x.shape[1], *self.kernel)
 
     def backward(self, grad):  # pragma: no cover - never on a differentiated path
         raise NotImplementedError("Conv3dGradWeight is first-order only")
+
+
+def _pool_windows(kernel: tuple[int, int, int]) -> list[tuple]:
+    """One strided index per in-window offset, in C order of ``(kd, kh, kw)``.
+
+    ``x[window]`` is the view that picks that offset out of every pooling
+    window, shape ``(N, C, D/kd, H/kh, W/kw)``.
+    """
+    return [(..., *(slice(start, None, step) for start, step in zip(offset, kernel)))
+            for offset in itertools.product(*map(range, kernel))]
+
+
+def _max_pool(x: np.ndarray, kernel: tuple[int, int, int]) -> np.ndarray:
+    """Window maxima by ``kd*kh*kw`` in-place ``np.maximum`` passes over strided views."""
+    first, *rest = _pool_windows(kernel)
+    out = x[first].copy()
+    for window in rest:
+        np.maximum(out, x[window], out=out)
+    return out
 
 
 class MaxPool3d(Op):
@@ -166,17 +189,13 @@ class MaxPool3d(Op):
         self.kernel = _triple(kernel_size)
 
     def forward(self, x):
-        n, c, d, h, w = x.shape
+        d, h, w = x.shape[2:]
         kd, kh, kw = self.kernel
         if d % kd or h % kh or w % kw:
             raise ValueError(
                 f"MaxPool3d requires spatial dims {(d, h, w)} divisible by kernel {self.kernel}"
             )
-        windows = x.reshape(n, c, d // kd, kd, h // kh, kh, w // kw, kw)
-        windows = windows.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(
-            n, c, d // kd, h // kh, w // kw, kd * kh * kw
-        )
-        return windows.max(axis=-1)
+        return _max_pool(x, self.kernel)
 
     def backward(self, grad):
         (x,) = self.inputs
@@ -184,27 +203,25 @@ class MaxPool3d(Op):
 
 
 class MaxPool3dGrad(Op):
-    """VJP of :class:`MaxPool3d`: route ``grad`` to each window's argmax.
+    """VJP of :class:`MaxPool3d`: route ``grad`` to each window's first maximum.
 
-    The argmax is recomputed from the live ``x`` operand (not cached by the
-    pooling forward), so captured plans replay correctly.  First-order only.
+    The maxima are recomputed from the live ``x`` operand (not cached by the
+    pooling forward), so captured plans replay correctly; a window holding a
+    NaN equals nothing and routes nothing.  First-order only.
     """
 
     def __init__(self, kernel_size=2):
         self.kernel = _triple(kernel_size)
 
     def forward(self, g, x):
-        n, c, d, h, w = x.shape
-        kd, kh, kw = self.kernel
-        do, ho, wo = d // kd, h // kh, w // kw
-        windows = x.reshape(n, c, do, kd, ho, kh, wo, kw)
-        windows = windows.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(n, c, do, ho, wo, kd * kh * kw)
-        argmax = windows.argmax(axis=-1)
-        out = np.zeros((n, c, do, ho, wo, kd * kh * kw), dtype=g.dtype)
-        idx = np.indices((n, c, do, ho, wo))
-        out[idx[0], idx[1], idx[2], idx[3], idx[4], argmax] = g
-        out = out.reshape(n, c, do, ho, wo, kd, kh, kw).transpose(0, 1, 2, 5, 3, 6, 4, 7)
-        return out.reshape(x.shape)
+        pooled = _max_pool(x, self.kernel)
+        out = np.zeros(x.shape, dtype=g.dtype)
+        unrouted = np.ones(pooled.shape, dtype=bool)
+        for window in _pool_windows(self.kernel):
+            hit = (x[window] == pooled) & unrouted
+            np.copyto(out[window], g, where=hit)
+            unrouted &= ~hit
+        return out
 
     def backward(self, grad):  # pragma: no cover - never on a differentiated path
         raise NotImplementedError("MaxPool3dGrad is first-order only")

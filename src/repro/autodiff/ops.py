@@ -210,12 +210,11 @@ class Tanh(Op):
 class Sigmoid(Op):
     """Elementwise logistic sigmoid."""
     def forward(self, a):
-        out = np.empty_like(a)
-        pos = a >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-        ea = np.exp(a[~pos])
-        out[~pos] = ea / (1.0 + ea)
-        return out
+        # Branchless two-sided stable form: with t = exp(-|a|) <= 1,
+        # a >= 0 -> 1/(1+t) and a < 0 -> t/(1+t), no overflow on either side.
+        t = np.exp(-np.abs(a))
+        den = 1.0 + t
+        return np.where(a >= 0, 1.0 / den, t / den)
 
     def backward(self, grad):
         (a,) = self.inputs
@@ -237,7 +236,12 @@ class Softplus(Op):
 class ReLU(Op):
     """Elementwise rectified linear unit."""
     def forward(self, a):
-        return a * ((a > 0).astype(a.dtype))
+        # a * (a > 0), not max(a, 0): negative inputs give -0.0, which the
+        # compiled lowering reproduces bit for bit.  The mask is written in
+        # a's dtype and reused as the result.
+        out = np.empty_like(a)
+        np.greater(a, 0, out=out)
+        return np.multiply(a, out, out=out)
 
     def backward(self, grad):
         (a,) = self.inputs

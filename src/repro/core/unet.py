@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, ops
+from ..autodiff import Tensor, nn_ops, ops
 from .. import nn
 from .config import MeshfreeFlowNetConfig
 
@@ -29,12 +29,40 @@ def _make_norm(kind: str, channels: int) -> nn.Module:
     raise ValueError(f"unknown norm '{kind}'")
 
 
+def _conv_norm(conv: nn.Conv3d, norm: nn.Module, x: Tensor) -> Tensor:
+    """``norm(conv(x))``, with an eval-mode :class:`~repro.nn.BatchNorm3d` folded into the conv.
+
+    On running statistics BatchNorm is a per-channel affine map of the conv
+    output, ``(conv(x) + b - mean) * s + beta`` with ``s = gamma / sqrt(var + eps)``,
+    so it is the same convolution with weight ``W * s`` and bias
+    ``(b - mean) * s + beta`` and the four full-tensor normalisation passes
+    disappear.  The fold is recomputed on every call, in differentiable ops
+    on the live parameters and buffers (a few hundred elements): nothing is
+    cached, so there is nothing to invalidate, ``state_dict`` is untouched
+    and gradients still reach ``conv`` and ``norm`` parameters.  Every other
+    case — train mode, batch statistics, GroupNorm, no norm — is the plain
+    composition.
+    """
+    if not (isinstance(norm, nn.BatchNorm3d) and norm.track_running_stats and not norm.training):
+        return norm(conv(x))
+    channels = conv.out_channels
+    gamma, beta = (norm.weight, norm.bias) if norm.affine else (1.0, 0.0)
+    bias = conv.bias if conv.bias is not None else 0.0
+    scale = ops.div(gamma, ops.sqrt(ops.add(Tensor(norm.running_var), norm.eps)))
+    shift = ops.add(ops.mul(ops.sub(bias, Tensor(norm.running_mean)), scale), beta)
+    weight = ops.mul(conv.weight, ops.reshape(scale, (channels, 1, 1, 1, 1)))
+    out = nn_ops.conv3d(x, weight, stride=conv.stride, padding=conv.padding)
+    return ops.add(out, ops.reshape(shift, (1, channels, 1, 1, 1)))
+
+
 class ResBlock3d(nn.Module):
     """Bottleneck residual block: 1×1×1 → 3×3×3 → 1×1×1 convolutions.
 
-    Each convolution is followed by normalisation; ReLU activations are
-    interleaved and the skip connection is projected with a 1×1×1 convolution
-    when the channel count changes (Fig. 5, "ResBlock").
+    Each convolution is followed by normalisation (computed through
+    :func:`_conv_norm`, which folds eval-mode BatchNorm into the
+    convolution); ReLU activations are interleaved and the skip connection
+    is projected with a 1×1×1 convolution when the channel count changes
+    (Fig. 5, "ResBlock").
     """
 
     def __init__(self, in_channels: int, out_channels: int,
@@ -57,9 +85,9 @@ class ResBlock3d(nn.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply the bottleneck convolutions and the residual skip path."""
-        h = self.act(self.norm1(self.conv1(x)))
-        h = self.act(self.norm2(self.conv2(h)))
-        h = self.norm3(self.conv3(h))
+        h = self.act(_conv_norm(self.conv1, self.norm1, x))
+        h = self.act(_conv_norm(self.conv2, self.norm2, h))
+        h = _conv_norm(self.conv3, self.norm3, h)
         return self.act(ops.add(h, self.skip(x)))
 
 

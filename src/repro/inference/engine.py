@@ -26,6 +26,7 @@ statistics are crop-independent.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import warnings
@@ -52,6 +53,19 @@ _TOKEN_LOCK = threading.Lock()
 
 #: A cell's eight corner offsets along ``(t, z, x)``, in :func:`query_latent_grid`'s order.
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+
+
+@contextlib.contextmanager
+def _eval_mode(module):
+    """Run a block with all of ``module`` in eval mode, then put back the submodules that were training."""
+    training = [m for m in module.modules() if m.training]
+    for m in training:
+        m.training = False
+    try:
+        yield
+    finally:
+        for m in training:
+            m.training = True
 
 
 class InferenceEngine:
@@ -336,21 +350,12 @@ class TiledLatentField:
         slices = self.layout.tile_slices(tile)
         crop = np.ascontiguousarray(
             self.lowres[(slice(None), slice(None), *slices)], dtype=self.dtype)
-        with _span("engine.encode_tile", tile=tile, shape=str(crop.shape)):
-            if self.layout.is_single_tile:
-                # Direct mode mirrors the seed path bit-for-bit, including its
-                # use of the model's current training/eval mode.
-                with precision(self.dtype), inference_mode():
-                    return model.latent_grid(Tensor(crop)).data
-            modules = list(model.unet.modules())
-            previous = [m.training for m in modules]
-            model.unet.eval()
-            try:
-                with precision(self.dtype), inference_mode():
-                    return model.latent_grid(Tensor(crop)).data
-            finally:
-                for module, mode in zip(modules, previous):
-                    object.__setattr__(module, "training", mode)
+        # Direct mode mirrors the seed path bit-for-bit, including its use of
+        # the model's current training/eval mode; tiles are encoded in eval mode.
+        mode = contextlib.nullcontext() if self.layout.is_single_tile else _eval_mode(model.unet)
+        with _span("engine.encode_tile", tile=tile, shape=str(crop.shape)), mode, \
+                precision(self.dtype), inference_mode():
+            return model.latent_grid(Tensor(crop)).data
 
     # ----------------------------------------------------------------- query
     def query(self, coords: np.ndarray) -> np.ndarray:

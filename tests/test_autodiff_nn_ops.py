@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.autodiff import Tensor, avg_pool3d, conv3d, gradcheck, max_pool3d, ops, upsample_nearest3d
+from repro.autodiff import Tensor, avg_pool3d, conv3d, gradcheck, max_pool3d, nn_ops, ops, upsample_nearest3d
 
 
 def t(arr):
@@ -113,3 +115,138 @@ class TestUpsample:
         up = upsample_nearest3d(Tensor(x), 2)
         back = avg_pool3d(up, 2)
         assert np.allclose(back.data, x)
+
+
+# ----------------------------------------------------- the Conv3d family vs direct loops
+def _windows(x_padded, kernel, stride):
+    """Output spatial shape, and ``(output index, window slices)`` for every output voxel."""
+    out_shape = tuple((x_padded.shape[2 + a] - kernel[a]) // stride[a] + 1 for a in range(3))
+    return out_shape, [(idx, tuple(slice(i * s, i * s + k) for i, s, k in zip(idx, stride, kernel)))
+                       for idx in np.ndindex(*out_shape)]
+
+
+def _pad(x, padding):
+    return np.pad(x.astype(np.float64), ((0, 0), (0, 0), *((p, p) for p in padding)))
+
+
+def naive_conv3d(x, w, stride, padding):
+    xp, w = _pad(x, padding), w.astype(np.float64)
+    out_shape, windows = _windows(xp, w.shape[2:], stride)
+    out = np.zeros((x.shape[0], w.shape[0], *out_shape))
+    for idx, win in windows:
+        out[(..., *idx)] = np.einsum("ncijk,ocijk->no", xp[(..., *win)], w)
+    return out
+
+
+def naive_conv3d_grads(g, x, w, stride, padding):
+    xp, w, g = _pad(x, padding), w.astype(np.float64), g.astype(np.float64)
+    grad_xp, grad_w = np.zeros_like(xp), np.zeros_like(w)
+    for idx, win in _windows(xp, w.shape[2:], stride)[1]:
+        g_at = g[(..., *idx)]  # (N, C_out)
+        grad_xp[(..., *win)] += np.einsum("no,ocijk->ncijk", g_at, w)
+        grad_w += np.einsum("no,ncijk->ocijk", g_at, xp[(..., *win)])
+    interior = tuple(slice(p, p + s) for p, s in zip(padding, x.shape[2:]))
+    return grad_xp[(..., *interior)], grad_w
+
+
+@st.composite
+def conv_cases(draw):
+    kernel = draw(st.sampled_from([(1, 1, 1), (3, 3, 3), (1, 3, 3)]))
+    stride = (draw(st.sampled_from([1, 2])),) * 3
+    padding = (draw(st.sampled_from([0, 1])),) * 3
+    n, c_in, c_out = draw(st.sampled_from([1, 3])), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    spatial = tuple(draw(st.integers(k, k + 3)) for k in kernel)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):  # a crop of a bigger array, like the engine's tile slices
+        big = rng.standard_normal((n, c_in, *(s + 2 for s in spatial))).astype(dtype)
+        x = big[:, :, 1:-1, 1:-1, 1:-1]
+    else:
+        x = rng.standard_normal((n, c_in, *spatial)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, *kernel)).astype(dtype)
+    return x, w, stride, padding, rng
+
+
+class TestConv3dFamily:
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases())
+    def test_matches_direct_loops(self, case):
+        x, w, stride, padding, rng = case
+        tol = dict(rtol=1e-4, atol=1e-4) if x.dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
+        out = nn_ops.Conv3d(stride, padding).forward(x, w)
+        assert out.dtype == x.dtype
+        np.testing.assert_allclose(out, naive_conv3d(x, w, stride, padding), **tol)
+
+        g = rng.standard_normal(out.shape).astype(x.dtype)
+        grad_x = nn_ops.Conv3dGradInput(stride, padding, x.shape).forward(g, w)
+        grad_w = nn_ops.Conv3dGradWeight(stride, padding, w.shape[2:]).forward(g, x)
+        ref_x, ref_w = naive_conv3d_grads(g, x, w, stride, padding)
+        assert grad_x.shape == x.shape and grad_x.dtype == x.dtype
+        assert grad_w.shape == w.shape and grad_w.dtype == x.dtype
+        np.testing.assert_allclose(grad_x, ref_x, **tol)
+        np.testing.assert_allclose(grad_w, ref_w, **tol)
+
+    @pytest.mark.parametrize("kernel,padding", [((1, 1, 1), 0), ((3, 3, 3), 1), ((1, 3, 3), 0)])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_output_owns_contiguous_memory(self, rng, kernel, padding, sliced):
+        # Downstream reductions are layout-sensitive and a compiled replay
+        # serves this value from a C-contiguous arena buffer: the eager
+        # output must be a fresh C-contiguous array, never a view of ``x``.
+        x = rng.standard_normal((2, 3, 6, 7, 8))
+        if sliced:
+            x = x[:, :, 1:-1, 1:-1, 1:-1]
+            assert not x.flags.c_contiguous
+        w = rng.standard_normal((4, 3, *kernel))
+        out = nn_ops.Conv3d(1, padding).forward(x, w)
+        assert out.flags.owndata and out.flags.c_contiguous
+        assert not np.shares_memory(out, x)
+
+    def test_patch_view_is_read_only(self, rng):
+        patches = nn_ops._extract_patches(rng.standard_normal((1, 1, 3, 3, 3)), (2, 2, 2), (1, 1, 1))
+        assert not patches.flags.writeable
+        with pytest.raises(ValueError):
+            patches[...] = 0.0
+
+
+def _reshape_windows(x, kernel):
+    """The pooling windows gathered onto a last axis (the former implementation's layout)."""
+    n, c, d, h, w = x.shape
+    kd, kh, kw = kernel
+    windows = x.reshape(n, c, d // kd, kd, h // kh, kh, w // kw, kw)
+    return windows.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(n, c, d // kd, h // kh, w // kw, kd * kh * kw)
+
+
+@st.composite
+def pool_cases(draw):
+    kernel = draw(st.sampled_from([(2, 2, 2), (1, 2, 2), (2, 1, 3)]))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), *(k * draw(st.integers(1, 3)) for k in kernel))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # A handful of distinct values, so nearly every window has ties.
+    x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0]), size=shape)
+    return x.astype(draw(st.sampled_from([np.float32, np.float64]))), kernel, rng
+
+
+class TestMaxPoolAgainstReshapeMax:
+    @settings(max_examples=60, deadline=None)
+    @given(pool_cases(), st.booleans())
+    def test_forward_is_bit_exact(self, case, with_nan):
+        x, kernel, rng = case
+        if with_nan:
+            x[rng.random(x.shape) < 0.1] = np.nan
+        out = nn_ops.MaxPool3d(kernel).forward(x)
+        ref = _reshape_windows(x, kernel).max(axis=-1)
+        assert out.dtype == x.dtype and out.flags.owndata
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool_cases())
+    def test_grad_routes_to_first_maximum(self, case):
+        x, kernel, rng = case
+        g = rng.standard_normal(nn_ops.MaxPool3d(kernel).forward(x).shape).astype(x.dtype)
+        windows = _reshape_windows(x, kernel)
+        ref = np.zeros_like(windows)
+        np.put_along_axis(ref, windows.argmax(axis=-1)[..., None], g[..., None], axis=-1)
+        n, c, do, ho, wo = g.shape
+        ref = ref.reshape(n, c, do, ho, wo, *kernel).transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(x.shape)
+        assert np.array_equal(nn_ops.MaxPool3dGrad(kernel).forward(g, x), ref)

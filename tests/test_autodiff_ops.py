@@ -52,6 +52,18 @@ class TestElementwiseForward:
     def test_relu(self):
         assert np.allclose(ops.relu(t([-1.0, 2.0, 0.0])).data, [0.0, 2.0, 0.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_a_times_mask(self, rng, dtype):
+        # a * (a > 0), including -0.0 for negative inputs (the compiled
+        # lowering is pinned bit-identical to this form), also for 0-d input.
+        a = (rng.standard_normal((64, 33)) * 3).astype(dtype)
+        a[0, :3] = [0.0, -0.0, np.nan]
+        for x in (a, np.asarray(dtype(-2.0))):
+            out, ref = ops.ReLU().forward(x), x * (x > 0).astype(dtype)
+            assert out.dtype == dtype and out.shape == x.shape
+            assert np.array_equal(out, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(out), np.signbit(ref))
+
     def test_leaky_relu(self):
         out = ops.leaky_relu(t([-2.0, 3.0]), negative_slope=0.1)
         assert np.allclose(out.data, [-0.2, 3.0])
@@ -64,6 +76,18 @@ class TestElementwiseForward:
         s = ops.sigmoid(t(x)).data
         assert np.all(s > 0) and np.all(s < 1)
         assert np.allclose(s, 1.0 / (1.0 + np.exp(-x)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_two_sided_masked_form(self, rng, dtype):
+        a = (rng.standard_normal((64, 33)) * 20).astype(dtype)
+        a[0, :5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        for x in (a, np.asarray(dtype(-0.3))):
+            ref, pos = np.empty_like(x), x >= 0
+            ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ref[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+            out = ops.Sigmoid().forward(x)
+            assert out.dtype == dtype and out.shape == x.shape
+            assert np.array_equal(out, ref, equal_nan=True)
 
     def test_softplus_matches_reference(self, rng):
         x = rng.standard_normal(50) * 5

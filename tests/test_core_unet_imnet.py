@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, ops
+from repro import nn
+from repro.autodiff import Tensor, gradcheck, ops
 from repro.core import ImNet, MeshfreeFlowNetConfig, ResBlock3d, UNet3d
+from repro.core import unet as unet_module
 
 
 class TestResBlock:
@@ -80,6 +82,65 @@ class TestUNet3d:
         ops.sum(ops.square(net(x))).backward()
         grads = [p.grad is not None for p in net.parameters()]
         assert all(grads)
+
+
+def _randomise_batchnorm(module, rng):
+    """Give every BatchNorm non-trivial statistics and affine parameters."""
+    for m in module.modules():
+        if isinstance(m, nn.BatchNorm3d):
+            m.running_mean[...] = rng.standard_normal(m.num_features)
+            m.running_var[...] = rng.uniform(0.5, 2.0, m.num_features)
+            m.weight.data[...] = rng.uniform(0.5, 1.5, m.num_features)
+            m.bias.data[...] = rng.standard_normal(m.num_features)
+    return module
+
+
+@pytest.fixture
+def unfolded(monkeypatch):
+    """Run the enclosed forwards as the plain ``norm(conv(x))`` composition."""
+    def activate():
+        monkeypatch.setattr(unet_module, "_conv_norm", lambda conv, norm, x: norm(conv(x)))
+    return activate
+
+
+class TestEvalBatchNormFold:
+    @pytest.mark.float64_default
+    @pytest.mark.parametrize("build,shape", [
+        (lambda rng: ResBlock3d(3, 6, rng=rng), (2, 3, 2, 4, 4)),
+        (lambda rng: ResBlock3d(4, 4, rng=rng), (1, 4, 2, 4, 4)),
+        (lambda rng: UNet3d(in_channels=4, latent_channels=6, base_channels=4, rng=rng), (2, 4, 2, 8, 8)),
+    ])
+    def test_eval_matches_unfolded_composition(self, rng, unfolded, build, shape):
+        net = _randomise_batchnorm(build(rng), rng).eval()
+        x = Tensor(rng.standard_normal(shape))
+        state = {k: np.array(v).tobytes() for k, v in net.state_dict().items()}
+        folded = net(x).data
+        assert {k: np.array(v).tobytes() for k, v in net.state_dict().items()} == state
+        unfolded()
+        reference = net(x).data
+        assert np.max(np.abs(folded - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_gradcheck_through_the_fold(self, rng):
+        block = _randomise_batchnorm(ResBlock3d(2, 3, activation="tanh", rng=rng), rng).eval()
+        x = Tensor(rng.standard_normal((1, 2, 2, 3, 3)), requires_grad=True)
+        params = list(block.parameters())
+        assert gradcheck(lambda *_: ops.sum(ops.square(block(x))), [x, *params])
+
+    def test_train_mode_is_the_unfolded_composition(self, rng, unfolded):
+        block = _randomise_batchnorm(ResBlock3d(3, 6, rng=rng), rng)
+        x = Tensor(rng.standard_normal((2, 3, 2, 4, 4)))
+        state = block.state_dict()
+
+        def step():
+            block.load_state_dict(state)
+            block.zero_grad()
+            out = block(x)
+            ops.sum(ops.square(out)).backward()
+            return [out.data, *(p.grad.copy() for p in block.parameters()), *block.state_dict().values()]
+
+        ours = step()
+        unfolded()
+        assert all(np.array_equal(a, b) for a, b in zip(ours, step()))
 
 
 class TestImNet:
