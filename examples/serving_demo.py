@@ -3,7 +3,8 @@
 
 Spins up an in-process :class:`repro.serving.ModelServer` (N worker threads,
 each with an inference-engine replica sharing one latent-tile cache), exposes
-it over the stdlib HTTP/JSON gateway, fires a fleet of concurrent clients
+it over the stdlib HTTP gateway (arrays framed as raw bytes, JSON for a plain
+``curl``), fires a fleet of concurrent clients
 issuing small point queries plus an occasional super-resolution grid, and
 prints the server's telemetry table: throughput, batch coalescing factor,
 cache hit rate and rolling p50/p95/p99 latencies.
@@ -19,8 +20,10 @@ for a quick smoke run).
 from __future__ import annotations
 
 import argparse
+import json
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 
@@ -109,6 +112,28 @@ def main() -> None:
     print(f"http round trip : status={over_http.status}, exact="
           f"{np.array_equal(over_http.values, serial[0])}, "
           f"health={http_client.health()['status']}")
+
+    # The same grid twice: framed (what Client speaks) and header-less, i.e.
+    # what `curl -d '{"domain_id": "rb", "output_shape": [8, 32, 32]}'` gets.
+    def post(headers: dict) -> bytes:
+        conn = HTTPConnection("127.0.0.1", httpd.server_address[1], timeout=60.0)
+        try:
+            conn.request("POST", "/query", headers=headers,
+                         body=json.dumps({"domain_id": "rb", "output_shape": [8, 32, 32]}))
+            return conn.getresponse().read()
+        finally:
+            conn.close()
+
+    framed = http_client.predict_grid("rb", (8, 32, 32))
+    as_json = post({})
+    reply = json.loads(as_json)
+    from_json = np.asarray(reply["values"], dtype=reply["dtype"]).reshape(reply["shape"])
+    exact = np.array_equal(framed.values, from_json) and np.array_equal(framed.values, grid.values)
+    n_points = 8 * 32 * 32
+    print(f"http grid       : framed == JSON == in-process: {exact}; reply bytes/point "
+          f"framed {len(post({'Accept': 'application/octet-stream'})) / n_points:.1f}, "
+          f"JSON {len(as_json) / n_points:.1f}")
+    assert exact, "framed, JSON and in-process grid replies diverged"
     stop_http_server(httpd)
 
     print("\n--- server telemetry ---")

@@ -18,8 +18,9 @@ concurrent* requests cheap by coalescing them onto that machinery:
   and graceful shutdown;
 * :mod:`~repro.serving.telemetry` — rolling throughput, queue depth, cache
   hit-rate and p50/p95/p99 latency counters;
-* :mod:`~repro.serving.api` — a stdlib ``http.server`` JSON gateway plus a
-  synchronous :class:`Client`.
+* :mod:`~repro.serving.api` — a stdlib ``http.server`` gateway (arrays as
+  raw-byte frames, JSON for header-less requests) plus a synchronous
+  :class:`Client`.
 
 Coalesced results are bit-identical to issuing each request alone through
 the :class:`~repro.inference.InferenceEngine`.  A server can host replica

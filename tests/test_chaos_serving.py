@@ -324,6 +324,21 @@ class TestClientRetry:
             client.health()
         assert calls["n"] == 1
 
+    def test_metrics_text_honours_the_retry_policy(self, model, domain, monkeypatch):
+        with make_server(model, domain) as server:
+            httpd = start_http_server(server, port=0)
+            port = httpd.server_address[1]
+            assert "serving_" in Client(port=port).metrics_text()
+            assert stop_http_server(httpd) is True
+        # Nothing listens on the port any more: every attempt is refused.
+        client = Client(port=port, retry=Retry(max_attempts=3, backoff=0.0, jitter=0.0))
+        attempts, fetch = [], client._fetch
+        monkeypatch.setattr(client, "_fetch",
+                            lambda *args: attempts.append(args) or fetch(*args))
+        with pytest.raises(OSError):
+            client.metrics_text()
+        assert attempts == [("GET", "/metrics")] * 3
+
     def test_retry_against_live_gateway_shutdown_window(self, model, domain):
         # End-to-end: a 503 from a draining gateway is retried and the call
         # eventually fails with ServingUnavailable once retries exhaust.

@@ -1,12 +1,19 @@
 """Serving subsystem: requests, scheduler, coalescing exactness, server, HTTP."""
 
 import asyncio
+import io
+import json
+import logging
+import socket
+import struct
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
 
+from repro.backend import precision
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
 from repro.inference import InferenceEngine
 from repro.serving import (
@@ -23,10 +30,12 @@ from repro.serving import (
     SchedulerClosedError,
     ServerOverloadedError,
     ServerTelemetry,
+    ServingUnavailable,
     format_stats_table,
     start_http_server,
     stop_http_server,
 )
+from repro.serving.api import FRAME_TYPE, MAX_BODY_BYTES, _pack, _unpack
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +422,59 @@ class TestTelemetry:
 
 
 # --------------------------------------------------------------------------- #
+# Wire frame                                                                  #
+# --------------------------------------------------------------------------- #
+def _frame(header, array=None):
+    return b"".join(_pack(header, array))
+
+
+class TestFrame:
+    """The wire frame on its own: exact bytes in, exact bytes out."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_special_values_round_trip_bit_for_bit(self, dtype):
+        values = np.array([[np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1 / 3]], dtype=dtype)
+        frame = _frame({"request_id": "r"}, values)
+        header, out = _unpack(io.BytesIO(frame), len(frame))
+        assert header == {"request_id": "r", "shape": [1, 7], "dtype": dtype}
+        assert out.dtype == values.dtype and out.tobytes() == values.tobytes()
+        assert np.signbit(out[0, 4]) and not np.signbit(out[0, 5])
+        assert out.flags.writeable and out.flags.c_contiguous and out.flags.owndata
+        assert len(frame) == 4 + struct.unpack("<I", frame[:4])[0] + values.nbytes
+
+    def test_wire_is_c_order_little_endian_whatever_the_source_layout(self):
+        values = np.arange(24, dtype=">f8").reshape(2, 3, 4).transpose(2, 0, 1)
+        head, data = _pack({}, values)
+        assert bytes(data) == np.ascontiguousarray(values, dtype="<f8").tobytes()
+        _, out = _unpack(io.BytesIO(head + bytes(data)), len(head) + len(data))
+        assert out.dtype.isnative and np.array_equal(out, values)
+
+    def test_frame_without_array(self):
+        frame = _frame({"status": "error", "error": "boom"})
+        assert _unpack(io.BytesIO(frame), len(frame)) == (
+            {"status": "error", "error": "boom", "shape": None}, None)
+
+    def test_pack_does_not_copy_a_contiguous_array(self):
+        values = np.random.default_rng(0).random((3, 5))
+        assert np.shares_memory(np.frombuffer(_pack({}, values)[1]), values)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda f: f[:-1],                                   # array cut short
+        lambda f: f + b"\0",                                # bytes past the array
+        lambda f: f[:3],                                    # no length prefix
+        lambda f: struct.pack("<I", 2 ** 32 - 1) + f[4:],   # header overruns the body
+        lambda f: struct.pack("<I", 2) + b"[]",             # header is not an object
+        lambda f: _frame({"shape": [-1, -5], "dtype": "float64"}) + f[-40:],
+        lambda f: _frame({"shape": [5], "dtype": "object"}) + f[-40:],
+        lambda f: _frame({}) + b"\0" * 8,                   # array bytes, no shape
+    ])
+    def test_lying_frames_are_rejected_before_any_read(self, mutate):
+        frame = mutate(_frame({}, np.zeros(5)))
+        with pytest.raises((ValueError, KeyError)):
+            _unpack(io.BytesIO(frame), len(frame))
+
+
+# --------------------------------------------------------------------------- #
 # HTTP gateway + synchronous client                                           #
 # --------------------------------------------------------------------------- #
 class TestHTTPGateway:
@@ -432,7 +494,7 @@ class TestHTTPGateway:
         expected = InferenceEngine(model).query_points(domain, coords)
         result = client.query_points("dom", coords)
         assert result.status == STATUS_OK
-        # JSON float serialisation is shortest-round-trip: bit-identical.
+        # The framed reply carries the engine's own bytes: bit-identical.
         assert np.array_equal(result.values, expected)
         assert result.values.shape == expected.shape
 
@@ -463,3 +525,187 @@ class TestHTTPGateway:
                                             "timeout": "not-a-number"})
         with pytest.raises(RuntimeError, match="404|unknown path"):
             client._call("GET", "/nope")
+
+    @pytest.fixture(scope="class")
+    def stack(self, domain):
+        with precision("float64"):
+            model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval()
+        server = make_server(model, precisions=("float64", "float32"))
+        server.register_domain("dom", domain)
+        httpd = start_http_server(server)
+        port = httpd.server_address[1]
+        engines = {"float64": InferenceEngine(model),
+                   "float32": InferenceEngine(
+                       model.replicate(1, share_parameters=False)[0].astype("float32").eval())}
+        yield server, Client(port=port), port, engines
+        stop_http_server(httpd)
+        server.close()
+
+    @staticmethod
+    def post(port, body, headers):
+        """One raw POST /query -> (status, content type, body bytes)."""
+        conn = HTTPConnection("127.0.0.1", port, timeout=60.0)
+        try:
+            conn.request("POST", "/query", body=body, headers=headers)
+            response = conn.getresponse()
+            return response.status, response.getheader("Content-Type"), response.read()
+        finally:
+            conn.close()
+
+    @staticmethod
+    def raw(port, request: bytes) -> bytes:
+        """Send raw bytes, return whatever comes back before the peer closes."""
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+            return b"".join(chunks)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("kind", ["grid", "points"])
+    def test_framed_reply_equals_json_reply_and_engine(self, stack, domain, kind, dtype):
+        _, client, port, engines = stack
+        coords = np.random.default_rng(11).random((9, 3))
+        if kind == "grid":
+            query = {"domain_id": "dom", "output_shape": [4, 16, 16], "dtype": dtype}
+            framed = client.predict_grid("dom", (4, 16, 16), dtype=dtype)
+            expected = engines[dtype].predict_grid(domain, (4, 16, 16))
+        else:
+            query = {"domain_id": "dom", "coords": coords.tolist(), "dtype": dtype}
+            framed = client.query_points("dom", coords, dtype=dtype)
+            expected = engines[dtype].query_points(domain, coords)
+        status, content_type, body = self.post(port, json.dumps(query), {})
+        assert (status, content_type) == (200, "application/json")
+        reply = json.loads(body)
+        from_json = np.asarray(reply["values"], dtype=reply["dtype"]).reshape(reply["shape"])
+        assert framed.ok and framed.values.dtype == np.dtype(dtype) == expected.dtype
+        assert np.array_equal(framed.values, expected)
+        assert np.array_equal(framed.values, from_json)
+
+    @pytest.mark.parametrize("dtype, itemsize", [("float64", 8), ("float32", 4)])
+    def test_framed_reply_byte_count(self, stack, dtype, itemsize):
+        _, _, port, _ = stack
+        query = json.dumps({"domain_id": "dom", "output_shape": [4, 32, 32], "dtype": dtype})
+        status, content_type, body = self.post(port, query, {"Accept": FRAME_TYPE})
+        assert (status, content_type) == (200, FRAME_TYPE)
+        (n_head,) = struct.unpack("<I", body[:4])
+        header = json.loads(body[4:4 + n_head])
+        assert header["shape"] == [1, 4, 4, 32, 32] and header["dtype"] == dtype
+        assert "values" not in header
+        # itemsize * C_out = 32 (16) bytes per point, plus a constant: 131072 (65536).
+        assert len(body) == 4 + n_head + 4 * 32 * 32 * 4 * itemsize
+
+    def test_no_accept_header_gets_the_json_body(self, stack, domain):
+        _, _, port, engines = stack
+        query = json.dumps({"domain_id": "dom", "output_shape": [4, 16, 16]})
+        for headers in ({}, {"Accept": "*/*"}, {"Content-Type": "application/json"}):
+            status, content_type, body = self.post(port, query, headers)
+            assert (status, content_type) == (200, "application/json")
+            reply = json.loads(body)
+            assert list(reply) == ["request_id", "status", "error", "queue_seconds",
+                                   "service_seconds", "batch_requests", "shape", "values",
+                                   "dtype"]
+            assert body == json.dumps(reply).encode()
+            expected = engines["float64"].predict_grid(domain, (4, 16, 16))
+            assert reply["shape"] == list(expected.shape) and reply["dtype"] == "float64"
+            assert reply["values"] == expected.ravel().tolist()
+
+    def test_client_values_are_writable_and_own_their_memory(self, stack):
+        _, client, _, _ = stack
+        values = client.predict_grid("dom", (4, 16, 16)).values
+        assert values.flags.writeable and values.flags.c_contiguous and values.flags.owndata
+        values += 1.0
+
+    def test_results_without_values_cross_the_frame(self, stack):
+        _, client, _, _ = stack
+        missing = client.query_points("missing", np.random.default_rng(0).random((2, 3)))
+        assert missing.status == STATUS_ERROR and missing.values is None and missing.error
+        late = client.predict_grid("dom", (4, 16, 16), timeout=0.0)
+        assert late.status == STATUS_TIMEOUT and late.values is None
+
+    def test_framed_point_request_equals_json_request(self, stack):
+        _, client, port, _ = stack
+        coords = np.random.default_rng(12).random((33, 3))
+        coords[0] = (0.0, 1.0, 1 / 3)
+        framed = client.query_points("dom", coords)
+        query = json.dumps({"domain_id": "dom", "coords": coords.tolist()})
+        _, content_type, body = self.post(port, query, {"Accept": FRAME_TYPE})
+        assert content_type == FRAME_TYPE
+        header, values = _unpack(io.BytesIO(body), len(body))
+        assert header["status"] == STATUS_OK
+        assert np.array_equal(framed.values, values)
+        # Any (P, 3) array-like is framed as float64, exactly as the JSON path cast it.
+        assert np.array_equal(client.query_points("dom", coords.tolist()).values, values)
+
+    def test_error_replies_stay_json_with_the_same_messages(self, stack):
+        _, client, port, _ = stack
+        with pytest.raises(RuntimeError, match=r"POST /query failed \(400\): bad request"):
+            client._call("POST", "/query", {"domain_id": "dom"})
+        with pytest.raises(RuntimeError, match=r"POST /query failed \(400\): bad request: unsup"):
+            client.predict_grid("dom", (4, 16, 16), dtype="float16")
+        with pytest.raises(RuntimeError, match=r"GET /nope failed \(404\): unknown path /nope"):
+            client._call("GET", "/nope")
+        status, content_type, body = self.post(
+            port, _frame({"query": {"domain_id": "dom"}}),
+            {"Accept": FRAME_TYPE, "Content-Type": FRAME_TYPE})
+        assert (status, content_type) == (400, "application/json")
+        assert json.loads(body)["error"].startswith("bad request")
+
+    def test_unserved_precision_is_400_and_draining_gateway_503(self, model, domain):
+        server = make_server(model)
+        server.register_domain("dom", domain)
+        httpd = start_http_server(server)
+        client = Client(port=httpd.server_address[1])
+        other = "float32" if model.dtype == np.float64 else "float64"
+        try:
+            with pytest.raises(RuntimeError, match=r"POST /query failed \(400\): .*not served"):
+                client.predict_grid("dom", (4, 16, 16), dtype=other)
+            server.close()
+            with pytest.raises(ServingUnavailable, match=r"POST /query unavailable \(503\)"):
+                client.predict_grid("dom", (4, 16, 16))
+        finally:
+            assert stop_http_server(httpd) is True
+
+    def test_malformed_bodies_are_answered_and_the_gateway_keeps_serving(self, stack):
+        _, client, port, _ = stack
+        head = b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Type: %s\r\n" % FRAME_TYPE.encode()
+        frame = _frame({"query": {"domain_id": "dom"}}, np.random.default_rng(0).random((5, 3)))
+        cases = [
+            (b"Content-Length: -1\r\n\r\n", b"400"),
+            (b"Content-Length: many\r\n\r\n", b"400"),
+            (b"Content-Length: 99999999999\r\n\r\n", b"413"),
+            (b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1), b"413"),
+            (b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+             % (len(frame) - 8, frame[:-8]), b"400"),                 # truncated array
+            (b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+             % (len(frame) + 1, frame + b"!"), b"400"),               # oversized array
+            (b"Content-Length: 2\r\nConnection: close\r\n\r\n\xff\xff", b"400"),
+        ]
+        for tail, status in cases:
+            reply = self.raw(port, head + tail)
+            assert reply.startswith(b"HTTP/1.1 " + status), (tail[:40], reply[:80])
+            assert b"application/json" in reply and b'{"error": ' in reply
+        assert client.health()["status"] == "ok"
+        assert client.query_points("dom", np.random.default_rng(1).random((4, 3))).ok
+
+    def test_largest_default_batch_fits_the_body_limit(self):
+        coords = np.zeros((BatchPolicy().max_points, 3))
+        assert len(_frame({"query": {"domain_id": "d" * 256}}, coords)) <= MAX_BODY_BYTES
+
+    def test_client_hanging_up_mid_reply_is_logged_not_raised(self, stack, caplog, capfd):
+        _, client, port, _ = stack
+        query = json.dumps({"domain_id": "dom", "output_shape": [4, 64, 64]}).encode()
+        with caplog.at_level(logging.DEBUG, logger="repro.serving"):
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\nAccept: %s\r\nContent-Length: %d"
+                         b"\r\n\r\n%s" % (FRAME_TYPE.encode(), len(query), query))
+            # Linger 0: close() resets the connection while the grid is decoding.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.monotonic() + 30.0
+            while "hung up mid-reply" not in caplog.text and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert "hung up mid-reply" in caplog.text
+        assert client.health()["status"] == "ok"
+        assert "Traceback" not in capfd.readouterr().err
