@@ -228,10 +228,15 @@ def test_compiled_equation_loss_step_throughput(benchmark, bench_artifact):
             throughput=round(samples / seconds, 1), throughput_unit="samples/s",
             latency_ms={"p50": round(seconds * 1e3, 3)},
         )
+    plan_stats = [plan.stats for plan in compiled_tr._compiled_step.plans]
     bench_artifact(
         "training_step[compile-speedup]", artifact="BENCH_pr8.json",
         speedup=round(speedup, 2),
         n_plans=stats["n_plans"], arena_bytes=stats["arena_bytes"],
+        # What was traced, what value numbering merged away, what runs.
+        n_traced_ops=sum(s.n_traced_ops for s in plan_stats),
+        n_merged=sum(s.n_merged for s in plan_stats),
+        n_ops=sum(s.n_ops for s in plan_stats),
     )
     benchmark.extra_info.update({
         "speedup": round(speedup, 2),

@@ -445,6 +445,23 @@ class Transpose(Op):
         return (transpose(grad, inv),)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``a[index]`` is basic indexing: a NumPy view, no element twice."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(i, (int, np.integer, slice, type(None), type(Ellipsis)))
+               for i in items)
+
+
+def _basic_view(array, index):
+    """``array[index]`` where that is a view of ``array``, else ``None``.
+
+    Advanced indices copy, and so does an all-integer basic index: it
+    returns a scalar, not a 0-d view.
+    """
+    view = array[index] if _is_basic_index(index) else None
+    return view if isinstance(view, np.ndarray) else None
+
+
 class GetIndex(Op):
     """``a[index]`` for arbitrary numpy indexing expressions."""
 
@@ -468,6 +485,11 @@ class PutIndex(Op):
     context grid of MeshfreeFlowNet is gathered at the 8 bounding vertices of
     every query point and that gather lives on the second-order path of the
     equation loss.
+
+    A basic index selects each element at most once, so the scatter is a
+    plain add into the selected view — still an *add* into the zeros, never
+    an assignment, so ``-0.0`` lands as ``+0.0`` exactly as ``np.add.at``
+    leaves it.  Advanced indices may repeat elements and keep ``np.add.at``.
     """
 
     def __init__(self, index, shape):
@@ -476,7 +498,11 @@ class PutIndex(Op):
 
     def forward(self, a):
         out = np.zeros(self.shape, dtype=a.dtype)
-        np.add.at(out, self.index, a)
+        view = _basic_view(out, self.index)
+        if view is not None:
+            np.add(view, a, out=view)
+        else:
+            np.add.at(out, self.index, a)
         return out
 
     def backward(self, grad):

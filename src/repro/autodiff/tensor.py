@@ -58,9 +58,10 @@ class _AutogradState(threading.local):
         self.inference_mode = False
         #: Active graph tracer (``repro.compile``) or ``None``.  When set,
         #: every :meth:`Op.apply` reports ``(op, input tensors, output
-        #: tensor)`` so the compile subsystem can capture a linear program
-        #: of primitives.  Thread-local like the mode flags, so a serving
-        #: worker compiling a plan never records ops from other threads.
+        #: tensor, the op's constructor kwargs)`` so the compile subsystem
+        #: can capture a linear program of primitives.  Thread-local like
+        #: the mode flags, so a serving worker compiling a plan never
+        #: records ops from other threads.
         self.tracer = None
         #: Active state-update collector (``collect_state_updates``) or
         #: ``None``.  Modules with recurrent buffers (BatchNorm running
@@ -266,7 +267,7 @@ class Op:
             op.inputs = tensors
             out._op = op
         if _state.tracer is not None:
-            _state.tracer.record(op, tensors, out)
+            _state.tracer.record(op, tensors, out, kwargs)
         if hook is not None:
             hook.finish(token, cls.__name__, out.data)
         return out

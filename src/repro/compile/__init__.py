@@ -11,7 +11,12 @@ ImNet decode and derivative stacks.  This subsystem removes it:
    ``grad(create_graph=True)`` are ops too, so derivative graphs trace
    the same way.
 2. **Optimize** (:mod:`~repro.compile.passes`) — constant folding,
-   dead-code elimination and alias/liveness analysis.
+   dead-code elimination, value numbering (two nodes of one op class,
+   with the same static arguments over the same operands, run once;
+   constants stay distinct values unless they are 0-d and snapshottable
+   under folding's own rule — not a Parameter, sharing no memory with a
+   pinned array — and then merge by dtype and bytes) and alias/liveness
+   analysis of the merged program.
 3. **Lower** (:mod:`~repro.compile.codegen`,
    :mod:`~repro.compile.executor`) — one walk over the program assigns
    every node an arena buffer (writing in place over a dying operand

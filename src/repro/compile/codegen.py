@@ -251,7 +251,14 @@ def _pad(fn, node, out, a):
 
 
 def _put_index(fn, node, out, a):
-    return [f"{out}.fill(0.0)", f"{fn.bind(np.add.at)}({out}, {fn.bind(node.op.index)}, {a})"]
+    # The eager op's two branches: a basic index is a plain add into a view
+    # of the (stable) arena buffer, an advanced one scatters with add.at.
+    index = node.op.index
+    view = _ops._basic_view(fn.env[node.out_id], index)
+    if view is not None:
+        target = fn.bind(view)
+        return [f"{out}.fill(0.0)", fn.call("add", target, a, out=target)]
+    return [f"{out}.fill(0.0)", f"{fn.bind(np.add.at)}({out}, {fn.bind(index)}, {a})"]
 
 
 def _standalone(emit: Callable) -> Lowering:

@@ -43,7 +43,14 @@ import numpy as np
 from ..autodiff import ops as _ops
 from ..obs import runtime as _obs
 from .codegen import StepFunction, lowering_of
-from .passes import alias_roots, constant_fold, dead_code_elim, is_view_node, last_uses
+from .passes import (
+    alias_roots,
+    common_subexpr_elim,
+    constant_fold,
+    dead_code_elim,
+    is_view_node,
+    last_uses,
+)
 from .tracer import CONSTANT, INTERMEDIATE, Node, Program
 
 __all__ = ["CompiledPlan", "PlanStats", "compile_program"]
@@ -53,13 +60,16 @@ __all__ = ["CompiledPlan", "PlanStats", "compile_program"]
 class PlanStats:
     """Compile- and run-time accounting for one plan.
 
-    ``n_codegen_regions`` counts the maximal elementwise runs (length >= 1,
-    one generated function each) and ``n_codegen_ops`` the ops inside them.
+    ``n_traced_ops - n_folded - n_dead - n_merged == n_ops``, the ops the
+    plan actually runs.  ``n_codegen_regions`` counts the maximal
+    elementwise runs (length >= 1, one generated function each) and
+    ``n_codegen_ops`` the ops inside them.
     """
 
     n_traced_ops: int = 0
     n_folded: int = 0
     n_dead: int = 0
+    n_merged: int = 0
     n_ops: int = 0
     n_inplace: int = 0
     n_views: int = 0
@@ -230,11 +240,14 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
 
     ``pinned`` lists arrays (module parameters/buffers) whose live values
     must keep flowing into replays — constant folding will not snapshot
-    anything sharing memory with them.
+    anything sharing memory with them, and value numbering will not merge
+    it with a byte-equal constant.
     """
     stats = PlanStats(n_traced_ops=len(program.nodes))
     stats.n_folded = constant_fold(program, pinned=pinned)
     stats.n_dead = dead_code_elim(program)
+    # Before liveness: the arena's in-place decisions must see the merged uses.
+    stats.n_merged = common_subexpr_elim(program, pinned=pinned)
     stats.n_ops = len(program.nodes)
 
     values = program.values

@@ -71,11 +71,16 @@ class Node:
     The recorded :class:`~repro.autodiff.tensor.Op` instance carries the
     op's static attributes (axes, exponent, index expressions, …); the
     executor reads those but never calls the op's ``backward``.
+    ``kwargs`` are the keyword arguments :meth:`Op.apply` constructed the
+    op with — with the op class and the operands, everything its output
+    depends on, which is what value numbering
+    (:func:`repro.compile.passes.common_subexpr_elim`) keys on.
     """
 
     op: Op
     in_ids: tuple[int, ...]
     out_id: int
+    kwargs: dict
 
     @property
     def op_name(self) -> str:
@@ -186,11 +191,11 @@ class Tracer:
         return vid
 
     # -------------------------------------------------------------- hook
-    def record(self, op: Op, inputs: Sequence[Tensor], out: Tensor) -> None:
+    def record(self, op: Op, inputs: Sequence[Tensor], out: Tensor, kwargs: dict) -> None:
         """Op-application callback invoked by :meth:`Op.apply`."""
         in_ids = tuple(self.value_of(t) for t in inputs)
         out_id = self._new_value(INTERMEDIATE, out)
-        self.program.nodes.append(Node(op=op, in_ids=in_ids, out_id=out_id))
+        self.program.nodes.append(Node(op=op, in_ids=in_ids, out_id=out_id, kwargs=kwargs))
 
 
 def trace(fn, *inputs: Tensor) -> tuple[Program, object, object]:

@@ -234,6 +234,25 @@ class TestReductionsAndShape:
         expected[idx] = a[idx]
         assert np.allclose(scattered.data, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index", [
+        (slice(None), slice(None), 1),          # the pred[:, :, i] adjoint
+        (slice(1, 3),), (Ellipsis, slice(0, 4, 2)), (None, 2), 1,
+        (1, 2, 0),                              # all integers: a scalar, not a view
+        (slice(None), [0, 2, 2]), (np.array([3, 3, 0]),),  # advanced, repeated elements
+    ], ids=str)
+    def test_put_index_is_add_at_for_every_index_form(self, rng, dtype, index):
+        # Basic indices take a plain add into the view, advanced ones
+        # np.add.at; both add into zeros, so -0.0 lands as +0.0.
+        shape = (4, 3, 5)
+        a = np.asarray(rng.standard_normal(np.zeros(shape)[index].shape)).astype(dtype)
+        a.flat[0] = -0.0
+        expected = np.zeros(shape, dtype=dtype)
+        np.add.at(expected, index, a)
+        out = ops.put_index(Tensor(a), index, shape).data
+        assert out.dtype == dtype and np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
     def test_concatenate(self, rng):
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 5))
         out = ops.concatenate([t(a), t(b)], axis=1)

@@ -31,6 +31,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import compile as rc
 from repro import nn
@@ -359,7 +361,9 @@ LOWERING_CASES = {
                       _case(lambda a, b: ops.concatenate([a, b], axis=-1), _S, _S)],
     ops.Pad: [_case(lambda a: ops.pad(a, ((1, 2), (0, 0), (0, 1))))],
     ops.PutIndex: [_case(lambda a: ops.put_index(a, (slice(None), [0, 2, 2, 1]), (3, 6, 5))),
-                   _case(lambda a: ops.put_index(a, (slice(1, 4),), (5, 4, 5)))],
+                   _case(lambda a: ops.put_index(a, (slice(1, 4),), (5, 4, 5))),
+                   _case(lambda a: ops.put_index(a, (slice(None), slice(None), 1), (3, 4, 2)), (3, 4)),
+                   _case(lambda a: ops.put_index(a, (1, 2, 0), _S), ())],
 }
 
 
@@ -429,8 +433,10 @@ class TestKernelExactness:
         """Eval-mode BatchNorm arithmetic on running statistics is all-constant
         at trace time, but the statistics are *live* module state: an
         in-place update (load_state_dict writes in place) must reach
-        replays, so folding may not snapshot them."""
-        bn = nn.Sequential(nn.BatchNorm3d(3)).eval()
+        replays, so folding may not snapshot them.  Nor may value numbering
+        treat the two layers' byte-equal statistics as one value: only the
+        second layer's are updated, and the replay must follow."""
+        bn = nn.Sequential(nn.BatchNorm3d(3), nn.BatchNorm3d(3)).eval()
         cm = rc.compile(bn)
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((2, 3, 2, 4, 4)))
@@ -438,8 +444,8 @@ class TestKernelExactness:
             first = cm(x)
             assert np.array_equal(bn(x).data, first.data)
             # in-place running-stat update, array identity unchanged
-            bn[0].running_var[...] = bn[0].running_var * 3.0
-            bn[0].running_mean[...] = bn[0].running_mean + 0.25
+            bn[1].running_var[...] = bn[1].running_var * 3.0
+            bn[1].running_mean[...] = bn[1].running_mean + 0.25
             second = cm(x)
             assert np.array_equal(bn(x).data, second.data)
         assert not np.array_equal(first.data, second.data)
@@ -466,6 +472,239 @@ class TestKernelExactness:
         for (name, p), (_, q) in zip(imnet.named_parameters(),
                                      reference.named_parameters()):
             assert np.array_equal(p.grad, q.grad), name
+
+
+class TestValueNumbering:
+    """The optimise stage's fourth pass: two nodes that are the same
+    computation run once.  Every case compares values against eager, so it
+    fails on a wrong merge, not only on a missing one."""
+
+    @staticmethod
+    def replay(fn, *arrays, copy_outputs=True):
+        """``(replayed outputs, eager outputs, plan)`` of ``fn`` on fresh data."""
+        cf = rc.compile_fn(fn, copy_outputs=copy_outputs)
+        with no_grad():
+            cf(*(Tensor(np.zeros_like(a)) for a in arrays))  # trace on other data
+            compiled = cf(*(Tensor(a) for a in arrays))
+            eager = fn(*(Tensor(a) for a in arrays))
+        return compiled, eager, cf.plans[0]
+
+    @pytest.mark.parametrize("copy_outputs", [True, False])
+    def test_identical_ops_merge_and_both_outputs_are_right(self, copy_outputs):
+        def fn(a, b):
+            return ops.exp(a), ops.exp(a), ops.exp(b)
+
+        rng = np.random.default_rng(0)
+        compiled, eager, plan = self.replay(fn, rng.standard_normal(8), rng.standard_normal(8),
+                                            copy_outputs=copy_outputs)
+        assert plan.stats.n_merged == 1 and plan.stats.n_ops == 2
+        assert plan.stats.n_ops == len(plan.program.nodes)
+        for c, e in zip(compiled, eager):
+            assert np.array_equal(c.data, e.data)
+        # Copied outputs are independent arrays even when one value backs both.
+        assert (compiled[0].data is compiled[1].data) == (not copy_outputs)
+
+    @pytest.mark.parametrize("first, second", [
+        (lambda a: ops.sum(a, axis=0), lambda a: ops.sum(a, axis=1)),
+        (lambda a: ops.sum(a, axis=0), lambda a: ops.sum(a, axis=0, keepdims=True)),
+        (lambda a: ops.pow(a, 2.0), lambda a: ops.pow(a, 3.0)),
+        (lambda a: a[:, 0], lambda a: a[:, 1]),
+        (lambda a: a[[0, 1]], lambda a: a[(0, 1)]),
+        (lambda a: a[0:2], lambda a: a[0:2:1]),
+        (lambda a: ops.transpose(a, (0, 1)), lambda a: ops.transpose(a, (1, 0))),
+        (lambda a: ops.leaky_relu(a, 0.0), lambda a: ops.leaky_relu(a, -0.0)),
+    ], ids=["sum-axis", "sum-keepdims", "pow", "getindex", "list-vs-tuple-index",
+            "slice-step", "transpose", "signed-zero-slope"])
+    def test_static_arguments_are_part_of_the_value_number(self, first, second):
+        a = np.random.default_rng(1).standard_normal((4, 4))
+        a[0, 0] = -1.0  # -1 * 0.0 and -1 * -0.0 differ in the sign bit
+
+        def differ(x):
+            return ops.mul(first(x), 1.0), ops.mul(second(x), 1.0)
+
+        def same(x):
+            return ops.mul(first(x), 1.0), ops.mul(first(x), 1.0)
+
+        compiled, eager, plan = self.replay(differ, a)
+        # Only the two coerced ``1.0`` scalars are one value.
+        assert plan.stats.n_merged == 0
+        for c, e in zip(compiled, eager):
+            assert c.shape == e.shape and np.array_equal(c.data, e.data)
+            assert np.array_equal(np.signbit(c.data), np.signbit(e.data))
+        # The same static arguments merge: slices (unhashable before Python
+        # 3.12), lists and tuples all have a key.
+        compiled, eager, plan = self.replay(same, a)
+        assert plan.stats.n_merged == 2
+        for c, e in zip(compiled, eager):
+            assert np.array_equal(c.data, e.data)
+
+    def test_byte_equal_linear_layers_stay_distinct(self):
+        """Two layers initialised alike are two values: an in-place optimizer
+        update of one must reach the replay, and only that layer's output."""
+        class Twin(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.a, self.b = nn.Linear(4, 4), nn.Linear(4, 4)
+                for pa, pb in zip(self.a.parameters(), self.b.parameters()):
+                    pb.data[...] = pa.data
+
+            def forward(self, x):
+                return ops.sub(ops.mul(self.a(x), 2.0), self.b(x))
+
+        twin = Twin()
+        cm = rc.compile(twin)
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 4)))
+        with inference_mode():
+            cm(x)
+            assert cm.plans[0].stats.n_merged == 0
+            for p in twin.b.parameters():
+                p.data[...] = p.data * 0.5
+            assert np.array_equal(cm(x).data, twin(x).data)
+        assert cm.stats()["n_plans"] == 1
+
+    def test_live_scalar_constants_are_not_interned(self):
+        """0-d constants merge by bytes only when a pass may snapshot them:
+        not a Parameter (flagged at capture, so even ``compile_fn``, which is
+        told of no live array, keeps them apart), not a pinned buffer."""
+        class Gains(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.register_buffer("g1", np.array(2.0))
+                self.register_buffer("g2", np.array(2.0))
+                self.p1, self.p2 = nn.Parameter(np.array(3.0)), nn.Parameter(np.array(3.0))
+
+            def forward(self, x):
+                buffers = ops.add(ops.mul(x, Tensor(self.g1)), ops.mul(x, Tensor(self.g2)))
+                return ops.sub(buffers, self.scaled_by_parameters(x))
+
+            def scaled_by_parameters(self, x):
+                return ops.add(ops.mul(x, self.p1), ops.mul(x, self.p2))
+
+        gains = Gains()
+        x = Tensor(np.random.default_rng(3).standard_normal(6))
+        for wrapper, eager in ((rc.compile(gains), gains),
+                               (rc.compile_fn(gains.scaled_by_parameters),
+                                gains.scaled_by_parameters)):
+            gains.g2[...], gains.p2.data[...] = gains.g1, gains.p1.data  # byte-equal again
+            with inference_mode():
+                wrapper(x)
+                assert wrapper.plans[0].stats.n_merged == 0
+                gains.g2[...] = gains.g2 + 3.0
+                gains.p2.data[...] = gains.p2.data + 4.0
+                assert np.array_equal(wrapper(x).data, eager(x).data)
+            assert wrapper.stats()["n_plans"] == 1
+
+    def test_equal_scalars_of_different_dtype_stay_distinct(self):
+        def fn(a):
+            return (ops.mul(a, Tensor(np.float32(1.0))), ops.mul(a, Tensor(np.float64(1.0))),
+                    ops.mul(a, Tensor(np.float32(1.0))))
+
+        a = np.random.default_rng(4).standard_normal(5).astype(np.float32)
+        compiled, eager, plan = self.replay(fn, a)
+        assert plan.stats.n_merged == 1  # the two float32 products, nothing else
+        assert [c.dtype for c in compiled] == [e.dtype for e in eager] \
+            == [np.float32, np.float64, np.float32]
+        for c, e in zip(compiled, eager):
+            assert np.array_equal(c.data, e.data)
+
+    def test_merged_value_is_not_overwritten_by_its_first_consumer(self):
+        """``exp`` could write over its dying operand ``s1`` — but after the
+        merge ``s1`` is also ``s2``, read later.  Liveness runs on the merged
+        program, so the value survives; still no allocation at run time."""
+        def fn(a):
+            s1, s2 = ops.sigmoid(a), ops.sigmoid(a)
+            return ops.add(ops.exp(s1), ops.neg(s2))
+
+        compiled, eager, plan = self.replay(fn, np.random.default_rng(5).standard_normal((3, 7)))
+        assert plan.stats.n_merged == 1
+        assert np.array_equal(compiled.data, eager.data)
+        assert plan.stats.n_inplace == 2  # neg over the merged value, add over exp's
+        assert plan.stats.n_fallback == 0 and plan.runtime_allocs == 0
+
+    def test_plan_op_nodes_are_left_alone(self):
+        """A ``_PlanOp`` recorded in an outer trace carries a live ``runner``:
+        its arguments have no key, so two identical applications both run."""
+        imnet = make_imnet()
+        cm = rc.compile(imnet, backward=True)
+        x = decoder_input((1, 8, 9), seed=30, requires_grad=True)
+        y = cm(x)  # level-0 _PlanOp on the tape, outside any trace
+
+        def outer(seed):
+            return (grad(y, x, grad_outputs=seed, create_graph=True),
+                    grad(y, x, grad_outputs=seed, create_graph=True))
+
+        seed = Tensor(np.ones(y.shape))
+        outer(seed)  # builds the level-1 plan; tracing cannot nest
+        program, _, _ = rc.trace(outer, seed)
+        plan = rc.compile_program(program)
+        assert [n.op_name for n in plan.program.nodes].count("_PlanOp") == 2
+        assert plan.stats.n_merged == 0
+        expected = grad(ops.sum(ops.mul(imnet(x), 2.0)), x).data
+        for out in plan.run(np.full(y.shape, 2.0)):
+            assert np.array_equal(out, expected)
+
+
+class TestGeneratedPrograms:
+    """Random DAGs over two inputs: every node draws its operands from *all*
+    earlier values, so duplicate nodes and shared subexpressions occur by
+    construction.  Every value stays ``(N, N)`` so any builder composes with
+    any operand; the reductions broadcast back."""
+
+    N = 4
+    UNARY = [ops.neg, ops.sin, ops.cos, ops.tanh, ops.abs, ops.sigmoid, ops.softplus, ops.relu,
+             lambda a: ops.mul(a, 0.3), lambda a: ops.sub(1.0, a), lambda a: ops.pow(a, 2.0),
+             # views
+             ops.transpose, lambda a: a[::-1], lambda a: a[:, ::-1],
+             lambda a: ops.reshape(ops.reshape(a, (-1,)), a.shape),
+             # Sum, over each axis and over both
+             lambda a: ops.broadcast_to(ops.sum(a, axis=0, keepdims=True), a.shape),
+             lambda a: ops.broadcast_to(ops.sum(a, axis=1, keepdims=True), a.shape),
+             lambda a: ops.mul(a, ops.sum(a))]
+    BINARY = [ops.add, ops.sub, ops.mul, ops.maximum, ops.minimum, ops.matmul]
+
+    @staticmethod
+    def build(dag, outputs):
+        """The traced function of a drawn DAG: the chosen values, then the
+        gradients of their sum with respect to both inputs."""
+        def fn(a, b):
+            values = [a, b]
+            for builder, operands in dag:
+                values.append(builder(*(values[i % len(values)] for i in operands)))
+            chosen = [values[2 + i] for i in outputs]
+            total = chosen[0].sum()
+            for value in chosen[1:]:
+                total = ops.add(total, value.sum())
+            return (*chosen, *grad(total, [a, b], create_graph=True, allow_unused=True))
+
+        return fn
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), policy=st.sampled_from(["float64", "float32"]))
+    def test_compiled_dag_matches_eager(self, data, policy):
+        nodes = st.one_of(
+            st.tuples(st.sampled_from(self.UNARY), st.tuples(st.integers(0, 13))),
+            st.tuples(st.sampled_from(self.BINARY), st.tuples(st.integers(0, 13), st.integers(0, 13))))
+        dag = data.draw(st.lists(nodes, min_size=4, max_size=12))
+        outputs = data.draw(st.lists(st.integers(0, len(dag) - 1), min_size=1, max_size=4,
+                                     unique=True))
+        fn = self.build(dag, outputs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        cf = rc.compile_fn(fn)
+        with precision(policy), np.errstate(all="ignore"):
+            def inputs():
+                return [Tensor(rng.uniform(-1, 1, (self.N, self.N)).astype(policy),
+                               requires_grad=True) for _ in range(2)]
+
+            cf(*inputs())  # traces on other data
+            xs = inputs()
+            compiled, eager = cf(*xs), fn(*xs)
+        plan = cf.plans[0]
+        assert plan.stats.n_fallback == 0 and plan.runtime_allocs == 0
+        for c, e in zip(compiled, eager):
+            assert (c is None) == (e is None)
+            if e is not None:
+                assert c.dtype == e.dtype
+                assert np.array_equal(c.data, e.data, equal_nan=True)
 
 
 class TestPlanCache:
@@ -799,6 +1038,46 @@ class TestCompiledTrainingStep:
         assert stats["n_plans"] == 1
         assert stats["plan_hits"] == 2
         assert stats["fallbacks"] == {}
+
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    def test_value_numbered_step_runs_each_activation_once(self, policy):
+        """Eleven differentiation sweeps each re-derive ``sigmoid(a)`` for
+        every Softplus they cross; the optimised program keeps one per
+        (corner, hidden layer) — and three steps of it are still eager's
+        records, gradients and BatchNorm buffers, bit for bit."""
+        with precision(policy):
+            sc, ds, pde, weights, compute_losses = self._scenario_setup()
+            m_eager, m_comp = sc.build_model("tiny"), sc.build_model("tiny")
+            for pe, pc in zip(m_eager.parameters(), m_comp.parameters()):
+                pc.data[...] = pe.data
+            step = rc.CompiledTrainingStep(m_comp, pde, weights)
+            dt = m_eager.dtype
+            assert dt == np.dtype(policy)
+            for call in range(3):  # call 0 traces, 1..2 replay
+                batch = ds.sample_batch([2 * call, 2 * call + 1], epoch=0)
+                m_eager.zero_grad()
+                m_comp.zero_grad()
+                total, bd_e = compute_losses(
+                    m_eager,
+                    Tensor(np.asarray(batch.lowres, dtype=dt)),
+                    Tensor(np.asarray(batch.coords, dtype=dt), requires_grad=True),
+                    Tensor(np.asarray(batch.targets, dtype=dt)),
+                    pde, weights, coord_scales=batch.coord_scales)
+                total.backward()
+                assert step(batch) == bd_e
+                for pe, pc in zip(m_eager.parameters(), m_comp.parameters()):
+                    assert (pe.grad is None) == (pc.grad is None)
+                    assert pe.grad is None or np.array_equal(pe.grad, pc.grad)
+                for (_, be), (_, bc) in zip(m_eager.named_buffers(), m_comp.named_buffers()):
+                    assert np.array_equal(be, bc)
+        assert step.stats() == {**step.stats(), "n_plans": 1, "plan_hits": 2, "fallbacks": {}}
+        plan = step.plans[0]
+        names = [node.op_name for node in plan.program.nodes]
+        once_each = 8 * len(m_comp.config.imnet_hidden)  # corners x hidden layers
+        assert names.count("Sigmoid") == names.count("Softplus") == once_each
+        s = plan.stats
+        assert s.n_ops == len(names) == s.n_traced_ops - s.n_folded - s.n_dead - s.n_merged
+        assert s.n_ops <= 0.85 * (s.n_traced_ops - s.n_folded - s.n_dead)
 
     def test_double_backward_region_present(self):
         """With the equation loss on, the traced step differentiates through
