@@ -1,7 +1,7 @@
 """Micro-benchmarks of the computational kernels (multi-round timings).
 
 These are conventional pytest-benchmark measurements of the hot paths:
-U-Net encoding, continuous decoding, the equation-loss derivative stack,
+U-Net encoding, continuous decoding, a nested-``grad`` derivative stack,
 the Rayleigh–Bénard solver step and the ring all-reduce.  Each hot-path
 benchmark also reports rolling p50/p95/p99 round latencies (via
 :func:`repro.utils.percentiles` — the same helpers the serving telemetry
@@ -213,12 +213,12 @@ def _interleaved_best(fn_a, fn_b, rounds):
 def test_compiled_decode_speedup_and_equivalence(benchmark, bench_artifact):
     """Compiled ImNet decode: ≥1.5x on the derivative stack, bit-identical.
 
-    The PR 5 acceptance gate, on the two decode workloads the paper's hot
-    loop runs:
+    The PR 5 acceptance gate, on two decode workloads:
 
-    * the **second-order derivative stack** (``forward_with_derivatives``
-      pattern feeding the PDE equation loss) — where graph capture
-      genuinely changes the cost model: the eager tape applies ~100
+    * a **second-order derivative stack** (nested ``grad(create_graph=True)``
+      sweeps through the decoder — the public autodiff feature; the model's
+      own equation loss now carries its derivatives forward instead) — where
+      graph capture genuinely changes the cost model: the eager tape applies ~100
       primitives and walks two backward graphs per evaluation, while the
       compiled plan replays ~30 fused ops after dead-code elimination.
       Enforced at **≥1.5x** (measured ≈3–4.5x steady-state);

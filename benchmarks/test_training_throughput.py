@@ -13,7 +13,8 @@ Two acceptance gates share this module:
   so the comparison keeps measuring the same thing as the underlying ops
   evolve.  Recorded in ``BENCH_pr4.json``.
 * **Compiled training step (ISSUE 8)** — with the *equation loss active*
-  (the double-backward regime), ``TrainerConfig.compile=True`` replays
+  (residuals built on derivatives carried through the forward pass, one
+  first-order backward), ``TrainerConfig.compile=True`` replays
   each micro-batch as one :class:`~repro.compile.CompiledTrainingStep`
   plan and must deliver **>= 1.5x** the throughput of the identical
   eager trainer, while remaining bit-identical to it.  Recorded in
@@ -173,8 +174,8 @@ def test_compiled_equation_loss_step_throughput(benchmark, bench_artifact):
     """Compiled physics-constrained step >= 1.5x the eager trainer (ISSUE 8).
 
     Same scenario dataset, same seeded model init, equation loss ON
-    (gamma > 0, so the parameter VJP differentiates through the
-    second-order derivative stack): the only difference between the two
+    (gamma > 0, so the parameter VJP runs back through the decoder's
+    forward derivative pass): the only difference between the two
     trainers is ``TrainerConfig.compile``.  Besides the throughput gate,
     the measured steps must stay bit-identical and fallback-free — a
     speedup obtained by silently degrading the computation is a failure.

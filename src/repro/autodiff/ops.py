@@ -210,11 +210,17 @@ class Tanh(Op):
 class Sigmoid(Op):
     """Elementwise logistic sigmoid."""
     def forward(self, a):
-        # Branchless two-sided stable form: with t = exp(-|a|) <= 1,
-        # a >= 0 -> 1/(1+t) and a < 0 -> t/(1+t), no overflow on either side.
-        t = np.exp(-np.abs(a))
-        den = 1.0 + t
-        return np.where(a >= 0, 1.0 / den, t / den)
+        # Two-sided stable form in one divide: with t = exp(-|a|) <= 1,
+        # a >= 0 -> 1/(1+t) and a < 0 -> t/(1+t), no overflow on either
+        # side; max(t, a >= 0) selects the numerator 1 or t exactly.
+        t, num = np.empty_like(a), np.empty_like(a)
+        np.abs(a, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.greater_equal(a, 0.0, out=num)
+        np.maximum(t, num, out=num)
+        np.add(t, 1.0, out=t)
+        return np.divide(num, t, out=num)
 
     def backward(self, grad):
         (a,) = self.inputs
@@ -226,7 +232,13 @@ class Softplus(Op):
     """Numerically stable ``log(1 + exp(x))``; derivative is ``sigmoid(x)``."""
 
     def forward(self, a):
-        return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+        t, out = np.empty_like(a), np.empty_like(a)
+        np.abs(a, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(a, 0.0, out=out)
+        return np.add(out, t, out=out)
 
     def backward(self, grad):
         (a,) = self.inputs

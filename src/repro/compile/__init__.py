@@ -40,7 +40,7 @@ op without an entry still runs, as an eager-fallback step.
 
 Entry points: :func:`compile` for modules — with ``backward=True`` the
 wrapper serves gradient calls from a stack of compiled VJP plans that
-supports double backward (equation-loss training) — :func:`compile_fn`
+supports double backward — :func:`compile_fn`
 for free functions of tensors, and
 :class:`~repro.compile.training.CompiledTrainingStep` which captures an
 entire physics-constrained training step (forward, PDE residuals, loss,

@@ -198,19 +198,17 @@ def _leaky_relu_mask(fn, node, out, a):
 
 
 def _sigmoid(fn, node, out, a):
-    # Branchless form of the eager op's two-sided stable sigmoid,
-    # bit-identical per element: t = exp(-|a|); a >= 0 -> 1/(1+t),
-    # a < 0 -> t/(1+t).
-    s1, s2, mask = fn.scratch(out), fn.scratch(out), fn.scratch(out, np.bool_)
+    # The eager op's seven kernels: t = exp(-|a|), then max(t, a >= 0) —
+    # the numerator 1 or t — over 1 + t.
+    t = fn.scratch(out)
     return [
-        fn.call("greater_equal", a, 0.0, out=mask),
-        fn.call("abs", a, out=s1),
-        fn.call("negative", s1, out=s1),
-        fn.call("exp", s1, out=s1),
-        fn.call("add", s1, 1.0, out=s2),
-        fn.call("divide", s1, s2, out=out),
-        fn.call("divide", 1.0, s2, out=s1),
-        fn.call("copyto", out, s1, where=mask),
+        fn.call("abs", a, out=t),
+        fn.call("negative", t, out=t),
+        fn.call("exp", t, out=t),
+        fn.call("greater_equal", a, 0.0, out=out),
+        fn.call("maximum", t, out, out=out),
+        fn.call("add", t, 1.0, out=t),
+        fn.call("divide", out, t, out=out),
     ]
 
 

@@ -1,13 +1,13 @@
 """Whole-training-step compilation for physics-constrained training.
 
 :class:`CompiledTrainingStep` captures one *entire* micro-batch training
-step — forward pass, PDE residual evaluation (including the second-order
-derivative stack the equation loss is built from), loss combination and
-the parameter VJP — as a single traced program, lowered once and replayed
-on every subsequent step.  The eager tape pays per-primitive Python
-dispatch for every op of the step, *twice over* for the equation loss
-(whose residuals contain ``dy/dx`` terms, so the parameter gradient is a
-gradient-of-gradient); the compiled step pays it only at trace time.
+step — forward pass, PDE residual evaluation (including the coordinate
+derivatives the equation loss is built from, which the decoder carries
+through its forward pass: see :mod:`repro.core.latent_grid`), loss
+combination and the parameter VJP — as a single traced program, lowered
+once and replayed on every subsequent step.  The eager tape pays
+per-primitive Python dispatch for every op of the step, forward and
+backward; the compiled step pays it only at trace time.
 
 The traced function returns, in order::
 
@@ -51,13 +51,13 @@ program outputs and re-applied after every replay.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..autodiff import Tensor, grad as _grad, ops as _ops
 from ..autodiff.tensor import collect_state_updates, is_tracing
-from ..core.losses import LossBreakdown, LossWeights, loss_terms, uses_equation_loss
+from ..core.losses import LossBreakdown, LossWeights, loss_terms
 from .api import CompiledFunction
 
 __all__ = ["CompiledTrainingStep"]
@@ -86,8 +86,8 @@ class CompiledTrainingStep:
         and invalidates every cached plan.
     pde_system, weights:
         Forwarded to :func:`repro.core.losses.loss_terms` — the equation
-        loss (and with it the double-backward region of the program) is
-        active exactly when eager training would activate it.
+        loss (and with it the derivative-carrying part of the forward pass)
+        is active exactly when eager training would activate it.
     loss_scale:
         Optional scalar multiplied into the total loss *before* the VJP,
         mirroring the trainers' gradient-averaging convention (the serial
@@ -187,9 +187,8 @@ class CompiledTrainingStep:
         dt = self.model.dtype
         scales = batch.coord_scales
         self._active_scales = None if scales is None else tuple(float(s) for s in scales)
-        uses_eq = uses_equation_loss(self.pde_system, self.weights)
         lowres = Tensor(np.asarray(batch.lowres, dtype=dt))
-        coords = Tensor(np.asarray(batch.coords, dtype=dt), requires_grad=uses_eq)
+        coords = Tensor(np.asarray(batch.coords, dtype=dt))
         targets = Tensor(np.asarray(batch.targets, dtype=dt))
         inputs = (lowres, coords, targets, *self._params)
         if _active_dropout(self.model) and not is_tracing():

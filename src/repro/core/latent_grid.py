@@ -10,19 +10,71 @@ differentiable functions of the query coordinates, so spatio-temporal
 derivatives of the blended output — needed by the PDE equation loss — are
 exact derivatives of the full interpolated model, not of a single-vertex
 approximation.
+
+Derivatives ride forward
+------------------------
+
+:func:`query_latent_grid_jets` returns those derivatives from the same pass
+that computes the value: beside every intermediate ``y`` it carries the
+first derivatives ``ẏ_a = ∂y/∂coord_a`` along the requested axes and the
+requested second derivatives ``ÿ_ab = ∂²y/∂coord_a∂coord_b`` (a *jet*), each
+written in ordinary tape operations.  A loss built on them therefore reaches
+the parameters in one first-order backward, and :mod:`repro.compile` traces
+it like any other program.  This is the one statement of the recurrences;
+:meth:`repro.core.imnet.ImNet.forward_jets` and
+:meth:`repro.core.model.MeshfreeFlowNet.forward_with_derivatives` refer here.
+
+*Seed.*  Along axis ``a`` of size ``n_a`` the cell fraction is
+``f_a = s_a·coord_a - cell_a`` with ``s_a = max(n_a - 1, 1)``; the cell index
+(``floor`` + ``clip``), the nearest-vertex mask and the gathered latent vector
+are piecewise constant.  The decoder input of the corner with offsets ``o``,
+``x = [f - o, latent]``, thus has ``∂x/∂coord_a = s_a·e_a`` (one-hot) and no
+second derivative.
+
+*Through the decoder.*
+
+* first ``Linear``: ``ḣ_a = s_a·W[a, :]`` — a weight row, broadcast over the
+  points — and ``ḧ_ab = 0``;
+* activation ``σ``: ``ẏ_a = σ'(h)·ḣ_a`` and
+  ``ÿ_ab = σ''(h)·ḣ_a·ḣ_b + σ'(h)·ḧ_ab`` (each activation layer of
+  :mod:`repro.nn` states its ``σ'`` and ``σ''``);
+* later ``Linear``: ``ḣ_a = ẏ_a W``, ``ḧ_ab = ÿ_ab W`` (the bias drops out);
+* ``Dropout``: its one sampled mask multiplies value and tangents alike.
+
+*Through the blend.*  ``y = Σ_k w_k Φ_k`` over the corners, with
+``w_k = Π_a g_a``, ``g_a ∈ {f_a, 1 - f_a}``, ``ġ_a = ±s_a`` and no curvature
+along any single axis, so ``ẇ_{k,a} = ġ_a Π_{c≠a} g_c``,
+``ẅ_{k,ab} = ġ_a ġ_b g_c`` for ``a ≠ b`` and ``ẅ_{k,aa} = 0``::
+
+    ẏ_a  = Σ_k ( ẇ_{k,a} Φ_k + w_k Φ̇_{k,a} )
+    ÿ_ab = Σ_k ( w_k Φ̈_{k,ab} + ẇ_{k,a} Φ̇_{k,b} + ẇ_{k,b} Φ̇_{k,a} + ẅ_{k,ab} Φ_k )
+
+``interpolation="nearest"`` is the single-corner case with ``w = 1``: the
+decoder's jets are the output's.  Everything is in units of the normalised
+coordinates; conversion to physical units happens in the model.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable
+import math
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..autodiff import Tensor, ops
 from ..backend import resolve_dtype
 
-__all__ = ["query_latent_grid", "regular_grid_coordinates", "trilinear_weights_numpy"]
+__all__ = ["query_latent_grid", "query_latent_grid_jets", "regular_grid_coordinates",
+           "trilinear_weights_numpy"]
+
+
+def sum_tangents(a: Optional[Tensor], b: Optional[Tensor]) -> Optional[Tensor]:
+    """``a + b`` where ``None`` stands for an identically zero tensor."""
+    if a is None or b is None:
+        return b if a is None else a
+    return ops.add(a, b)
 
 
 def query_latent_grid(
@@ -51,6 +103,63 @@ def query_latent_grid(
     -------
     Tensor of shape ``(N, P, m)``.
     """
+    return _blend_corners(grid, coords, lambda x, scales: (decoder(x), {}, {}), interpolation)[0]
+
+
+def query_latent_grid_jets(
+    grid: Tensor,
+    coords: Tensor,
+    decoder,
+    axes: Sequence[int] = (),
+    pairs: Sequence[tuple[int, int]] = (),
+    interpolation: str = "trilinear",
+) -> tuple[Tensor, dict[int, Tensor], dict[tuple[int, int], Tensor]]:
+    """:func:`query_latent_grid` plus derivatives with respect to ``coords``.
+
+    One forward pass carries the value, ``∂/∂coord_a`` for every axis in
+    ``axes`` and ``∂²/∂coord_a∂coord_b`` for every pair in ``pairs`` (the
+    recurrences are in the module docstring).  ``decoder`` supplies the
+    per-vertex part through ``decoder.forward_jets(x, scales, pairs)``, see
+    :meth:`repro.core.imnet.ImNet.forward_jets`.
+
+    Returns
+    -------
+    ``(value, first, second)``: ``value`` is :func:`query_latent_grid`'s
+    tensor bit for bit, ``first[a]`` and ``second[(a, b)]`` are ``(N, P, m)``
+    tensors in units of the *normalised* coordinates.
+    """
+    pairs = tuple(pairs)
+    axes = sorted({*axes, *(a for pair in pairs for a in pair)})
+    value, first, second = _blend_corners(
+        grid, coords, lambda x, scales: decoder.forward_jets(x, scales, pairs),
+        interpolation, axes, pairs)
+
+    def dense(tangent: Optional[Tensor]) -> Tensor:
+        if tangent is None:
+            return Tensor(np.zeros(value.shape, dtype=value.dtype))
+        return tangent if tangent.shape == value.shape else ops.broadcast_to(tangent, value.shape)
+
+    return (value, {a: dense(d) for a, d in first.items()},
+            {pair: dense(d) for pair, d in second.items()})
+
+
+def _weight_slope(factors: Sequence[Tensor], slopes: Sequence[float], *along: int) -> Tensor:
+    """``∂w/∂coord_a``, or ``∂²w/∂coord_a∂coord_b`` for distinct axes, of the
+    corner weight ``w = Π_c factors[c]`` whose factors are linear with the
+    given ``slopes``; shape ``(N, P, 1)``."""
+    rest = functools.reduce(ops.mul, (factors[c] for c in range(3) if c not in along))
+    return ops.expand_dims(ops.mul(rest, math.prod(slopes[a] for a in along)), -1)
+
+
+def _blend_corners(grid: Tensor, coords: Tensor, decode, interpolation: str,
+                   axes: Sequence[int] = (), pairs: Sequence[tuple[int, int]] = ()):
+    """The one cell / fraction / corner-weight loop behind both queries.
+
+    ``decode(x, scales)`` returns the decoder's ``(value, first, second)`` at
+    the assembled input ``x``, whose column ``a`` moves at ``scales[a]`` per
+    unit of query coordinate ``a``.  With no ``axes`` and no ``pairs`` the
+    loop records exactly the value's operations and nothing else.
+    """
     if grid.ndim != 5:
         raise ValueError(f"latent grid must be 5-D (N, C, nt, nz, nx); got {grid.shape}")
     if coords.ndim != 3 or coords.shape[-1] != 3:
@@ -78,9 +187,12 @@ def query_latent_grid(
     # batch's indices into the plan.
     cell_index: list[Tensor] = []
     frac: list[Tensor] = []
+    # Cells per unit of normalised coordinate: the slope of ``frac`` (and of
+    # the decoder's relative coordinate) along its own axis.
+    steps = [float(max(n - 1, 1)) for n in sizes]
     for axis in range(3):
         n = sizes[axis]
-        pos = ops.mul(coords[:, :, axis], float(max(n - 1, 1)))
+        pos = ops.mul(coords[:, :, axis], steps[axis])
         if n == 1:
             # Degenerate axis: every point lives in cell 0 (data-independent).
             idx = Tensor(np.zeros((n_batch, n_points), dtype=dt))
@@ -90,9 +202,12 @@ def query_latent_grid(
                 idx = ops.mul(idx, Tensor(np.ones((), dtype=dt)))
         cell_index.append(idx)
         frac.append(ops.sub(pos, idx))
+    scales = {a: steps[a] for a in axes}
 
     if interpolation == "nearest":
         # Decode from the per-point nearest vertex: per-axis nearest offsets.
+        # The offsets are piecewise constant, so the decoder's derivatives
+        # are the output's.
         offsets = [ops.greater_equal_mask(f, 0.5) for f in frac]
         vertex_index = [
             ops.clip_by_value(ops.add(cell_index[axis], offsets[axis]), 0.0,
@@ -101,7 +216,7 @@ def query_latent_grid(
         ]
         latent = ops.gather_vertices(grid_last, *vertex_index)
         rel = ops.stack([ops.sub(frac[a], offsets[a]) for a in range(3)], axis=-1)
-        return decoder(ops.concatenate([rel, latent], axis=-1))
+        return decode(ops.concatenate([rel, latent], axis=-1), scales)
 
     # Per-axis clamped vertex indices for offsets 0 and 1, hoisted out of
     # the 8-corner loop (the cell index is already within [0, n-2], so the
@@ -113,22 +228,43 @@ def query_latent_grid(
     ]
 
     output: Tensor | None = None
+    first: dict = dict.fromkeys(axes)
+    second: dict = dict.fromkeys(pairs)
     for offsets in itertools.product((0, 1), repeat=3):
         weight: Tensor | None = None
+        factors: list[Tensor] = []   # g_a: the weight's factor along each axis
+        slopes: list[float] = []     # ∂g_a/∂coord_a
         rel_components: list[Tensor] = []
         vertex_index: list[Tensor] = []
         for axis, offset in enumerate(offsets):
             f = frac[axis]
             w_axis = f if offset == 1 else ops.sub(1.0, f)
             weight = w_axis if weight is None else ops.mul(weight, w_axis)
+            factors.append(w_axis)
+            slopes.append(steps[axis] if offset == 1 else -steps[axis])
             rel_components.append(ops.sub(f, float(offset)))
             vertex_index.append(vertex01[axis][offset])
         latent = ops.gather_vertices(grid_last, *vertex_index)  # (N, P, C)
         rel = ops.stack(rel_components, axis=-1)  # (N, P, 3)
-        decoded = decoder(ops.concatenate([rel, latent], axis=-1))  # (N, P, m)
-        contribution = ops.mul(ops.expand_dims(weight, -1), decoded)
-        output = contribution if output is None else ops.add(output, contribution)
-    return output
+        decoded, d_first, d_second = decode(ops.concatenate([rel, latent], axis=-1), scales)
+        w = ops.expand_dims(weight, -1)
+        output = sum_tangents(output, ops.mul(w, decoded))  # (N, P, m)
+
+        w_dot = {a: _weight_slope(factors, slopes, a) for a in axes}
+        for a in axes:
+            first[a] = sum_tangents(first[a], ops.add(ops.mul(w_dot[a], decoded),
+                                                     ops.mul(w, d_first[a])))
+        for a, b in pairs:
+            if a == b:  # the weight is linear along each axis: no curvature term
+                term = ops.mul(ops.mul(w_dot[a], d_first[a]), 2.0)
+            else:
+                term = ops.add(ops.add(ops.mul(w_dot[a], d_first[b]),
+                                       ops.mul(w_dot[b], d_first[a])),
+                               ops.mul(_weight_slope(factors, slopes, a, b), decoded))
+            if d_second[a, b] is not None:
+                term = ops.add(term, ops.mul(w, d_second[a, b]))
+            second[a, b] = sum_tangents(second[a, b], term)
+    return output, first, second
 
 
 def regular_grid_coordinates(shape: tuple[int, int, int], dtype=None) -> np.ndarray:

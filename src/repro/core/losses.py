@@ -22,12 +22,7 @@ __all__ = ["prediction_loss", "equation_loss", "uses_equation_loss", "LossWeight
 
 
 def uses_equation_loss(pde_system: Optional["PDESystem"], weights: "LossWeights") -> bool:
-    """Whether :func:`compute_losses` will evaluate the equation loss.
-
-    The single source of truth for the gate — callers that prepare inputs
-    (e.g. the trainer deciding whether query coordinates need gradients)
-    must agree with :func:`compute_losses` on it.
-    """
+    """Whether :func:`compute_losses` will evaluate the equation loss."""
     return bool(weights.gamma > 0 and pde_system is not None and pde_system.constraints)
 
 

@@ -12,13 +12,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, grad, ops
+from ..autodiff import Tensor, ops
 from ..backend import precision
 from .. import nn
 from ..pde import PDESystem
 from .config import MeshfreeFlowNetConfig
 from .imnet import ImNet
-from .latent_grid import query_latent_grid
+from .latent_grid import query_latent_grid, query_latent_grid_jets
 from .unet import UNet3d
 
 __all__ = ["MeshfreeFlowNet"]
@@ -77,8 +77,9 @@ class MeshfreeFlowNet(nn.Module):
         """Opt this model's decode paths into the fused compiled executor.
 
         Wraps ``self.imnet`` with :func:`repro.compile.compile` and routes
-        every :meth:`decode` call (and therefore :meth:`forward`,
-        :meth:`forward_with_derivatives` and the loss stack) through it.
+        every :meth:`decode` call (and therefore :meth:`forward` and the
+        prediction loss) through it; :meth:`forward_with_derivatives` walks
+        the ImNet's own layers and never sees the wrapper.
         The wrapper is stored as a plain attribute — ``state_dict`` layout
         and checkpoints are unaffected — and plans always read the live
         parameter arrays, so optimizer updates need no re-compile.
@@ -88,10 +89,9 @@ class MeshfreeFlowNet(nn.Module):
         backward:
             Compile first-order gradients too (traced forward + VJP plan
             pair).  Leave ``False`` on paths that differentiate the decode
-            twice (the PDE equation loss): second-order differentiation
-            through a compiled decoder is rejected rather than silently
-            wrong, while ``backward=False`` simply falls back to eager
-            whenever gradients are required.
+            twice: second-order differentiation through a compiled decoder
+            is rejected rather than silently wrong, while ``backward=False``
+            simply falls back to eager whenever gradients are required.
         kwargs:
             Forwarded to :func:`repro.compile.compile`.
 
@@ -174,12 +174,15 @@ class MeshfreeFlowNet(nn.Module):
     ) -> tuple[Tensor, dict[str, Tensor]]:
         """Forward pass plus all derivatives required by ``pde_system``.
 
-        The query ``coords`` are treated as differentiation variables; the
-        returned ``values`` dictionary maps every symbol needed by the PDE
-        system (fields and their space-time derivatives, converted to
+        The returned ``values`` dictionary maps every symbol needed by the
+        PDE system (fields and their space-time derivatives, converted to
         *physical* units via ``coord_scales``) to a tensor of shape
-        ``(N, P)``.  All derivative tensors carry a computation graph, so a
-        loss built from them can be backpropagated to the network parameters.
+        ``(N, P)``.  The derivatives are carried forward through the decode
+        beside the value (:func:`~repro.core.latent_grid.query_latent_grid_jets`
+        states the recurrences), along exactly the axes and axis pairs the
+        system names, so they are plain tape expressions: a loss built from
+        them reaches the network parameters in one first-order backward,
+        and ``coords`` need not require gradients.
 
         Parameters
         ----------
@@ -189,9 +192,7 @@ class MeshfreeFlowNet(nn.Module):
             extent to convert it to physical units.  Defaults to ones.
         """
         if not isinstance(coords, Tensor):
-            coords = Tensor(np.asarray(coords), requires_grad=True)
-        if not coords.requires_grad:
-            coords = Tensor(coords.data, requires_grad=True)
+            coords = Tensor(np.asarray(coords))
         scales = np.ones(3) if coord_scales is None else np.asarray(coord_scales, dtype=np.float64)
         if scales.shape != (3,):
             raise ValueError(f"coord_scales must have shape (3,); got {scales.shape}")
@@ -201,58 +202,26 @@ class MeshfreeFlowNet(nn.Module):
         field_names = list(self.config.field_names)
         coord_names = list(self.config.coord_names)
 
-        pred = self.forward(lowres, coords)
-
-        values: dict[str, Tensor] = {}
-        for i, name in enumerate(field_names):
-            values[name] = pred[:, :, i]
-
-        specs = pde_system.required_derivatives()
-        if not specs:
-            return pred, values
-
-        # Cache of d(field)/d(normalised coords): field -> (N, P, 3) tensor.
-        first_order: dict[str, Tensor] = {}
-        # Cache of d2(field)/d(c1)d(coords): (field, c1) -> (N, P, 3) tensor.
-        second_order: dict[tuple[str, str], Tensor] = {}
-
-        def first(field: str) -> Tensor:
-            if field not in first_order:
-                channel = values[field]
-                g = grad(ops.sum(channel), coords, create_graph=True)
-                if g is None:
-                    g = Tensor(np.zeros_like(coords.data))
-                first_order[field] = g
-            return first_order[field]
-
-        def second(field: str, c1: str) -> Tensor:
-            key = (field, c1)
-            if key not in second_order:
-                axis1 = coord_names.index(c1)
-                d1 = first(field)[:, :, axis1]
-                g = grad(ops.sum(d1), coords, create_graph=True)
-                if g is None:
-                    g = Tensor(np.zeros_like(coords.data))
-                second_order[key] = g
-            return second_order[key]
-
+        # spec -> its coordinate axes, in the order the symbol names them.
+        specs = {spec: tuple(coord_names.index(c) for c in spec.coords)
+                 for spec in pde_system.required_derivatives()}
         for spec in specs:
-            if spec.field not in values:
+            if spec.field not in field_names:
                 raise KeyError(f"PDE system requests unknown field '{spec.field}'")
-            if spec.order == 1:
-                axis = coord_names.index(spec.coords[0])
-                d = first(spec.field)[:, :, axis]
-                scale = scales[axis]
-                values[spec.symbol] = ops.mul(d, float(1.0 / scale))
-            elif spec.order == 2:
-                c1, c2 = spec.coords
-                axis1 = coord_names.index(c1)
-                axis2 = coord_names.index(c2)
-                d2 = second(spec.field, c1)[:, :, axis2]
-                scale = scales[axis1] * scales[axis2]
-                values[spec.symbol] = ops.mul(d2, float(1.0 / scale))
-            else:  # pragma: no cover - guarded by PDESystem.add_constraint
+            if spec.order > 2:  # pragma: no cover - guarded by PDESystem.add_constraint
                 raise ValueError(f"unsupported derivative order {spec.order}")
+        pred, first, second = query_latent_grid_jets(
+            self.unet(lowres), coords, self.imnet,
+            axes={along[0] for along in specs.values() if len(along) == 1},
+            pairs=sorted({tuple(sorted(along)) for along in specs.values() if len(along) == 2}),
+            interpolation=self.config.interpolation)
+
+        values = {name: pred[:, :, i] for i, name in enumerate(field_names)}
+        for spec, along in specs.items():
+            jet = first[along[0]] if len(along) == 1 else second[tuple(sorted(along))]
+            scale = float(np.prod(scales[list(along)]))
+            values[spec.symbol] = ops.mul(jet[:, :, field_names.index(spec.field)],
+                                          float(1.0 / scale))
         return pred, values
 
     # -------------------------------------------------------------- replicas

@@ -226,10 +226,19 @@ class UpsampleNearest3d(Module):
         return nn_ops.upsample_nearest3d(x, self.scale_factor)
 
 
+# Each activation states its first two derivatives beside ``forward``, as
+# tape expressions like any other: ``derivatives(x, second)`` returns
+# ``(σ'(x), σ''(x))``, the second entry ``None`` when it was not asked for
+# or is identically zero.  The decoder's forward derivative pass
+# (:meth:`repro.core.imnet.ImNet.forward_jets`) is their one consumer.
 class ReLU(Module):
     """Rectified linear unit activation layer."""
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(x)
+
+    def derivatives(self, x: Tensor, second: bool):
+        """The ``x > 0`` mask; the second derivative is zero."""
+        return ops.greater_mask(x, 0.0), None
 
 
 class LeakyReLU(Module):
@@ -241,11 +250,21 @@ class LeakyReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.leaky_relu(x, self.negative_slope)
 
+    def derivatives(self, x: Tensor, second: bool):
+        """One where ``x > 0``, else the slope; the second derivative is zero."""
+        return ops.leaky_relu_mask(x, self.negative_slope), None
+
 
 class Tanh(Module):
     """Hyperbolic tangent activation layer."""
     def forward(self, x: Tensor) -> Tensor:
         return ops.tanh(x)
+
+    def derivatives(self, x: Tensor, second: bool):
+        """``1 - t²`` and ``-2 t (1 - t²)`` with ``t = tanh(x)``."""
+        t = ops.tanh(x)
+        d1 = ops.sub(1.0, ops.mul(t, t))
+        return d1, ops.mul(ops.mul(t, d1), -2.0) if second else None
 
 
 class Sigmoid(Module):
@@ -253,11 +272,22 @@ class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.sigmoid(x)
 
+    def derivatives(self, x: Tensor, second: bool):
+        """``s (1 - s)`` and ``s (1 - s)(1 - 2 s)`` with ``s = sigmoid(x)``."""
+        s = ops.sigmoid(x)
+        d1 = ops.mul(s, ops.sub(1.0, s))
+        return d1, ops.mul(d1, ops.sub(1.0, ops.mul(s, 2.0))) if second else None
+
 
 class Softplus(Module):
     """Softplus activation layer (smooth ReLU; PDE-loss friendly)."""
     def forward(self, x: Tensor) -> Tensor:
         return ops.softplus(x)
+
+    def derivatives(self, x: Tensor, second: bool):
+        """``s`` and ``s (1 - s)`` with ``s = sigmoid(x)``."""
+        s = ops.sigmoid(x)
+        return s, ops.mul(s, ops.sub(1.0, s)) if second else None
 
 
 class Sin(Module):
@@ -270,11 +300,21 @@ class Sin(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.sin(ops.mul(x, self.w0))
 
+    def derivatives(self, x: Tensor, second: bool):
+        """``w0 cos(w0 x)`` and ``-w0² sin(w0 x)``."""
+        arg = ops.mul(x, self.w0)
+        d1 = ops.mul(ops.cos(arg), self.w0)
+        return d1, ops.mul(ops.sin(arg), -self.w0 * self.w0) if second else None
+
 
 class Identity(Module):
     """No-op layer returning its input unchanged."""
     def forward(self, x: Tensor) -> Tensor:
         return x
+
+    def derivatives(self, x: Tensor, second: bool):
+        """One; the second derivative is zero."""
+        return Tensor(np.ones((), dtype=x.dtype)), None
 
 
 class Dropout(Module):
@@ -287,11 +327,19 @@ class Dropout(Module):
         self.p = float(p)
         self._rng = _rng_or_default(rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def sample_mask(self, x: Tensor) -> Optional[Tensor]:
+        """Draw one scaled keep-mask shaped like ``x``; ``None`` when inactive.
+
+        Dropout is linear in its input, so a caller that carries derivatives
+        of ``x`` alongside it multiplies all of them by this one mask.
+        """
         if not self.training or self.p == 0.0:
-            return x
-        mask = (self._rng.random(x.shape) >= self.p).astype(x.dtype) / (1.0 - self.p)
-        return ops.mul(x, Tensor(mask))
+            return None
+        return Tensor((self._rng.random(x.shape) >= self.p).astype(x.dtype) / (1.0 - self.p))
+
+    def forward(self, x: Tensor) -> Tensor:
+        mask = self.sample_mask(x)
+        return x if mask is None else ops.mul(x, mask)
 
 
 class Sequential(Module):

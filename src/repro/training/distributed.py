@@ -40,7 +40,7 @@ instance norm, the same caveat as real DDP without SyncBatchNorm); with
 With ``config.compile=True`` each node's micro-batch runs as one
 :class:`~repro.compile.CompiledTrainingStep` plan replay — forward, PDE
 residuals, loss and parameter VJP captured together, including the
-second-order derivative stack of the equation loss — so the
+coordinate derivatives the equation loss is built from — so the
 per-primitive Python dispatch the tape engine would pay ``world_size``
 times per step is paid zero times after the first trace, and the
 replayed gradients entering the all-reduce are bit-identical to the

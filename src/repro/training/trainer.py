@@ -29,7 +29,7 @@ import numpy as np
 
 from ..autodiff import Tensor
 from ..faults import plan as _faults
-from ..core.losses import LossWeights, compute_losses, uses_equation_loss
+from ..core.losses import LossWeights, compute_losses
 from ..data.dataset import Batch, SuperResolutionDataset
 from ..metrics.report import MetricReport
 from ..nn.module import Module
@@ -141,9 +141,9 @@ class Trainer:
         self._compiled_step = None
         if self.config.compile:
             # The training loop itself runs as one compiled program per
-            # micro-batch: forward, PDE residuals (including the
-            # second-order derivative stack of the equation loss), loss and
-            # parameter VJP are traced together and replayed bit-identically
+            # micro-batch: forward, PDE residuals (including the coordinate
+            # derivatives the decoder carries forward for the equation loss),
+            # loss and parameter VJP are traced together and replayed bit-identically
             # to the eager step.  The decoder wrapper additionally serves
             # the no-grad paths (validation, evaluation) from fused decode
             # plans; it stays ``backward=False`` because training gradients
@@ -183,9 +183,6 @@ class Trainer:
         global_batch = self.config.batch_size * self.config.world_size
         return max(1, len(self.dataset) // global_batch)
 
-    def _use_equation_loss(self) -> bool:
-        return uses_equation_loss(self.pde_system, self.weights)
-
     def _loss_scale(self) -> float:
         """Loss pre-scaling of one micro-batch backward (gradient averaging)."""
         return 1.0 / self.config.world_size
@@ -194,15 +191,12 @@ class Trainer:
         """Combined loss of one micro-batch, cast to the model's precision.
 
         Batch arrays are cast to the model dtype (a no-op under the default
-        float64 policy), and query coordinates only carry ``requires_grad``
-        when the equation loss actually differentiates with respect to them
-        — the seed loop unconditionally requested coordinate gradients and
-        paid for an unused interpolation backward on every γ=0 step.
+        float64 policy).  Query coordinates never carry ``requires_grad``:
+        the equation loss's coordinate derivatives ride the forward pass.
         """
         dt = self.model.dtype
         lowres = Tensor(np.asarray(batch.lowres, dtype=dt))
-        coords = Tensor(np.asarray(batch.coords, dtype=dt),
-                        requires_grad=self._use_equation_loss())
+        coords = Tensor(np.asarray(batch.coords, dtype=dt))
         targets = Tensor(np.asarray(batch.targets, dtype=dt))
         return compute_losses(
             self.model, lowres, coords, targets,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autodiff import Tensor, gradcheck, ops
+from repro.autodiff import Tensor, grad, gradcheck, ops
 
 
 def t(arr):
@@ -116,6 +116,28 @@ class TestActivationsAndDropout:
     def test_get_activation_unknown(self):
         with pytest.raises(ValueError):
             nn.get_activation("swishish")
+
+    @pytest.mark.parametrize("act", [nn.ReLU(), nn.LeakyReLU(0.2), nn.Tanh(), nn.Sigmoid(),
+                                     nn.Softplus(), nn.Sin(1.7), nn.Identity()],
+                             ids=lambda act: type(act).__name__)
+    def test_stated_derivatives_match_reverse_mode(self, act, rng):
+        """``derivatives`` is what differentiating ``forward`` twice gives."""
+        x = t(rng.standard_normal(40) * 2)
+        g1 = grad(ops.sum(act(x)), x, create_graph=True)
+        g2 = grad(ops.sum(g1), x) if g1.requires_grad else None
+        d1, d2 = act.derivatives(x, True)
+        assert np.allclose(np.broadcast_to(d1.data, x.shape), g1.data, rtol=1e-13, atol=0)
+        if g2 is None or not np.any(g2.data):
+            assert d2 is None
+        else:
+            assert np.allclose(d2.data, g2.data, rtol=1e-13, atol=1e-15)
+        assert act.derivatives(x, False)[1] is None
+
+    def test_dropout_sample_mask_is_the_forward_mask(self):
+        x = Tensor(np.full((50, 50), 3.0))
+        a, b = (nn.Dropout(0.4, rng=np.random.default_rng(2)) for _ in range(2))
+        assert np.array_equal(a(x).data, 3.0 * b.sample_mask(x).data)
+        assert a.eval().sample_mask(x) is None and nn.Dropout(0.0).sample_mask(x) is None
 
     def test_dropout_train_vs_eval(self, rng):
         drop = nn.Dropout(0.5, rng=rng)
