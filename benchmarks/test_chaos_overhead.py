@@ -20,7 +20,6 @@ from repro.faults import FaultPlan
 from repro.serving import (
     STATUS_ERROR,
     STATUS_OK,
-    BatchPolicy,
     MicroBatchScheduler,
     ModelServer,
     QueryRequest,
@@ -50,14 +49,14 @@ def test_no_fault_overhead_gate(bench_artifact):
     """Supervised serve path ≤3% over bare run_batch when no plan is active."""
     model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval()
     rng = np.random.default_rng(0)
-    server = ModelServer(model, n_workers=1, policy=BatchPolicy(max_wait=0.0))
+    server = ModelServer(model, n_workers=1)
     server.register_domain("d", rng.standard_normal((1, 4, 4, 16, 16)))
     engines = server._worker_engines[0]
     coords = rng.random((BATCH_REQUESTS, N_POINTS, 3))
 
     def fresh_batch():
         """A never-resolved micro-batch of BATCH_REQUESTS point queries."""
-        feeder = MicroBatchScheduler(policy=BatchPolicy(max_wait=0.0))
+        feeder = MicroBatchScheduler()
         for i in range(BATCH_REQUESTS):
             feeder.submit(QueryRequest("d", coords=coords[i]))
         batch = feeder.next_batch()
@@ -114,8 +113,7 @@ def test_chaos_survival_record(bench_artifact):
     """Seeded chaos wave: every request resolves definitely, none are lost."""
     model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval()
     rng = np.random.default_rng(1)
-    server = ModelServer(model, n_workers=2, policy=BatchPolicy(max_wait=0.002),
-                         breaker_cooldown=0.05)
+    server = ModelServer(model, n_workers=2, breaker_cooldown=0.05)
     server.register_domain("d", rng.standard_normal((1, 4, 4, 16, 16)))
     coords = rng.random((32, 3))
 

@@ -66,7 +66,7 @@ def test_coalescing_beats_serial_2x(benchmark, model, domain, request_coords):
     # ---- served path: 8 client threads submitting through the scheduler.
     server = ModelServer(
         model, n_workers=2,
-        policy=BatchPolicy(max_requests=64, max_points=1 << 15, max_wait=0.004),
+        policy=BatchPolicy(max_requests=64, max_points=1 << 15),
     )
     try:
         server.register_domain("dom", domain)
@@ -137,7 +137,7 @@ def test_float32_fleet_speedup_and_memory(benchmark, model, domain, bench_artifa
     n_points = n_requests * int(np.prod(grid_shape))
     server = ModelServer(
         model, n_workers=2, precisions=("float64", "float32"),
-        policy=BatchPolicy(max_requests=8, max_points=1 << 22, max_wait=0.002),
+        policy=BatchPolicy(max_requests=8, max_points=1 << 22),
         chunk_size=16384,
     )
     try:

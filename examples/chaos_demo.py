@@ -38,7 +38,6 @@ from repro.faults import FaultPlan
 from repro.serving import (
     STATUS_ERROR,
     STATUS_OK,
-    BatchPolicy,
     ModelServer,
     QueryRequest,
 )
@@ -50,8 +49,7 @@ def chaotic_serving(out_dir: Path, n_requests: int) -> None:
     """A seeded chaos wave through a live server; lost requests must be zero."""
     model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval()
     rng = np.random.default_rng(7)
-    server = ModelServer(model, n_workers=2, policy=BatchPolicy(max_wait=0.002),
-                         breaker_cooldown=0.05)
+    server = ModelServer(model, n_workers=2, breaker_cooldown=0.05)
     server.register_domain("rb", rng.standard_normal((1, 4, 4, 16, 16)))
 
     plan = FaultPlan(seed=42, name="serving-chaos")

@@ -72,8 +72,7 @@ def main() -> None:
           f"({n_requests / serial_seconds:7.1f} req/s)")
 
     # ---- served: concurrent clients through the micro-batching scheduler -
-    server = ModelServer(model, n_workers=args.workers,
-                         policy=BatchPolicy(max_requests=64, max_wait=0.004))
+    server = ModelServer(model, n_workers=args.workers, policy=BatchPolicy(max_requests=64))
     server.register_domain("rb", domain)
     server.query(QueryRequest("rb", coords=coords[0]))  # warm-up
 

@@ -326,6 +326,7 @@ class TiledLatentField:
         #: Precision of the compute path; crops are cast tile-by-tile at
         #: encode time so no full-domain copy is ever materialised.
         self.dtype = np.dtype(dtype)
+        self._dtype_name = self.dtype.name  # cache-key part; the property rebuilds the string
         self.planner = QueryPlanner(layout)
 
     # ---------------------------------------------------------------- encode
@@ -343,7 +344,7 @@ class TiledLatentField:
         normalisation statistics do not depend on the crop).
         """
         return self.engine.cache.get_or_create(
-            (self.token, tile, self.dtype.name), lambda: self._encode(tile))
+            (self.token, tile, self._dtype_name), lambda: self._encode(tile))
 
     def _encode(self, tile: int) -> np.ndarray:
         model = self.engine.model
@@ -453,7 +454,7 @@ class TiledLatentField:
         inputs[..., :3] = frac - offsets.astype(dt)
         for tile, lo, hi in zip(tiles, bounds[:-1], bounds[1:]):
             v = vertex[:, lo:hi]
-            inputs[:, :, lo:hi, 3:] = np.moveaxis(tile, 1, -1)[:, v[..., 0], v[..., 1], v[..., 2]]
+            inputs[:, :, lo:hi, 3:] = tile.transpose(0, 2, 3, 4, 1)[:, v[..., 0], v[..., 1], v[..., 2]]
         flat = inputs.reshape(-1, inputs.shape[-1])
         # One "nearest" point alone is decoded twice: a one-row matmul takes BLAS's
         # matrix-vector kernel, whose bits differ from what the row gets in a batch.

@@ -57,79 +57,87 @@ class QueryPlanner:
     def plan(self, coords: np.ndarray) -> list[TileGroup]:
         """Assign a chunk of global query points to covering tiles.
 
+        One pass over flat arrays: the ``(row, tile, weight)`` candidates of
+        the eight overlap combinations are built from only the rows that have
+        a secondary tile on the combination's axes (most points have none),
+        normalised per point, sorted once by tile id (stably, so a group
+        keeps combination order, rows ascending within a combination) and cut
+        into groups that are slices of the sorted arrays.  Planning is done
+        in float64 whatever the dtype of ``coords``.
+
         Parameters
         ----------
         coords:
             Array of shape ``(P, 3)`` with coordinates normalised to
-            ``[0, 1]`` over the whole domain (axis order ``t, z, x``).
+            ``[0, 1]`` over the whole domain (axis order ``t, z, x``);
+            values outside that range are clamped to the domain.
 
         Returns
         -------
-        One :class:`TileGroup` per touched tile.  Every point appears in at
-        least one group and its weights across groups sum to one.
+        One :class:`TileGroup` per touched tile, in ascending tile order
+        (``[]`` for ``P == 0``); the groups' arrays are views of shared flat
+        arrays.  Every point appears in at least one group and its weights
+        across groups sum to one.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError(f"coords must have shape (P, 3); got {coords.shape}")
         layout = self.layout
         n_points = coords.shape[0]
-
-        primary = np.empty((3, n_points), dtype=np.int64)
-        weight = np.empty((3, n_points))
-        has_secondary = np.empty((3, n_points), dtype=bool)
-        positions = np.empty((3, n_points))
-        for axis, ax in enumerate(layout.axes):
-            pos = np.clip(coords[:, axis] * max(ax.size - 1, 1), 0.0, ax.size - 1)
-            positions[axis] = pos
-            primary[axis], weight[axis], has_secondary[axis] = ax.covering(pos)
-
         grid_shape = layout.grid_shape
-        tile_lengths = np.array([max(ax.tile - 1, 1) for ax in layout.axes], dtype=np.float64)
-        starts = [np.asarray(ax.starts, dtype=np.int64) for ax in layout.axes]
+        strides = (grid_shape[1] * grid_shape[2], grid_shape[2], 1)
 
-        by_tile: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        total = np.zeros(n_points)
-        combos: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for offsets in itertools.product((0, 1), repeat=3):
-            mask = np.ones(n_points, dtype=bool)
-            w = np.ones(n_points)
-            tile_axes = np.empty((3, n_points), dtype=np.int64)
-            for axis, offset in enumerate(offsets):
-                if offset == 0:
-                    w = w * weight[axis]
-                    tile_axes[axis] = primary[axis]
-                else:
-                    mask &= has_secondary[axis]
-                    w = w * (1.0 - weight[axis])
-                    tile_axes[axis] = primary[axis] + 1
-            mask &= w > 0.0
-            if not np.any(mask):
-                continue
-            rows = np.nonzero(mask)[0]
-            linear = np.ravel_multi_index(
-                (tile_axes[0, rows], tile_axes[1, rows], tile_axes[2, rows]), grid_shape
-            )
-            combos.append((rows, linear, w[rows]))
-            np.add.at(total, rows, w[rows])
+        positions = []
+        # Per axis, the tiles a point may take: its primary always, its secondary
+        # only if some point has one — (linear-id shift, weight factor, row mask).
+        choices = []
+        primary_tile = 0
+        for ax, stride, axis_coords in zip(layout.axes, strides, coords.T):
+            pos = np.clip(axis_coords * max(ax.size - 1, 1), 0.0, ax.size - 1)
+            primary, weight, has_secondary = ax.covering(pos)
+            positions.append(pos)
+            primary_tile = primary_tile + primary * stride
+            choices.append([(0, weight, None)])
+            if has_secondary.any():
+                choices[-1].append((stride, 1.0 - weight, has_secondary))
 
-        groups: list[TileGroup] = []
-        for rows, linear, w in combos:
-            w = w / total[rows]
-            for tile in np.unique(linear):
-                sel = linear == tile
-                tile_rows = rows[sel]
-                start = np.array(
-                    [starts[a][idx] for a, idx in enumerate(self.layout.tile_index(int(tile)))],
-                    dtype=np.float64,
-                )
-                local = (positions[:, tile_rows].T - start) / tile_lengths
-                by_tile.setdefault(int(tile), []).append((tile_rows, local, w[sel]))
-        for tile, parts in sorted(by_tile.items()):
-            rows = np.concatenate([p[0] for p in parts])
-            local = np.concatenate([p[1] for p in parts], axis=0)
-            weights = np.concatenate([p[2] for p in parts])
-            groups.append(TileGroup(tile=tile, rows=rows, local_coords=local, weights=weights))
-        return groups
+        # product() walks the combinations primary-first, last axis fastest; that
+        # order fixes how a point's weights are summed and the rows inside a group.
+        all_rows = np.arange(n_points)
+        candidates = []
+        for combination in itertools.product(*choices):
+            masks = [mask for _, _, mask in combination if mask is not None]
+            f0, f1, f2 = (factor for _, factor, _ in combination)
+            if masks:
+                rows = np.logical_and.reduce(masks).nonzero()[0]
+                w = f0[rows] * f1[rows] * f2[rows]
+            else:
+                rows = all_rows
+                w = f0 * f1 * f2
+            keep = w > 0.0
+            if not keep.all():
+                rows, w = rows[keep], w[keep]
+            if rows.size:
+                shift = sum(shift for shift, _, _ in combination)
+                candidates.append((rows, primary_tile[rows] + shift, w))
+        if not candidates:
+            return []
+
+        rows, tiles, w = (np.concatenate(column) for column in zip(*candidates))
+        # bincount adds a point's weights in candidate (= combination) order.
+        w /= np.bincount(rows, weights=w, minlength=n_points)[rows]
+        order = np.argsort(tiles, kind="stable")
+        rows, tiles, w = rows[order], tiles[order], w[order]
+        local = np.empty((rows.size, 3))
+        for axis, (ax, index) in enumerate(zip(layout.axes, np.unravel_index(tiles, grid_shape))):
+            start = np.asarray(ax.starts, dtype=np.float64)[index]
+            local[:, axis] = (positions[axis][rows] - start) / float(max(ax.tile - 1, 1))
+        cuts = (tiles[1:] != tiles[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), rows.size]
+        return [
+            TileGroup(tile=tile, rows=rows[lo:hi], local_coords=local[lo:hi], weights=w[lo:hi])
+            for tile, lo, hi in zip(tiles[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])
+        ]
 
 
 class GridQueryPlanner:

@@ -2,12 +2,23 @@
 
 Independent clients issue small point/grid queries; serving them one by one
 wastes the engine's batch axis.  The scheduler holds a bounded priority
-queue of pending requests and drains *micro-batches* under a
-``max_requests`` / ``max_points`` / ``max_wait`` policy: the first request
-out of the queue opens a batch, further requests join until the batch is
-full or the linger window closes.  :func:`run_batch` then groups the batch
-by domain and concatenates all point queries against one domain into a
-single :meth:`~repro.inference.engine.TiledLatentField.query` call — the
+queue of pending requests and drains it in *micro-batches*.
+
+**The batching rule** (stated here once; :class:`BatchPolicy`,
+:class:`~repro.serving.server.ModelServer`, the README and
+``docs/ARCHITECTURE.md`` point to it): *a worker never idles while a request
+waits.*  :meth:`MicroBatchScheduler.next_batch` blocks only while the queue
+is empty; as soon as something is queued it takes what is queued — highest
+priority first, FIFO within a priority, at most ``max_requests`` requests
+and ``max_points`` points, the first request always admitted — and returns.
+There is no timer and nothing to tune: a lone request on an idle server is
+a batch of one and starts decoding at once, and under load a batch is
+whatever arrived while the previous batch was decoding, so batches grow
+with the load by themselves.
+
+:func:`run_batch` then groups the batch by domain and concatenates all point
+queries against one domain into a single
+:meth:`~repro.inference.engine.TiledLatentField.query` call — the
 engine's planner assigns every point (whichever request it came from) to
 its owning latent tile and the block decode sends them to the ImNet
 together, so queries from different clients that hit the same tile decode
@@ -64,7 +75,7 @@ class SchedulerClosedError(RuntimeError):
 
 @dataclass
 class BatchPolicy:
-    """Micro-batch formation policy.
+    """Bounds on one micro-batch (the module docstring states how batches form).
 
     Attributes
     ----------
@@ -73,23 +84,16 @@ class BatchPolicy:
     max_points:
         Upper bound on the total number of query points per micro-batch
         (a single larger request still forms a batch alone).
-    max_wait:
-        Linger window in seconds: after the first request is drawn, the
-        scheduler waits at most this long for more requests to join the
-        batch.  ``0.0`` disables lingering (batch = whatever is queued).
     """
 
     max_requests: int = 32
     max_points: int = 1 << 15
-    max_wait: float = 0.002
 
     def __post_init__(self):
         if self.max_requests < 1:
             raise ValueError("max_requests must be positive")
         if self.max_points < 1:
             raise ValueError("max_points must be positive")
-        if self.max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
 
 
 @dataclass(order=True)
@@ -174,12 +178,17 @@ class MicroBatchScheduler:
 
     # ---------------------------------------------------------------- drains
     def next_batch(self, timeout: Optional[float] = None) -> Optional[List[_PendingItem]]:
-        """Block for the next micro-batch under the policy.
+        """Block until something is queued, then take what is queued.
+
+        The batch is the queue's head in priority order, cut at the policy's
+        ``max_requests`` / ``max_points`` (the first request is always
+        admitted); nothing is waited for once a request is available.
 
         Returns ``None`` once the scheduler is closed *and* drained (the
         worker-loop exit signal), or an empty list if ``timeout`` elapses
         with nothing queued.
         """
+        policy = self.policy
         wait_deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while not self._heap:
@@ -192,20 +201,12 @@ class MicroBatchScheduler:
                         return []
                 self._cond.wait(remaining)
             batch = [heapq.heappop(self._heap)]
-        points = batch[0].request.n_points
-        linger_until = time.monotonic() + self.policy.max_wait
-        while len(batch) < self.policy.max_requests:
-            with self._cond:
-                while not self._heap:
-                    remaining = linger_until - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        return batch
-                    self._cond.wait(remaining)
-                if points + self._heap[0].request.n_points > self.policy.max_points:
-                    return batch
+            points = batch[0].request.n_points
+            while (self._heap and len(batch) < policy.max_requests
+                   and points + self._heap[0].request.n_points <= policy.max_points):
                 item = heapq.heappop(self._heap)
-            batch.append(item)
-            points += item.request.n_points
+                batch.append(item)
+                points += item.request.n_points
         return batch
 
     def drain_pending(self) -> List[_PendingItem]:

@@ -67,7 +67,11 @@ class ModelServer:
         worker convoys on the GIL (measured on two cores: two workers serve
         0.5-0.9x what one does, ``serving.server.worker_scaling``).
     policy:
-        Micro-batch formation policy; defaults to :class:`BatchPolicy`.
+        Bounds on one micro-batch (``max_requests`` / ``max_points``);
+        defaults to :class:`BatchPolicy`.  How batches form is stated once,
+        in :mod:`repro.serving.scheduler`: a worker never idles while a
+        request waits, so a lone request is served at once and a batch is
+        whatever arrived during the previous decode.
     max_pending:
         Bound on queued requests (admission control); submissions beyond it
         raise :class:`~repro.serving.scheduler.ServerOverloadedError`.

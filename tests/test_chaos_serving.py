@@ -42,7 +42,6 @@ def domain():
 
 def make_server(model, domain, **kwargs):
     kwargs.setdefault("n_workers", 2)
-    kwargs.setdefault("policy", BatchPolicy(max_wait=0.002))
     kwargs.setdefault("breaker_cooldown", 0.05)
     server = ModelServer(model, **kwargs)
     server.register_domain("d", domain)
@@ -148,7 +147,7 @@ class TestLoadShedding:
     def test_sheds_low_priority_at_watermark(self, model, domain):
         server = make_server(model, domain, n_workers=1, max_pending=4,
                              shed_watermark=0.5, shed_priority=0,
-                             policy=BatchPolicy(max_requests=1, max_wait=0.0))
+                             policy=BatchPolicy(max_requests=1))
         try:
             plan = FaultPlan(seed=0)
             plan.delay("serving.worker", 0.4, every=1)  # stall the lone worker
@@ -201,7 +200,7 @@ class TestDeadlineExpiry:
 
     def test_mid_queue_expiry_under_concurrent_submitters(self, model, domain):
         server = make_server(model, domain, n_workers=1,
-                             policy=BatchPolicy(max_requests=2, max_wait=0.0))
+                             policy=BatchPolicy(max_requests=2))
         try:
             plan = FaultPlan(seed=0)
             plan.delay("serving.worker", 0.25, every=1)  # every batch stalls

@@ -1,7 +1,11 @@
 """Tiled batched inference engine: equivalence, caching, planning, fast path."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autodiff import (
     Tensor,
@@ -18,6 +22,7 @@ from repro.inference import (
     InferenceEngine,
     LatentTileCache,
     QueryPlanner,
+    TileGroup,
     TileLayout,
     pack_groups,
     smoothstep,
@@ -40,6 +45,117 @@ def lowres():
 def tile_layout(domain=(4, 24, 40), tile=(4, 16, 16), halo=(3, 5, 5),
                 divisor=(1, 2, 2), ramp_width=2.0) -> TileLayout:
     return TileLayout(domain, tile, halo=halo, divisor=divisor, ramp_width=ramp_width)
+
+
+def reference_plan(layout: TileLayout, coords) -> "list[TileGroup]":
+    """The loop planner ``QueryPlanner.plan`` replaced, kept as its bit-for-bit oracle.
+
+    One pass per overlap combination (``np.add.at`` totals), then one pass
+    per touched tile of each combination; groups are the per-tile parts
+    concatenated in combination order, tiles ascending.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    n_points = coords.shape[0]
+    primary = np.empty((3, n_points), dtype=np.int64)
+    weight = np.empty((3, n_points))
+    has_secondary = np.empty((3, n_points), dtype=bool)
+    positions = np.empty((3, n_points))
+    for axis, ax in enumerate(layout.axes):
+        pos = np.clip(coords[:, axis] * max(ax.size - 1, 1), 0.0, ax.size - 1)
+        positions[axis] = pos
+        primary[axis], weight[axis], has_secondary[axis] = ax.covering(pos)
+
+    grid_shape = layout.grid_shape
+    tile_lengths = np.array([max(ax.tile - 1, 1) for ax in layout.axes], dtype=np.float64)
+    starts = [np.asarray(ax.starts, dtype=np.int64) for ax in layout.axes]
+
+    by_tile = {}
+    total = np.zeros(n_points)
+    combos = []
+    for offsets in itertools.product((0, 1), repeat=3):
+        mask = np.ones(n_points, dtype=bool)
+        w = np.ones(n_points)
+        tile_axes = np.empty((3, n_points), dtype=np.int64)
+        for axis, offset in enumerate(offsets):
+            if offset == 0:
+                w = w * weight[axis]
+                tile_axes[axis] = primary[axis]
+            else:
+                mask &= has_secondary[axis]
+                w = w * (1.0 - weight[axis])
+                tile_axes[axis] = primary[axis] + 1
+        mask &= w > 0.0
+        if not np.any(mask):
+            continue
+        rows = np.nonzero(mask)[0]
+        linear = np.ravel_multi_index(
+            (tile_axes[0, rows], tile_axes[1, rows], tile_axes[2, rows]), grid_shape
+        )
+        combos.append((rows, linear, w[rows]))
+        np.add.at(total, rows, w[rows])
+
+    for rows, linear, w in combos:
+        w = w / total[rows]
+        for tile in np.unique(linear):
+            sel = linear == tile
+            tile_rows = rows[sel]
+            start = np.array(
+                [starts[a][idx] for a, idx in enumerate(layout.tile_index(int(tile)))],
+                dtype=np.float64,
+            )
+            local = (positions[:, tile_rows].T - start) / tile_lengths
+            by_tile.setdefault(int(tile), []).append((tile_rows, local, w[sel]))
+    return [
+        TileGroup(tile=tile, rows=np.concatenate([p[0] for p in parts]),
+                  local_coords=np.concatenate([p[1] for p in parts], axis=0),
+                  weights=np.concatenate([p[2] for p in parts]))
+        for tile, parts in sorted(by_tile.items())
+    ]
+
+
+def assert_same_groups(groups, reference) -> None:
+    """Same tiles in the same order, and every array equal in dtype, shape and value."""
+    assert [g.tile for g in groups] == [g.tile for g in reference]
+    for got, want in zip(groups, reference):
+        assert type(got.tile) is int
+        for name in ("rows", "local_coords", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+def assert_plan_matches_reference(layout: TileLayout, coords) -> "list[TileGroup]":
+    """``QueryPlanner(layout).plan(coords)`` is the oracle's plan, bit for bit."""
+    groups = QueryPlanner(layout).plan(coords)
+    assert_same_groups(groups, reference_plan(layout, coords))
+    total = np.zeros(len(coords))
+    for group in groups:
+        np.add.at(total, group.rows, group.weights)
+    assert np.allclose(total, 1.0, rtol=0, atol=1e-12)
+    return groups
+
+
+def on_ramp_ends(layout: TileLayout) -> np.ndarray:
+    """Every combination of per-axis coordinates sitting on a ramp end or a domain end."""
+    per_axis = [np.array(sorted({0.0, float(ax.size - 1), *ax.ramp_lo, *ax.ramp_hi}))
+                / max(ax.size - 1, 1) for ax in layout.axes]
+    return np.array(list(itertools.product(*per_axis)))
+
+
+@st.composite
+def layouts(draw) -> TileLayout:
+    """Valid layouts: one to a dozen tiles per axis, any halo / divisor / ramp width."""
+    ramp_width = draw(st.sampled_from([0.0, 0.5, 2.0, 3.0]))
+    domain, tile, halo, divisor = [], [], [], []
+    for _ in range(3):
+        d, h = draw(st.sampled_from([1, 2, 4])), draw(st.integers(0, 3))
+        overlap = -(-(2 * h + 1 + ramp_width) // d) * d
+        t = int(overlap) + d * draw(st.integers(1, 4))
+        domain.append(t + d * draw(st.integers(0, 12)))  # + 0: a single tile on this axis
+        tile.append(t)
+        halo.append(h)
+        divisor.append(d)
+    return TileLayout(domain, tile, halo=halo, divisor=divisor, ramp_width=ramp_width)
+
 
 
 # --------------------------------------------------------------------------- #
@@ -239,6 +355,50 @@ class TestTilingAndPlanner:
         for g in groups:
             np.add.at(total, g.rows, g.weights)
         assert np.allclose(total, 1.0, atol=1e-12)
+
+    def test_plan_of_no_points_is_empty(self):
+        assert QueryPlanner(tile_layout()).plan(np.empty((0, 3))) == []
+        assert reference_plan(tile_layout(), np.empty((0, 3))) == []
+
+    @pytest.mark.parametrize("layout", [
+        tile_layout(),
+        tile_layout(ramp_width=0.0),
+        tile_layout(ramp_width=3.0, halo=(0, 2, 2), tile=(4, 12, 16)),
+        tile_layout(domain=(8, 24, 40), tile=(4, 24, 16), halo=(0, 5, 5)),  # z: a single tile
+        tile_layout(tile=(4, 24, 40)),                                       # one tile in all
+    ], ids=["default", "ramp0", "ramp3", "single-z", "single-tile"])
+    def test_plan_edge_cases_match_reference(self, layout):
+        """One point, ramp ends, domain corners, clamping and float32 input."""
+        ends = on_ramp_ends(layout)
+        assert_plan_matches_reference(layout, ends)
+        # Some ramp ends must really be hit, not just approached (rounding decides which).
+        for axis, ax in enumerate(layout.axes):
+            pos = set((ends[:, axis] * max(ax.size - 1, 1)).tolist())
+            assert ax.n_tiles == 1 or (pos & set(ax.ramp_lo) and pos & set(ax.ramp_hi))
+        for point in ends[:: max(1, len(ends) // 7)]:
+            assert_plan_matches_reference(layout, point[None])
+        outside = np.concatenate([ends - 0.25, ends + 0.25, 3.0 * ends - 1.0])
+        assert_same_groups(assert_plan_matches_reference(layout, outside),
+                           assert_plan_matches_reference(layout, np.clip(outside, 0.0, 1.0)))
+        single = np.random.default_rng(3).random((50, 3)).astype(np.float32)
+        for group in assert_plan_matches_reference(layout, single):  # planned in float64
+            assert group.local_coords.dtype == group.weights.dtype == np.float64
+
+    @settings(max_examples=120, deadline=None)
+    @given(layout=layouts(), seed=st.integers(0, 2 ** 16), n_points=st.integers(0, 300),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    def test_plan_matches_reference_on_random_layouts(self, layout, seed, n_points, dtype):
+        """Same groups, tile order, rows, local coords and weights as the loop planner."""
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(-0.1, 1.1, (n_points, 3))
+        ends = on_ramp_ends(layout)
+        pick = rng.random((n_points, 3))
+        coords[pick < 0.1] = 0.0
+        coords[pick > 0.9] = 1.0
+        coords[(0.45 < pick) & (pick < 0.55)] = 0.5
+        on_end = (0.2 < pick[:, 0]) & (pick[:, 0] < 0.35)
+        coords[on_end] = ends[rng.integers(0, len(ends), int(on_end.sum()))]
+        assert_plan_matches_reference(layout, coords.astype(dtype))
 
     def test_every_point_covered_with_local_coords_in_range(self):
         layout = tile_layout()

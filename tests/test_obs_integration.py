@@ -17,7 +17,6 @@ from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
 from repro.inference import InferenceEngine
 from repro.serving import (
     STATUS_OK,
-    BatchPolicy,
     Client,
     ModelServer,
     start_http_server,
@@ -54,8 +53,7 @@ def _span_events(events, trace_id):
 
 class TestSingleRequestTrace:
     def test_four_layer_chrome_trace(self, tmp_path, model, domain):
-        server = ModelServer(model, n_workers=1,
-                             policy=BatchPolicy(max_wait=0.0), compile=True)
+        server = ModelServer(model, n_workers=1, compile=True)
         server.register_domain("dom", domain)
         httpd = start_http_server(server)
         client = Client(port=httpd.server_address[1])

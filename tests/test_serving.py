@@ -32,6 +32,7 @@ from repro.serving import (
     ServerTelemetry,
     ServingUnavailable,
     format_stats_table,
+    run_batch,
     start_http_server,
     stop_http_server,
 )
@@ -60,7 +61,6 @@ def big_domain():
 
 def make_server(model, **kwargs):
     kwargs.setdefault("n_workers", 2)
-    kwargs.setdefault("policy", BatchPolicy(max_wait=0.002))
     return ModelServer(model, **kwargs)
 
 
@@ -121,18 +121,16 @@ class TestScheduler:
             BatchPolicy(max_requests=0)
         with pytest.raises(ValueError):
             BatchPolicy(max_points=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_wait=-1.0)
 
     def test_priority_order(self):
-        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=1, max_wait=0.0))
+        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=1))
         for priority in (0, 5, 1):
             scheduler.submit(QueryRequest("d", coords=self.coords(), priority=priority))
         drained = [scheduler.next_batch()[0].request.priority for _ in range(3)]
         assert drained == [5, 1, 0]
 
     def test_fifo_within_priority(self):
-        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=8, max_wait=0.0))
+        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=8))
         ids = [scheduler.submit(QueryRequest("d", coords=self.coords())) and None
                for _ in range(3)]
         assert ids == [None, None, None]
@@ -141,14 +139,14 @@ class TestScheduler:
         assert seqs == sorted(seqs)
 
     def test_max_requests_bound(self):
-        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=2, max_wait=0.0))
+        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=2))
         for _ in range(5):
             scheduler.submit(QueryRequest("d", coords=self.coords()))
         assert len(scheduler.next_batch()) == 2
         assert len(scheduler) == 3
 
     def test_max_points_bound(self):
-        scheduler = MicroBatchScheduler(BatchPolicy(max_points=10, max_wait=0.0))
+        scheduler = MicroBatchScheduler(BatchPolicy(max_points=10))
         for _ in range(3):
             scheduler.submit(QueryRequest("d", coords=self.coords(4)))
         # 4 + 4 fits the 10-point budget; the third request would exceed it.
@@ -158,19 +156,33 @@ class TestScheduler:
         scheduler.next_batch()  # drain the leftover small request
         assert len(scheduler.next_batch()) == 1
 
-    def test_linger_collects_late_arrivals(self):
-        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=4, max_wait=0.25))
-        scheduler.submit(QueryRequest("d", coords=self.coords()))
-
-        def late_submit():
-            time.sleep(0.02)
+    def test_queued_requests_are_taken_without_waiting(self, monkeypatch):
+        """With k requests queued, next_batch returns them all and never waits."""
+        scheduler = MicroBatchScheduler(BatchPolicy(max_requests=4))
+        for _ in range(6):
             scheduler.submit(QueryRequest("d", coords=self.coords()))
 
-        thread = threading.Thread(target=late_submit)
-        thread.start()
-        batch = scheduler.next_batch()
-        thread.join()
-        assert len(batch) == 2  # the linger window caught the late request
+        def no_wait(timeout=None):
+            raise AssertionError("next_batch waited although requests were queued")
+
+        monkeypatch.setattr(scheduler._cond, "wait", no_wait)
+        assert [len(scheduler.next_batch()) for _ in range(2)] == [4, 2]  # capped, then the rest
+        assert len(scheduler) == 0
+
+    def test_empty_queue_waits_untimed_until_a_submit(self, monkeypatch):
+        """With nothing queued and no ``timeout=``, the only wait has no timer."""
+        scheduler = MicroBatchScheduler()
+        request = QueryRequest("d", coords=self.coords())
+        waits = []
+
+        def wait(timeout=None):  # a submit arrives while the worker waits
+            waits.append(timeout)
+            scheduler.submit(request)
+
+        monkeypatch.setattr(scheduler._cond, "wait", wait)
+        (item,) = scheduler.next_batch()
+        assert item.request is request
+        assert waits == [None]
 
     def test_backpressure_and_close(self):
         scheduler = MicroBatchScheduler(BatchPolicy(), max_pending=1)
@@ -214,19 +226,64 @@ class TestCoalescingExactness:
         Requests of 1-3 points are the hard case: alone they decode only a
         handful of rows, and a decoder matmul with a single row takes BLAS's
         matrix-vector path, whose bits differ from the matrix-matrix path a
-        coalesced batch takes.  The linger window is long enough that the
-        requests do share one micro-batch.
+        coalesced batch takes.  A pre-filled scheduler hands all sixteen
+        requests to ``run_batch`` as one micro-batch — no threads, no clock.
         """
         engine = InferenceEngine(model, tile_shape=(4, 16, 16))
         rng = np.random.default_rng(2)
         point_sets = [rng.random((n, 3)) for n in (1, 2, 3, 11) * 4]
         expected = [engine.query_points(big_domain, coords) for coords in point_sets]
-        with make_server(model, tile_shape=(4, 16, 16), n_workers=1,
-                         policy=BatchPolicy(max_wait=0.05)) as server:
+        scheduler = MicroBatchScheduler()
+        futures = [scheduler.submit(QueryRequest("dom", coords=c)) for c in point_sets]
+        batch = scheduler.next_batch()
+        assert len(batch) == len(point_sets)
+        run_batch(engine, batch, lambda domain_id: (big_domain, (domain_id, 0)))
+        for future, want in zip(futures, expected):
+            result = future.result(timeout=0)
+            assert result.batch_requests == len(point_sets)
+            assert np.array_equal(result.values, want)
+
+    def test_batches_form_under_load_without_a_timer(self, model, big_domain):
+        """Requests arriving while the worker is busy become exactly one batch.
+
+        The single worker is parked inside ``resolve_domain`` on an event
+        while N requests queue up; once released it must take all N as one
+        further batch (work-conserving: nothing was waited for, nothing was
+        left behind), every value equal to a solo engine call, and the
+        server's counters must account for every submission.
+        """
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16))
+        rng = np.random.default_rng(12)
+        point_sets = [rng.random((n, 3)) for n in (1, 2, 3, 11, 40) * 2]
+        expected = [engine.query_points(big_domain, coords) for coords in point_sets]
+        parked, release = threading.Event(), threading.Event()
+        with make_server(model, tile_shape=(4, 16, 16), n_workers=1) as server:
             server.register_domain("dom", big_domain)
+            resolve = server._resolve_domain
+
+            def parking_resolve(domain_id):
+                if not parked.is_set():  # the first batch only
+                    parked.set()
+                    assert release.wait(timeout=60)
+                return resolve(domain_id)
+
+            server._resolve_domain = parking_resolve
+            first = server.submit(QueryRequest("dom", coords=point_sets[0]))
+            assert parked.wait(timeout=60)
             futures = [server.submit(QueryRequest("dom", coords=c)) for c in point_sets]
-            for future, want in zip(futures, expected):
-                assert np.array_equal(future.result(timeout=60).values, want)
+            release.set()
+            assert first.result(timeout=60).batch_requests == 1
+            results = [future.result(timeout=60) for future in futures]
+            stats = server.stats()
+        for result, want in zip(results, expected):
+            assert result.ok and result.batch_requests == len(point_sets)
+            assert np.array_equal(result.values, want)
+        assert stats["batches"] == 2
+        # Conservation: every submission reached exactly one terminal status.
+        assert stats["accepted"] == 1 + len(point_sets) and stats["rejected"] == stats["shed"] == 0
+        assert stats["accepted"] + stats["rejected"] == (
+            stats["completed"] + stats["timed_out"] + stats["errors"]
+            + stats["shed"] + stats["cancelled"])
 
     def test_grid_request_bit_identical(self, model, domain):
         engine = InferenceEngine(model)
@@ -335,7 +392,7 @@ class TestModelServer:
     def test_backpressure_rejects_and_counts(self, model, domain):
         # One-worker server with a tiny queue and slow-ish grid requests.
         server = ModelServer(model, n_workers=1, max_pending=2,
-                             policy=BatchPolicy(max_requests=1, max_wait=0.0))
+                             policy=BatchPolicy(max_requests=1))
         try:
             server.register_domain("dom", domain)
             rejected = 0
@@ -365,7 +422,7 @@ class TestModelServer:
 
     def test_close_without_drain_cancels_pending(self, model, domain):
         server = ModelServer(model, n_workers=1,
-                             policy=BatchPolicy(max_requests=1, max_wait=0.0))
+                             policy=BatchPolicy(max_requests=1))
         server.register_domain("dom", domain)
         futures = [server.submit(QueryRequest("dom", output_shape=(4, 16, 16)))
                    for _ in range(10)]
