@@ -8,4 +8,4 @@ file in site-packages (both are equivalent for this pure-Python package).
 
 from setuptools import setup
 
-setup()
+setup(python_requires=">=3.11")

@@ -38,13 +38,27 @@ regions — plus a case in ``tests/test_compile.py::LOWERING_CASES``; the
 test parametrised over the table's keys fails until the case exists.  An
 op without an entry still runs, as an eager-fallback step.
 
-Entry points: :func:`compile` for modules — with ``backward=True`` the
-wrapper serves gradient calls from a stack of compiled VJP plans that
-supports double backward — :func:`compile_fn`
-for free functions of tensors, and
-:class:`~repro.compile.training.CompiledTrainingStep` which captures an
-entire physics-constrained training step (forward, PDE residuals, loss,
-parameter VJP) as one replayable program.
+**Three entry points**, each with a caller — there is no other way onto
+a plan:
+
+* :func:`compile` ``(module)`` — no-grad decode plans for a
+  single-argument module.  Called by ``InferenceEngine(compile=True)``
+  on ``model.imnet`` (and by ``bench``'s ``compile.imnet`` probe).  A
+  call that requires gradients runs the eager module instead, warned
+  once and counted as ``unsupported``.
+* :func:`compile_fn` ``(fn)`` — a free function of tensors, which may
+  itself call ``grad(create_graph=True)``: nested derivative stacks
+  trace like any other ops.  Called by the microbenchmark gate in
+  ``benchmarks/`` and the generated-program tests.
+* :class:`~repro.compile.training.CompiledTrainingStep` — an entire
+  physics-constrained training step (forward, PDE residuals, loss,
+  parameter VJP) as one replayable program.  Called by
+  ``Trainer`` / ``DistributedTrainer`` under ``TrainerConfig(compile=True)``
+  — the only compiled object a trainer owns — and by ``bench``'s
+  ``train-eqloss`` workload.
+
+Plans that read a module's state (the first and the third) share one
+guard, :meth:`CompiledFunction.check_module_state`.
 
 >>> from repro import compile as rcompile
 >>> fast_decoder = rcompile.compile(model.imnet)

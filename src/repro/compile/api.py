@@ -1,14 +1,18 @@
-"""Public compile API: plan caching, eager fallback, training support.
+"""Plan caching, the module-state guard and eager fallback.
 
-:func:`compile` wraps an ``nn.Module`` (and :func:`compile_fn` a free
-function of tensors) in a callable that traces the computation once per
-``(input shapes/dtypes, precision policy)`` key, optimizes and lowers it
-to a :class:`~repro.compile.executor.CompiledPlan`, and replays the plan
-on subsequent calls.  Plans are additionally guarded by a **module
-fingerprint** (parameter/buffer array identities, dtypes and training
-flags): an ``astype`` cast or a parameter rebind invalidates every cached
-plan, while in-place weight updates flow through without a re-trace
-because constants hold array references.
+:mod:`repro.compile` states the three entry points and who calls each;
+this module holds two of them.  :func:`compile` wraps an ``nn.Module``
+(and :func:`compile_fn` a free function of tensors) in a callable that
+traces the computation once per ``(input shapes/dtypes, precision
+policy)`` key, optimizes and lowers it to a
+:class:`~repro.compile.executor.CompiledPlan`, and replays the plan on
+subsequent calls.  Plans that read a module's state are additionally
+guarded by that module's **state identity** (parameter/buffer array
+identities, ``requires_grad`` and training flags — one implementation,
+:meth:`CompiledFunction.check_module_state`): an ``astype`` cast or a
+parameter rebind invalidates every cached plan, while in-place weight
+updates flow through without a re-trace because constants hold array
+references.
 
 Fallback to eager execution is automatic whenever replaying a plan could
 be wrong or lossy, and is **never silent**: the first fallback of each
@@ -16,10 +20,10 @@ kind per wrapper emits a :class:`CompileFallbackWarning`, and every
 fallback is counted in the wrapper's metrics collector as
 ``compile.fallbacks{fn=...,reason=...}``.  The reasons:
 
-* ``unsupported`` — gradients are required and the wrapper was not built
-  with ``backward=True``; the module runs eagerly so the graph is
-  recorded.  (This is the documented opt-out: ``backward=False`` wrappers
-  serve no-grad paths from plans and grad paths eagerly, bit-identically.)
+* ``unsupported`` — a call through :func:`compile`'s wrapper requires
+  gradients.  Its plans serve no-grad calls only, so the module runs
+  eagerly and the graph is recorded, bit-identically.  (Training through
+  a plan is :class:`~repro.compile.training.CompiledTrainingStep`'s job.)
 * ``trace-failure`` — a trace or lowering failure for a given key
   permanently falls back for that key (recorded in
   :attr:`CompiledFunction.fallback_keys`).
@@ -27,16 +31,6 @@ fallback is counted in the wrapper's metrics collector as
   active Dropout mask); used by :class:`~repro.compile.training.
   CompiledTrainingStep`, while :func:`compile` rejects such modules
   outright at wrap time.
-
-With ``backward=True`` gradient calls run through a stack of compiled
-gradient plans (:class:`_LevelRunner`): level 0 is the forward, level
-``k`` the flattened VJP of level ``k-1``, built lazily per derivative
-order actually reached.  Backward under ``create_graph=True`` records a
-level-``k+1`` plan node instead of raising, so double (and higher)
-backward — the PDE equation loss differentiating a compiled decode
-twice — replays compiled plans end to end.  Every plan rematerializes
-forward intermediates (recompute over storage), trading a few extra
-fused kernels for zero Python graph bookkeeping.
 
 Thread affinity: a compiled wrapper owns mutable plan state and arena
 buffers — use one wrapper per thread (serving workers already build one
@@ -48,21 +42,8 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from ..autodiff import grad as _grad
-from ..autodiff import ops as _ops  # noqa: F401 - ensures all primitives are registered
-from ..autodiff.tensor import (
-    Op,
-    Tensor,
-    enable_grad,
-    is_grad_enabled,
-    is_inference_mode,
-    is_tracing,
-)
+from ..autodiff.tensor import Tensor, is_grad_enabled, is_inference_mode, is_tracing
 from ..backend import default_dtype
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.trace import span as _span
@@ -81,10 +62,10 @@ class CompileFallbackWarning(UserWarning):
     ``compile.fallbacks{fn=...,reason=...}``.  Reasons: ``trace-failure``
     (the computation could not be captured or lowered), ``impure``
     (replay-unsafe side effects such as an active Dropout), and
-    ``unsupported`` (gradients requested through a ``backward=False``
-    wrapper — the documented opt-out).  Eager execution is always
-    numerically identical; the warning flags a *performance* degradation,
-    not a correctness problem.
+    ``unsupported`` (gradients requested through :func:`compile`'s
+    wrapper, whose plans serve no-grad calls only).  Eager execution is
+    always numerically identical; the warning flags a *performance*
+    degradation, not a correctness problem.
     """
 
 #: Per-process sequence distinguishing same-named compiled wrappers (one per
@@ -157,10 +138,12 @@ class CompiledFunction:
         loops that consume results immediately (the inference engine).
     max_plans:
         LRU bound on cached plans (one per input-signature/policy key).
-    pinned_provider:
-        Optional zero-argument callable returning arrays whose *live*
-        values must keep flowing into replays (module weights/buffers);
-        constant folding will not snapshot anything sharing their memory.
+    module:
+        Optional ``nn.Module`` whose state the traced function reads.  Its
+        parameter and buffer arrays are *pinned* — their live values must
+        keep flowing into replays, so constant folding will not snapshot
+        anything sharing their memory — and :meth:`check_module_state`
+        drops every plan when the identity of that state changes.
     extra_key:
         Optional zero-argument callable returning a hashable mixed into
         the plan key — for non-tensor state the traced function bakes in
@@ -169,11 +152,11 @@ class CompiledFunction:
     """
 
     def __init__(self, fn, copy_outputs: bool = True, max_plans: int = 16,
-                 pinned_provider=None, extra_key=None):
+                 module=None, extra_key=None):
         self._fn = fn
         self._copy_outputs = bool(copy_outputs)
         self._max_plans = int(max_plans)
-        self._pinned_provider = pinned_provider
+        self._module = module
         self._extra_key = extra_key
         self._plans: "OrderedDict[tuple, tuple[CompiledPlan, object]]" = OrderedDict()
         #: Keys that failed to trace/lower and permanently run eagerly.
@@ -193,6 +176,48 @@ class CompiledFunction:
         name = getattr(fn, "__name__", None) or type(fn).__name__
         self._metric_name = f"{name}#{next(_fn_seq)}"
         _REGISTRY.add_collector(_make_plan_collector(self), owner=self)
+        self._snapshot_state()
+
+    # --------------------------------------------------------------- guards
+    def _state_key(self) -> tuple:
+        """Cheap per-call identity of the module state plans depend on.
+
+        Parameter ``requires_grad`` flags are included: un-freezing a
+        parameter must invalidate cached VJP plans, whose unused-input
+        ``None`` slots were baked in at trace time.
+        """
+        modules = self._modules
+        return (
+            tuple(id(p.data) for p in self.params),
+            tuple(p.requires_grad for p in self.params),
+            tuple(m.training for m in modules),
+            tuple(id(b) for m in modules for b in m._buffers.values()),
+        )
+
+    def _snapshot_state(self) -> None:
+        """Capture the identity snapshot the per-call guard compares."""
+        module = self._module
+        #: The module's parameters as of the last snapshot.
+        self.params = [] if module is None else list(module.parameters())
+        self._modules = [] if module is None else list(module.modules())
+        self._snapshot = self._state_key()
+
+    def check_module_state(self) -> bool:
+        """Invalidate all plans when the module's state identity changed.
+
+        Wrappers call this once per call, *before* assembling the inputs
+        (which may be :attr:`params` themselves); returns whether anything
+        changed.  The guard is intentionally cheap — array identities and
+        flags — so the compiled hot path is not taxed by a full recursive
+        fingerprint walk.  In-place value updates pass (plans hold
+        references); ``astype`` casts, ``load``-rebinds and mode or
+        ``requires_grad`` flips clear the cache and re-trace lazily.
+        """
+        if self._state_key() == self._snapshot:
+            return False
+        self.clear()
+        self._snapshot_state()
+        return True
 
     # ------------------------------------------------------------- fallbacks
     def _note_fallback(self, reason: str, detail: str = "") -> None:
@@ -227,7 +252,9 @@ class CompiledFunction:
         """
         self.retraces += 1
         try:
-            pinned = self._pinned_provider() if self._pinned_provider is not None else ()
+            # Live module state that constant folding must never snapshot.
+            pinned = [p.data for p in self.params] + [
+                b for m in self._modules for b in m._buffers.values()]
             with _span("compile.trace", fn=self._metric_name):
                 program, structure, result = trace(self._fn, *tensors)
                 plan = compile_program(program, pinned=pinned)
@@ -309,237 +336,26 @@ class CompiledFunction:
         self.fallback_keys.clear()
 
 
-def _flatten_grads(grads):
-    """Concatenate non-``None`` gradients into one flat vector + slot table.
-
-    Each gradient level of a :class:`_LevelRunner` returns a *single*
-    tensor (an :class:`Op` has one output), so per-argument gradients are
-    flattened and concatenated; ``slots[i]`` is ``(offset, size, shape)``
-    for argument ``i`` or ``None`` where no gradient flows.  Reshape and
-    concatenation are exact (pure data movement), so sliced-back values
-    are bit-identical to the individual gradients.
-    """
-    parts, slots, offset = [], [], 0
-    for g in grads:
-        if g is None:
-            slots.append(None)
-            continue
-        size = 1
-        for s in g.shape:
-            size *= s
-        slots.append((offset, size, tuple(g.shape)))
-        parts.append(_ops.reshape(g, (-1,)))
-        offset += size
-    if not parts:
-        raise RuntimeError("no gradient flows to any input of the compiled module")
-    flat = parts[0] if len(parts) == 1 else _ops.concatenate(parts)
-    return flat, slots
-
-
-@dataclass
-class _Level:
-    """One compiled gradient level: its plan plus the slot table mapping
-    the *previous* level's arguments into the flat output."""
-
-    plan: CompiledPlan
-    slots: Optional[list]
-    out_shape: tuple
-    out_dtype: np.dtype
-
-
-class _PlanOp(Op):
-    """Graph node replaying one gradient level of a compiled module.
-
-    Level 0 computes ``y = module(x)`` from inputs ``(x, *params)``;
-    level ``k`` computes the flattened gradients of level ``k-1``'s
-    output with respect to level ``k-1``'s inputs, from inputs
-    ``(x, *params, seed_1, ..., seed_k)``.  ``backward`` steps one level
-    deeper: under ``create_graph=True`` it *records* a level-``k+1``
-    node (plus differentiable slicing), so the result can be
-    differentiated again — double backward through compiled plans; in
-    the terminal (no-grad) sweep it runs the level-``k+1`` plan directly
-    on raw arrays.  Outputs are copied out of the plans' arenas —
-    several applications of the same plan can be in flight in one graph
-    (e.g. the eight vertex decodes of a trilinear query), so returned
-    arrays must not alias reused buffers.
-    """
-
-    def __init__(self, runner: "_LevelRunner", level: int = 0):
-        self.runner = runner
-        self.level = level
-
-    def forward(self, *arrays):
-        return self.runner.level(self.level).plan.run(*arrays)[0].copy()
-
-    def backward(self, grad_output):
-        runner, level = self.runner, self.level
-        nxt = runner.level(level + 1)
-        if is_grad_enabled():
-            flat = _PlanOp.apply(*self.inputs, grad_output,
-                                 runner=runner, level=level + 1)
-            grads = []
-            for slot in nxt.slots:
-                if slot is None:
-                    grads.append(None)
-                else:
-                    off, size, shape = slot
-                    grads.append(_ops.reshape(flat[off:off + size], shape))
-            return tuple(grads)
-        arrays = [t.data for t in self.inputs] + [grad_output.data]
-        flat = nxt.plan.run(*arrays)[0]
-        grads = []
-        for slot in nxt.slots:
-            if slot is None:
-                grads.append(None)
-            else:
-                off, size, shape = slot
-                grads.append(Tensor(flat[off:off + size].reshape(shape).copy()))
-        return tuple(grads)
-
-
-class _LevelRunner:
-    """Lazily-built stack of compiled gradient plans for one signature.
-
-    ``level(0)`` is the traced module forward; ``level(k)`` recomputes
-    the forward and ``k`` nested VJP sweeps (``create_graph=True`` all
-    the way, so every sweep stays on the tape) and returns the
-    ``k``-th-order gradients flattened into one vector.  Levels are
-    traced on demand — a prediction-only path builds levels 0–1, the
-    equation loss reaches level 3 (forward, coordinate gradient, its
-    gradient, parameter VJP) — and each level's plan rematerializes all
-    forward intermediates, so no Python graph state survives between
-    calls.
-    """
-
-    def __init__(self, module, x: Tensor, params: Optional[list] = None, pinned=()):
-        self.module = module
-        self.params = list(module.parameters()) if params is None else list(params)
-        self.pinned = tuple(pinned)
-        self._x_template = x.data.copy()
-        self._levels: list[_Level] = []
-        self.level(0)  # fail fast: an untraceable forward raises here
-
-    def level(self, k: int) -> _Level:
-        while len(self._levels) <= k:
-            self._build_next()
-        return self._levels[k]
-
-    def _build_next(self) -> None:
-        k = len(self._levels)
-        module, params = self.module, self.params
-        n_params = len(params)
-        slot_box: list = []
-
-        def fk(x, *rest):
-            ps = rest[:n_params]
-            seeds = rest[n_params:]
-            args = [x, *ps]
-            out = module(x)
-            slot_box.clear()
-            for seed in seeds:
-                gs = _grad(out, args, grad_outputs=seed, create_graph=True,
-                           allow_unused=True)
-                out, slots = _flatten_grads(gs)
-                slot_box.append(slots)
-                args.append(seed)
-            return out
-
-        # One seed per already-built level; each seed's signature is that
-        # level's output value.  Seeds require grad: they are arguments of
-        # deeper levels (a VJP is linear in its seed), so their gradient
-        # slots must exist.
-        seeds = [
-            Tensor(np.ones(lvl.out_shape, dtype=lvl.out_dtype), requires_grad=True)
-            for lvl in self._levels
-        ]
-        x_in = Tensor(self._x_template.copy(), requires_grad=True)
-        # Levels are often built lazily from inside an eager terminal
-        # backward sweep, which runs under no_grad; the trace must record
-        # a graph for its internal grad() calls regardless.
-        with enable_grad():
-            program, _, _ = trace(fk, x_in, *params, *seeds)
-        plan = compile_program(program, pinned=self.pinned)
-        out_value = program.values[program.output_ids[0]]
-        self._levels.append(_Level(
-            plan=plan,
-            slots=list(slot_box[-1]) if slot_box else None,
-            out_shape=tuple(out_value.shape),
-            out_dtype=np.dtype(out_value.dtype),
-        ))
-
-
 class CompiledModule:
     """Compiled wrapper around a single-argument ``nn.Module``.
 
     Behaves like the module itself (``wrapper(x) -> Tensor``) with plans
-    cached per input signature and precision policy.  With
-    ``backward=True`` gradient-requiring calls run through a lazily-built
-    stack of compiled gradient plans (:class:`_LevelRunner`) that
-    supports double (and higher-order) backward — ``create_graph=True``
-    sweeps record deeper plan levels instead of raising; otherwise they
-    fall back to the eager module so the autodiff graph is recorded as
-    usual (warned once as an ``unsupported`` fallback).
+    cached per input signature and precision policy, guarded by the
+    module's state identity.  Plans serve **no-grad** calls; a call that
+    requires gradients falls back to the eager module so the autodiff
+    graph is recorded as usual (warned once as an ``unsupported``
+    fallback).
 
     Not registered as a sub-module on purpose: assigning a wrapper to a
     model attribute must not change ``state_dict`` layout or checkpoint
     compatibility.
     """
 
-    def __init__(self, module, backward: bool = False, copy_outputs: bool = True,
-                 max_plans: int = 16):
+    def __init__(self, module, copy_outputs: bool = True, max_plans: int = 16):
         _check_compilable(module)
         self.module = module
-        self.backward = bool(backward)
         self._fn = CompiledFunction(module, copy_outputs=copy_outputs,
-                                    max_plans=max_plans,
-                                    pinned_provider=self._pinned_arrays)
-        self._grad_runners: "OrderedDict[tuple, _GradRunner]" = OrderedDict()
-        self._max_plans = int(max_plans)
-        self._snapshot_state()
-
-    # --------------------------------------------------------------- guards
-    def _pinned_arrays(self) -> list:
-        """Live module state that constant folding must never snapshot."""
-        return [p.data for p in self._params] + [
-            b for m in self._modules for b in m._buffers.values()
-        ]
-
-    def _state_key(self) -> tuple:
-        """Cheap per-call identity of the module state plans depend on.
-
-        Parameter ``requires_grad`` flags are included: un-freezing a
-        parameter must invalidate cached VJP plans, whose unused-input
-        ``None`` slots were baked in at trace time.
-        """
-        modules = self._modules
-        return (
-            tuple(id(p.data) for p in self._params),
-            tuple(p.requires_grad for p in self._params),
-            tuple(m.training for m in modules),
-            tuple(id(b) for m in modules for b in m._buffers.values()),
-        )
-
-    def _snapshot_state(self) -> None:
-        """Capture the identity snapshot the per-call guard compares."""
-        self._params = list(self.module.parameters())
-        self._modules = list(self.module.modules())
-        self._snapshot = self._state_key()
-
-    def _check_fingerprint(self) -> None:
-        """Invalidate all plans when the module's state identity changed.
-
-        The per-call guard is intentionally cheap — array identities and
-        training flags — so the compiled hot path is not taxed by a full
-        recursive fingerprint walk.  In-place value updates pass (plans
-        hold references); ``astype`` casts, ``load``-rebinds and mode
-        flips clear the caches and re-trace lazily.
-        """
-        if self._state_key() == self._snapshot:
-            return
-        self._fn.clear()
-        self._grad_runners.clear()
-        self._snapshot_state()
-        _check_compilable(self.module)
+                                    max_plans=max_plans, module=module)
 
     # ---------------------------------------------------------------- calls
     def __call__(self, x) -> Tensor:
@@ -548,49 +364,24 @@ class CompiledModule:
             # primitives land in that program instead of a frozen replay.
             return self.module(x)
         x = x if isinstance(x, Tensor) else Tensor(x)
-        self._check_fingerprint()
+        if self._fn.check_module_state():
+            _check_compilable(self.module)
         needs_grad = (
             is_grad_enabled()
             and not is_inference_mode()
-            and (x.requires_grad or any(p.requires_grad for p in self._params))
+            and (x.requires_grad or any(p.requires_grad for p in self._fn.params))
         )
         if not needs_grad:
             return self._fn(x)
-        if not self.backward:
-            # Documented opt-out: grad paths run eagerly, bit-identically.
-            self._fn._note_fallback(
-                "unsupported",
-                "gradients requested through a backward=False wrapper")
-            self._fn.eager_calls += 1
-            return self.module(x)
-        key = (default_dtype().str, x.shape, x.dtype.str)
-        runner = self._grad_runners.get(key)
-        if key not in self._grad_runners:
-            try:
-                runner = _LevelRunner(self.module, x, self._params,
-                                      pinned=self._pinned_arrays())
-            except Exception as exc:
-                runner = None  # permanent eager fallback for this key
-                self._grad_fail_detail = f"{type(exc).__name__}: {exc}"
-            self._grad_runners[key] = runner
-            if len(self._grad_runners) > self._max_plans:
-                self._grad_runners.popitem(last=False)
-        else:
-            runner = self._grad_runners[key]
-            self._grad_runners.move_to_end(key)
-        if runner is None:
-            self._fn._note_fallback("trace-failure",
-                                    getattr(self, "_grad_fail_detail", ""))
-            self._fn.eager_calls += 1
-            return self.module(x)
-        return _PlanOp.apply(x, *self._params, runner=runner)
+        # Grad paths run eagerly, bit-identically.
+        self._fn._note_fallback(
+            "unsupported", "gradients requested through a compiled module")
+        return self._fn._eager([x])
 
     # ------------------------------------------------------------ inspection
     def stats(self) -> dict:
-        """Plan-cache and fusion statistics (includes gradient plans)."""
-        stats = self._fn.stats()
-        stats["n_grad_plans"] = len(self._grad_runners)
-        return stats
+        """Plan-cache and fusion statistics."""
+        return self._fn.stats()
 
     @property
     def plans(self) -> list[CompiledPlan]:
@@ -599,23 +390,20 @@ class CompiledModule:
     def clear(self) -> None:
         """Invalidate every cached plan."""
         self._fn.clear()
-        self._grad_runners.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompiledModule({self.module!r}, backward={self.backward})"
+        return f"CompiledModule({self.module!r})"
 
 
-def compile(module, backward: bool = False, copy_outputs: bool = True,
+def compile(module, copy_outputs: bool = True,
             max_plans: int = 16) -> CompiledModule:  # noqa: A001 - mirrors torch.compile
     """Wrap ``module`` in a graph-captured, fused, buffer-reusing executor.
 
     See :class:`CompiledModule`.  The wrapper is a drop-in callable for
     single-tensor-argument modules (the ImNet decoder); pass it anywhere a
-    decoder callable is accepted, or install it on a
-    :class:`~repro.core.model.MeshfreeFlowNet` via ``model.compile_decoder()``.
+    decoder callable is accepted.
     """
-    return CompiledModule(module, backward=backward, copy_outputs=copy_outputs,
-                          max_plans=max_plans)
+    return CompiledModule(module, copy_outputs=copy_outputs, max_plans=max_plans)
 
 
 def compile_fn(fn, copy_outputs: bool = True, max_plans: int = 16) -> CompiledFunction:

@@ -143,7 +143,7 @@ def common_subexpr_elim(program: Program, pinned=()) -> int:
     through the alias map of dropped values.  A merged node is the same
     kernel on the same operands, so replays stay bit-identical to eager.
     View nodes and eager-fallback ops merge like any other; a node whose
-    arguments have no key (a ``_PlanOp``'s live ``runner``) never does.
+    arguments have no key (an op carrying a live object) never does.
 
     Distinct constants are distinct values — two byte-equal weights or
     buffers may diverge at the next in-place update — except 0-d constants

@@ -82,8 +82,9 @@ class CompiledTrainingStep:
         The model being trained.  Its parameters are passed to the traced
         program as *inputs* (never folded), so in-place optimizer updates
         flow into replays without a re-trace; rebinding a parameter array
-        (``astype``, ``load``) is caught by a cheap per-call fingerprint
-        and invalidates every cached plan.
+        (``astype``, ``load``) is caught by the per-call module-state guard
+        (:meth:`CompiledFunction.check_module_state`) and invalidates every
+        cached plan.
     pde_system, weights:
         Forwarded to :func:`repro.core.losses.loss_terms` — the equation
         loss (and with it the derivative-carrying part of the forward pass)
@@ -119,37 +120,9 @@ class CompiledTrainingStep:
             self._step,
             copy_outputs=True,
             max_plans=max_plans,
-            pinned_provider=self._pinned_arrays,
+            module=model,
             extra_key=lambda: self._active_scales,
         )
-        self._snapshot_state()
-
-    # --------------------------------------------------------------- guards
-    def _pinned_arrays(self) -> list:
-        """Live module state constant folding must never snapshot."""
-        return [p.data for p in self._params] + [
-            b for m in self._modules for b in m._buffers.values()
-        ]
-
-    def _state_key(self) -> tuple:
-        return (
-            tuple(id(p.data) for p in self._params),
-            tuple(p.requires_grad for p in self._params),
-            tuple(m.training for m in self._modules),
-            tuple(id(b) for m in self._modules for b in m._buffers.values()),
-        )
-
-    def _snapshot_state(self) -> None:
-        self._params = list(self.model.parameters())
-        self._modules = list(self.model.modules())
-        self._snapshot = self._state_key()
-
-    def _check_fingerprint(self) -> None:
-        """Drop every plan when the model's state identity changed."""
-        if self._state_key() == self._snapshot:
-            return
-        self._fn.clear()
-        self._snapshot_state()
 
     # ---------------------------------------------------------- traced step
     def _step(self, lowres: Tensor, coords: Tensor, targets: Tensor, *params):
@@ -183,20 +156,19 @@ class CompiledTrainingStep:
         re-applies buffer effects, exactly like the eager
         ``compute_losses(...)`` + ``backward()`` sequence it replaces.
         """
-        self._check_fingerprint()
+        self._fn.check_module_state()
         dt = self.model.dtype
         scales = batch.coord_scales
         self._active_scales = None if scales is None else tuple(float(s) for s in scales)
         lowres = Tensor(np.asarray(batch.lowres, dtype=dt))
         coords = Tensor(np.asarray(batch.coords, dtype=dt))
         targets = Tensor(np.asarray(batch.targets, dtype=dt))
-        inputs = (lowres, coords, targets, *self._params)
+        inputs = (lowres, coords, targets, *self._fn.params)
         if _active_dropout(self.model) and not is_tracing():
             # The sampled mask must differ per call; a plan would freeze it.
             self._fn._note_fallback(
                 "impure", "active Dropout layer: masks cannot be replayed")
-            self._fn.eager_calls += 1
-            outs = self._step(*inputs)
+            outs = self._fn._eager(inputs)
         else:
             outs = self._fn(*inputs)
         return self._unpack(outs)
@@ -206,13 +178,12 @@ class CompiledTrainingStep:
         total, lp, le = outs[0], outs[1], outs[2]
         cursor = 3 + len(self._constraint_names)
         constraints = outs[3:cursor]
-        grad_index = [i for i, p in enumerate(self._params) if p.requires_grad]
-        grads = outs[cursor:cursor + len(grad_index)]
-        effects = outs[cursor + len(grad_index):]
-        for i, g in zip(grad_index, grads):
+        trainable = [p for p in self._fn.params if p.requires_grad]
+        grads = outs[cursor:cursor + len(trainable)]
+        effects = outs[cursor + len(trainable):]
+        for p, g in zip(trainable, grads):
             if g is None:
                 continue
-            p = self._params[i]
             arr = g.data
             if p.grad is None:
                 # First install casts to the parameter dtype (eager

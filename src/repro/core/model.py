@@ -58,54 +58,8 @@ class MeshfreeFlowNet(nn.Module):
         return self.decode(grid, coords)
 
     def decode(self, grid: Tensor, coords: Tensor) -> Tensor:
-        """Decode an already-computed latent grid at query coordinates.
-
-        Uses the compiled decoder installed by :meth:`compile_decoder` when
-        one is present (falling back to eager execution automatically
-        whenever a compiled plan would be invalid), else the eager ImNet.
-        """
-        decoder = self._decoder if self._decoder is not None else self.imnet
-        return query_latent_grid(grid, coords, decoder, interpolation=self.config.interpolation)
-
-    # ------------------------------------------------------------ compilation
-    @property
-    def _decoder(self):
-        """The installed compiled decoder, or ``None``."""
-        return self.__dict__.get("_compiled_decoder")
-
-    def compile_decoder(self, backward: bool = False, **kwargs):
-        """Opt this model's decode paths into the fused compiled executor.
-
-        Wraps ``self.imnet`` with :func:`repro.compile.compile` and routes
-        every :meth:`decode` call (and therefore :meth:`forward` and the
-        prediction loss) through it; :meth:`forward_with_derivatives` walks
-        the ImNet's own layers and never sees the wrapper.
-        The wrapper is stored as a plain attribute — ``state_dict`` layout
-        and checkpoints are unaffected — and plans always read the live
-        parameter arrays, so optimizer updates need no re-compile.
-
-        Parameters
-        ----------
-        backward:
-            Compile first-order gradients too (traced forward + VJP plan
-            pair).  Leave ``False`` on paths that differentiate the decode
-            twice: second-order differentiation through a compiled decoder
-            is rejected rather than silently wrong, while ``backward=False``
-            simply falls back to eager whenever gradients are required.
-        kwargs:
-            Forwarded to :func:`repro.compile.compile`.
-
-        Returns the :class:`~repro.compile.CompiledModule` wrapper.
-        """
-        from ..compile import compile as compile_module
-
-        wrapper = compile_module(self.imnet, backward=backward, **kwargs)
-        object.__setattr__(self, "_compiled_decoder", wrapper)
-        return wrapper
-
-    def uncompile_decoder(self) -> None:
-        """Remove a compiled decoder installed by :meth:`compile_decoder`."""
-        self.__dict__.pop("_compiled_decoder", None)
+        """Decode an already-computed latent grid at query coordinates."""
+        return query_latent_grid(grid, coords, self.imnet, interpolation=self.config.interpolation)
 
     # --------------------------------------------------------- dense sampling
     def predict_grid(self, lowres: Tensor, output_shape: Sequence[int],

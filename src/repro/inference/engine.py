@@ -51,6 +51,10 @@ __all__ = ["InferenceEngine", "TiledLatentField"]
 _TOKEN_COUNTER = itertools.count()
 _TOKEN_LOCK = threading.Lock()
 
+#: Query points planned per planning window of :meth:`TiledLatentField.query`;
+#: bounds the planner's transient arrays on extremely large query sets.
+_PLAN_WINDOW = 1 << 20
+
 #: A cell's eight corner offsets along ``(t, z, x)``, in :func:`query_latent_grid`'s order.
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 
@@ -97,9 +101,6 @@ class InferenceEngine:
         LRU capacity of the latent-tile cache, in tiles (``None`` for
         unbounded).  Queries are decoded in tile-major order, so even
         ``cache_tiles=1`` encodes each tile only once per pass.
-    plan_chunk_size:
-        Number of query points planned per planning window; bounds the
-        planner's transient arrays on extremely large query sets.
     cache:
         An existing :class:`~repro.inference.cache.LatentTileCache` to use
         instead of constructing a private one (``cache_tiles`` is then
@@ -128,13 +129,10 @@ class InferenceEngine:
     def __init__(self, model, tile_shape: Optional[Sequence[int]] = None,
                  halo: Optional[Sequence[int]] = None, ramp_width: float = 2.0,
                  chunk_size: int = 4096, cache_tiles: Optional[int] = 32,
-                 plan_chunk_size: int = 1 << 20,
                  cache: Optional[LatentTileCache] = None,
                  dtype=None, compile: bool = False):
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if plan_chunk_size < 1:
-            raise ValueError("plan_chunk_size must be positive")
         self.model = model
         self._dtype = None if dtype is None else canonical_dtype(dtype)
         if self._dtype is not None and self._dtype != model.dtype:
@@ -148,7 +146,6 @@ class InferenceEngine:
         self.halo = tuple(model.unet.receptive_halo()) if halo is None else tuple(int(h) for h in halo)
         self.ramp_width = float(ramp_width)
         self.chunk_size = int(chunk_size)
-        self.plan_chunk_size = int(plan_chunk_size)
         self.cache = cache if cache is not None else LatentTileCache(capacity=cache_tiles)
         self.compile = bool(compile)
         self._compiled_decoder = None
@@ -367,7 +364,7 @@ class TiledLatentField:
         inherits the seed behaviour of linearly extrapolating the boundary
         cell instead).
 
-        Points are planned per window of ``engine.plan_chunk_size``, then
+        Points are planned per window of ``_PLAN_WINDOW``, then
         decoded in *tile-major* order — all of a tile's points before moving
         to the next tile — so each latent tile is encoded once per pass
         regardless of cache capacity.  Consecutive groups share flat decoder
@@ -396,8 +393,8 @@ class TiledLatentField:
                                                  interpolation=model.config.interpolation)
                     out[:, start:stop, :] = pred.data
             return out
-        for start in range(0, n_points, engine.plan_chunk_size):
-            stop = min(start + engine.plan_chunk_size, n_points)
+        for start in range(0, n_points, _PLAN_WINDOW):
+            stop = min(start + _PLAN_WINDOW, n_points)
             groups = self.planner.plan(coords[start:stop])
             self._decode_tile_major(groups, out[:, start:stop, :])
         return out

@@ -8,89 +8,22 @@ training stage (``world_size``, ``compile``, precision), and the validation
 pins.  Unknown sections and keys raise immediately with the list of valid
 names — a typo never silently disables a stage.
 
-Parsing uses stdlib :mod:`tomllib` (Python ≥ 3.11).  On older interpreters a
-minimal built-in parser covering the subset this file format uses (tables,
-strings, numbers, booleans, inline arrays) keeps the pipeline importable and
-runnable without any third-party dependency.
+Parsing uses stdlib :mod:`tomllib` (the package requires Python ≥ 3.11).
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
-try:  # Python >= 3.11
-    import tomllib as _toml
-except ModuleNotFoundError:  # pragma: no cover - exercised only on py<=3.10
-    _toml = None
-
 __all__ = ["PipelineConfig", "load_pipeline_config", "parse_toml"]
 
 
-def _parse_scalar(token: str):
-    """Parse one minimal-TOML scalar token."""
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token.startswith("'") and token.endswith("'") and len(token) >= 2:
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        depth, parts, current = 0, [], []
-        for ch in inner:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append("".join(current))
-                current = []
-            else:
-                current.append(ch)
-        parts.append("".join(current))
-        return [_parse_scalar(p) for p in parts if p.strip()]
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse TOML value: {token!r}") from exc
-
-
-def _parse_toml_minimal(text: str) -> dict:
-    """Fallback parser for the TOML subset ``pipeline.toml`` uses (see module docs)."""
-    root: dict = {}
-    table = root
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip() if not raw_line.strip().startswith('"') else raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = root
-            for part in line[1:-1].strip().split("."):
-                table = table.setdefault(part.strip().strip('"'), {})
-            continue
-        if "=" not in line:
-            raise ValueError(f"cannot parse TOML line: {raw_line!r}")
-        key, _, value = line.partition("=")
-        table[key.strip().strip('"')] = _parse_scalar(value)
-    return root
-
-
 def parse_toml(text: str) -> dict:
-    """Parse TOML text via :mod:`tomllib`, or the minimal fallback on py<3.11."""
-    if _toml is not None:
-        return _toml.loads(text)
-    return _parse_toml_minimal(text)
+    """Parse TOML text (:func:`tomllib.loads`)."""
+    return tomllib.loads(text)
 
 
 def _check_keys(section: str, given: Mapping, allowed: set[str]) -> None:

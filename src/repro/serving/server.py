@@ -51,6 +51,11 @@ __all__ = ["ModelServer"]
 
 logger = logging.getLogger("repro.serving")
 
+#: Sleep between a worker crash and its restart: exponential backoff from
+#: 10 ms, capped at 250 ms.  Only the delay schedule is used — the worker
+#: loop itself never gives up.
+_WORKER_BACKOFF = Retry(max_attempts=8, backoff=0.01, multiplier=2.0, max_backoff=0.25, jitter=0.0)
+
 
 class ModelServer:
     """Concurrent request front end over a pool of inference-engine replicas.
@@ -90,10 +95,6 @@ class ModelServer:
         (the rest of the fleet keeps serving); the next batch after the
         cooldown is the half-open trial that either closes the breaker or
         re-opens it.
-    worker_backoff:
-        :class:`~repro.faults.Retry` policy shaping the sleep between a
-        worker crash and its restart (exponential backoff; only the delay
-        schedule is used — the worker loop itself never gives up).
     shed_watermark, shed_priority:
         Load shedding: when the pending queue is at or beyond
         ``shed_watermark * max_pending``, submissions with priority
@@ -119,11 +120,9 @@ class ModelServer:
                  max_pending: int = 256,
                  tile_shape: Optional[Sequence[int]] = None,
                  cache_tiles: Optional[int] = 64,
-                 telemetry_window: int = 2048,
                  precisions: Optional[Sequence] = None,
                  breaker_threshold: int = 5,
                  breaker_cooldown: float = 0.25,
-                 worker_backoff: Optional[Retry] = None,
                  shed_watermark: float = 1.0,
                  shed_priority: int = 0,
                  **engine_kwargs):
@@ -160,7 +159,7 @@ class ModelServer:
         #: convenience for introspection and tests).
         self.engines = [engines[self._precisions[0]] for engines in self._worker_engines]
         self.scheduler = MicroBatchScheduler(policy=policy, max_pending=max_pending)
-        self.telemetry = ServerTelemetry(window=telemetry_window)
+        self.telemetry = ServerTelemetry()
         #: domain id -> (array, generation); the generation is embedded in
         #: cache keys so re-registration can never serve stale latents.
         self._domains: Dict[str, tuple] = {}
@@ -168,8 +167,6 @@ class ModelServer:
         self._shed_watermark = float(shed_watermark)
         self._shed_priority = int(shed_priority)
         self._breaker_cooldown = float(breaker_cooldown)
-        self._worker_backoff = worker_backoff if worker_backoff is not None else Retry(
-            max_attempts=8, backoff=0.01, multiplier=2.0, max_backoff=0.25, jitter=0.0)
         self._breakers = [
             CircuitBreaker(name=f"serving-worker-{i}",
                            failure_threshold=breaker_threshold,
@@ -312,8 +309,7 @@ class ModelServer:
                 crashes += 1
                 self._on_worker_crash(index, batch, exc)
                 breaker.record_failure()
-                delay = self._worker_backoff.delay_for(
-                    min(crashes, self._worker_backoff.max_attempts))
+                delay = _WORKER_BACKOFF.delay_for(min(crashes, _WORKER_BACKOFF.max_attempts))
                 if delay > 0:
                     time.sleep(delay)
             else:

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autodiff import Tensor
+from ..autodiff import Tensor, no_grad
 from ..faults import plan as _faults
 from ..core.losses import LossWeights, compute_losses
 from ..data.dataset import Batch, SuperResolutionDataset
@@ -70,7 +70,7 @@ class TrainerConfig:
     bucket_mb: float = 25.0               #: DistributedTrainer: all-reduce bucket capacity (MB)
     allreduce_algorithm: str = "ring"     #: DistributedTrainer: "ring" (bandwidth-optimal) or "naive"
     steps_per_epoch: Optional[int] = None #: defaults to len(dataset) / global batch
-    compile: bool = False                 #: fused compiled training step + decode plans (repro.compile)
+    compile: bool = False                 #: fused compiled training step (repro.compile)
     scenario: Optional[str] = None        #: resolve the PDE system from ``repro.scenarios``
     fault_recovery: bool = False          #: epoch-level checkpoint/rollback recovery boundary
     max_epoch_retries: int = 2            #: rollback-and-rerun attempts per epoch before re-raising
@@ -144,21 +144,18 @@ class Trainer:
             # micro-batch: forward, PDE residuals (including the coordinate
             # derivatives the decoder carries forward for the equation loss),
             # loss and parameter VJP are traced together and replayed bit-identically
-            # to the eager step.  The decoder wrapper additionally serves
-            # the no-grad paths (validation, evaluation) from fused decode
-            # plans; it stays ``backward=False`` because training gradients
-            # now flow through the fused step, not through ``decode()``.
-            # Neither path ever degrades silently — a fallback warns once
-            # per reason (:class:`repro.compile.CompileFallbackWarning`)
-            # and is counted in the ``compile.fallbacks`` metric.
+            # to the eager step.  It is the only compiled object a trainer
+            # owns: validation runs the eager model under ``no_grad`` and
+            # evaluation builds its own ``InferenceEngine``.  The step never
+            # degrades silently — a fallback warns once per reason
+            # (:class:`repro.compile.CompileFallbackWarning`) and is
+            # counted in the ``compile.fallbacks`` metric.
             from ..compile import CompiledTrainingStep  # lazy: keeps import light
 
             self._compiled_step = CompiledTrainingStep(
                 self.model, self.pde_system, self.weights,
                 loss_scale=self._loss_scale(),
             )
-            if hasattr(self.model, "compile_decoder"):
-                self.model.compile_decoder(backward=False)
 
     def _build_optimizer(self) -> Optimizer:
         cfg = self.config
@@ -475,7 +472,7 @@ class Trainer:
 
     # ------------------------------------------------------------- evaluation
     def validation_loss(self, n_batches: int = 2) -> float:
-        """Prediction-only loss on the validation dataset (cheap).
+        """Prediction-only loss on the validation dataset (cheap: no tape).
 
         The model's training/eval mode is saved and restored around the
         evaluation, so calling this on a model already in eval mode no
@@ -485,7 +482,7 @@ class Trainer:
         dt = self.model.dtype
         losses = []
         weights = LossWeights(gamma=0.0, norm=self.config.loss_norm)
-        with eval_mode(self.model):
+        with eval_mode(self.model), no_grad():
             for b in range(n_batches):
                 batch = self.val_dataset.sample_batch(
                     list(range(b * self.config.batch_size, (b + 1) * self.config.batch_size)),

@@ -11,14 +11,17 @@ The contract under test (ISSUE 5 acceptance criteria):
 * steady-state execution of a fully lowered plan allocates **nothing**
   (buffer-arena regression pin);
 * fallback to eager execution is automatic whenever a plan could be wrong
-  (gradients without ``backward=True``, impure modules) — and never
+  (gradients through ``compile(module)``, impure modules) — and never
   silent: one :class:`~repro.compile.CompileFallbackWarning` per
   (wrapper, reason), with per-call counts in ``stats()`` and the metrics
   registry (ISSUE 8);
-* double backward works through compiled plans — ``compile(module,
-  backward=True)`` and :class:`~repro.compile.CompiledTrainingStep`
-  replay the whole equation-loss training step (forward, residuals,
-  loss, parameter VJP and BatchNorm effects) bit-identically (ISSUE 8);
+* :class:`~repro.compile.CompiledTrainingStep` replays the whole
+  equation-loss training step (forward, residuals, loss, parameter VJP
+  and BatchNorm effects) bit-identically (ISSUE 8), and is the only
+  compiled object a compiled trainer owns (ISSUE 20);
+* the module-state guard has one owner, ``CompiledFunction``, and the
+  same invalidation rules behind both module-bound entry points
+  (ISSUE 20);
 * every kernel step is a generated function built from the one lowering
   table (``repro.compile.codegen.LOWERINGS``, each entry checked against
   eager by a test parametrised over its keys), maximal elementwise runs
@@ -37,12 +40,13 @@ from hypothesis import strategies as st
 from repro import compile as rc
 from repro import nn
 from repro.autodiff import Tensor, grad, inference_mode, no_grad, ops
+from repro.autodiff.tensor import Op
 from repro.backend import precision
 from repro.compile.codegen import LOWERINGS, lowering_of
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
 from repro.core.imnet import ImNet
 from repro.inference import InferenceEngine
-from repro.training import Trainer, TrainerConfig
+from repro.training import DistributedTrainer, Trainer, TrainerConfig
 
 
 def make_imnet(dtype=None):
@@ -205,101 +209,30 @@ class TestDerivativeEquivalence:
             assert np.array_equal(e.data, c.data)
         assert cf.stats() == {**cf.stats(), "n_plans": 1, "runtime_allocs": 0}
 
-    def test_model_forward_with_derivatives_unchanged_by_compiled_decoder(self):
-        """Installing a (backward=False) compiled decoder must leave the
-        equation loss's derivative pass on the ImNet's own layers,
-        bit-identical."""
-        from repro.pde import RayleighBenard2D
-
-        config = MeshfreeFlowNetConfig.tiny()
-        model = MeshfreeFlowNet(config)
-        rng = np.random.default_rng(0)
-        lowres = Tensor(rng.standard_normal((1, 4, 2, 8, 8)))
-        coords = Tensor(rng.random((1, 16, 3)), requires_grad=True)
-        pde = RayleighBenard2D(rayleigh=1e6)
-        pred_e, values_e = model.forward_with_derivatives(lowres, coords, pde)
-        model.compile_decoder()
-        pred_c, values_c = model.forward_with_derivatives(lowres, coords, pde)
-        assert np.array_equal(pred_e.data, pred_c.data)
-        for key in values_e:
-            assert np.array_equal(values_e[key].data, values_c[key].data), key
-        model.uncompile_decoder()
-
 
 class TestCompiledBackward:
-    def test_first_order_param_grads_bitwise_equal(self):
-        imnet = make_imnet()
-        x = decoder_input(seed=6)
-        target = decoder_input((2, 64, 4), seed=7)
-
-        def loss_through(decoder):
-            return ops.mean(ops.square(ops.sub(decoder(x), target)))
-
-        loss_e = loss_through(imnet)
-        loss_e.backward()
-        ref = {name: p.grad.copy() for name, p in imnet.named_parameters()}
-        imnet.zero_grad()
-
-        cm = rc.compile(imnet, backward=True)
-        loss_c = loss_through(cm)
-        loss_c.backward()
-        assert np.array_equal(loss_e.data, loss_c.data)
-        for name, p in imnet.named_parameters():
-            assert np.array_equal(ref[name], p.grad), name
-
-    def test_input_grads_bitwise_equal(self):
-        imnet = make_imnet()
-        x = decoder_input(seed=8, requires_grad=True)
-        ge = grad(ops.sum(imnet(x)), x)
-        cm = rc.compile(imnet, backward=True)
-        gc = grad(ops.sum(cm(x)), x)
-        assert np.array_equal(ge.data, gc.data)
-
-    def test_double_backward_bitwise_equal(self):
-        """grad-of-grad through compiled plans matches eager bitwise.
-
-        This is the equation-loss pattern: differentiate the decode with
-        respect to its input with ``create_graph=True``, build a loss on
-        that derivative, then take the parameter VJP through it."""
-        imnet = make_imnet()
-        x = decoder_input(seed=9, requires_grad=True)
-
-        def second_order(decoder):
-            gx = grad(ops.sum(decoder(x)), x, create_graph=True)
-            return ops.mean(ops.square(gx))
-
-        loss_e = second_order(imnet)
-        loss_e.backward()
-        # The last layer's bias has no second-order gradient (d(dy/dx)/db
-        # is zero): its grad legitimately stays None on both paths.
-        ref = {name: None if p.grad is None else p.grad.copy()
-               for name, p in imnet.named_parameters()}
-        imnet.zero_grad()
-
-        cm = rc.compile(imnet, backward=True)
-        loss_c = second_order(cm)
-        loss_c.backward()
-        assert np.array_equal(loss_e.data, loss_c.data)
-        for name, p in imnet.named_parameters():
-            if ref[name] is None:
-                assert p.grad is None, name
-            else:
-                assert np.array_equal(ref[name], p.grad), name
-        # forward + input-grad + its VJP: three plan levels were built
-        assert cm.stats()["n_grad_plans"] >= 1
-        assert cm.stats()["fallbacks"] == {}
+    """Where gradients meet compiled code: ``compile(module)`` replays no-grad
+    calls only, and a compiled trainer owns exactly one wrapper, its
+    ``CompiledTrainingStep``."""
 
     def test_inplace_weight_update_visible_without_retrace(self):
         imnet = make_imnet()
-        cm = rc.compile(imnet, backward=True)
-        x = decoder_input(seed=10, requires_grad=True)
-        grad(ops.sum(cm(x)), x)
-        n_runners = cm.stats()["n_grad_plans"]
+        cm = rc.compile(imnet)
+        x = decoder_input(seed=10)
+        with inference_mode():
+            cm(x)
+        assert cm.stats()["n_plans"] == 1
         for p in imnet.parameters():
             p.data[...] = p.data * 0.5  # optimizer-style in-place update
         with inference_mode():
-            assert np.array_equal(imnet(x.detach()).data, cm(x.detach()).data)
-        assert cm.stats()["n_grad_plans"] == n_runners  # no invalidation
+            assert np.array_equal(imnet(x).data, cm(x).data)
+        stats = cm.stats()
+        assert stats["n_plans"] == 1 and stats["retraces"] == 1  # no invalidation
+        assert stats["plan_hits"] == 1
+
+    def test_backward_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            rc.compile(make_imnet(), backward=True)
 
     def test_trainer_compile_prediction_only_bit_identical(self, tiny_dataset):
         def run(compile_flag):
@@ -310,11 +243,30 @@ class TestCompiledBackward:
             return model
 
         eager, compiled = run(False), run(True)
-        # Training gradients flow through the fused CompiledTrainingStep;
-        # the decoder wrapper only serves no-grad paths, so backward=False.
-        assert compiled._decoder is not None and not compiled._decoder.backward
         for pe, pc in zip(eager.parameters(), compiled.parameters()):
             assert np.array_equal(pe.data, pc.data)
+
+    @pytest.mark.parametrize("trainer_cls", [Trainer, DistributedTrainer])
+    def test_compiled_trainer_with_validation_never_falls_back(self, trainer_cls, tiny_dataset):
+        """A compiled trainer owns one wrapper, its training step: an epoch
+        with a validation set followed by ``evaluate()`` warns of no
+        fallback and leaves every ``compile.fallbacks`` series at zero."""
+        from repro.obs.metrics import REGISTRY
+
+        model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny(seed=3))
+        cfg = TrainerConfig(epochs=1, batch_size=1, world_size=2, gamma=0.0,
+                            steps_per_epoch=2, compile=True)
+        trainer = trainer_cls(model, tiny_dataset, config=cfg, val_dataset=tiny_dataset)
+        before = REGISTRY.collect()  # wrappers other tests left alive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", rc.CompileFallbackWarning)
+            history = trainer.train()
+            trainer.evaluate()
+        assert np.isfinite(history.records[-1]["val_loss"])
+        assert trainer._compiled_step.stats()["plan_hits"] >= 1
+        fallbacks = {k: v for k, v in REGISTRY.collect().items()
+                     if k.startswith("compile.fallbacks{") and v != before.get(k, 0)}
+        assert fallbacks == {}
 
 
 _S = (3, 4, 5)
@@ -453,27 +405,33 @@ class TestKernelExactness:
         assert not np.array_equal(first.data, second.data)
 
     def test_unfreezing_a_parameter_invalidates_grad_plans(self):
-        """A VJP plan traced while a parameter was frozen bakes a None grad
-        slot for it; un-freezing must re-trace, not silently skip."""
-        imnet = make_imnet()
-        frozen = imnet.net[0].bias
-        frozen.requires_grad = False
-        cm = rc.compile(imnet, backward=True)
-        x = decoder_input(seed=25, requires_grad=True)
-        loss = ops.sum(cm(x))
-        imnet.zero_grad()
-        loss.backward()
-        assert frozen.grad is None
-        frozen.requires_grad = True
-        imnet.zero_grad()
-        ops.sum(cm(x)).backward()
-        reference = make_imnet()
-        reference.load_state_dict(imnet.state_dict())
-        ops.sum(reference(x)).backward()
-        assert frozen.grad is not None
-        for (name, p), (_, q) in zip(imnet.named_parameters(),
-                                     reference.named_parameters()):
-            assert np.array_equal(p.grad, q.grad), name
+        """A VJP traced while a parameter was frozen has no gradient output
+        for it; un-freezing must re-trace, not silently skip."""
+        sc, ds, pde, weights, compute_losses = TestCompiledTrainingStep._scenario_setup()
+        m_eager, m_comp = sc.build_model("tiny"), sc.build_model("tiny")
+        m_comp.load_state_dict(m_eager.state_dict())
+        step = rc.CompiledTrainingStep(m_comp, pde, weights)
+        batch = ds.sample_batch([0, 1], epoch=0)
+        dt = m_eager.dtype
+        frozen_e, frozen_c = m_eager.imnet.net[0].bias, m_comp.imnet.net[0].bias
+        for trainable in (False, True):
+            frozen_e.requires_grad = frozen_c.requires_grad = trainable
+            m_eager.zero_grad()
+            m_comp.zero_grad()
+            total, bd_e = compute_losses(
+                m_eager,
+                Tensor(np.asarray(batch.lowres, dtype=dt)),
+                Tensor(np.asarray(batch.coords, dtype=dt)),
+                Tensor(np.asarray(batch.targets, dtype=dt)),
+                pde, weights, coord_scales=batch.coord_scales)
+            total.backward()
+            assert step(batch) == bd_e
+            assert (frozen_c.grad is not None) == trainable
+            for (name, pe), pc in zip(m_eager.named_parameters(), m_comp.parameters()):
+                assert (pe.grad is None) == (pc.grad is None), name
+                assert pe.grad is None or np.array_equal(pe.grad, pc.grad), name
+        stats = step.stats()
+        assert stats["retraces"] == 2 and stats["n_plans"] == 1 and stats["fallbacks"] == {}
 
 
 class TestValueNumbering:
@@ -623,27 +581,38 @@ class TestValueNumbering:
         assert plan.stats.n_inplace == 2  # neg over the merged value, add over exp's
         assert plan.stats.n_fallback == 0 and plan.runtime_allocs == 0
 
-    def test_plan_op_nodes_are_left_alone(self):
-        """A ``_PlanOp`` recorded in an outer trace carries a live ``runner``:
-        its arguments have no key, so two identical applications both run."""
-        imnet = make_imnet()
-        cm = rc.compile(imnet, backward=True)
-        x = decoder_input((1, 8, 9), seed=30, requires_grad=True)
-        y = cm(x)  # level-0 _PlanOp on the tape, outside any trace
+    def test_nodes_with_unkeyable_arguments_are_left_alone(self):
+        """An op constructed with a live object has no value-numbering key:
+        two identical applications both stay in the program and both run."""
+        class Scaler:
+            def __init__(self):
+                self.calls = 0
 
-        def outer(seed):
-            return (grad(y, x, grad_outputs=seed, create_graph=True),
-                    grad(y, x, grad_outputs=seed, create_graph=True))
+            def __call__(self, array):
+                self.calls += 1
+                return array * 3.0
 
-        seed = Tensor(np.ones(y.shape))
-        outer(seed)  # builds the level-1 plan; tracing cannot nest
-        program, _, _ = rc.trace(outer, seed)
+        class ApplyLive(Op):
+            def __init__(self, scaler):
+                self.scaler = scaler
+
+            def forward(self, a):
+                return self.scaler(a)
+
+        scaler = Scaler()
+
+        def fn(a):
+            return ApplyLive.apply(a, scaler=scaler), ApplyLive.apply(a, scaler=scaler)
+
+        a = np.random.default_rng(6).standard_normal(5)
+        program, _, _ = rc.trace(fn, Tensor(np.zeros_like(a)))
         plan = rc.compile_program(program)
-        assert [n.op_name for n in plan.program.nodes].count("_PlanOp") == 2
+        assert [n.op_name for n in plan.program.nodes] == ["ApplyLive", "ApplyLive"]
         assert plan.stats.n_merged == 0
-        expected = grad(ops.sum(ops.mul(imnet(x), 2.0)), x).data
-        for out in plan.run(np.full(y.shape, 2.0)):
-            assert np.array_equal(out, expected)
+        scaler.calls = 0
+        for out in plan.run(a):
+            assert np.array_equal(out, a * 3.0)
+        assert scaler.calls == 2
 
 
 class TestGeneratedPrograms:
@@ -1124,3 +1093,61 @@ class TestCompiledTrainingStep:
         stats = step.stats()
         assert stats["n_plans"] == 0
         assert stats["fallbacks"]["impure"] == 1
+
+
+class TestModuleStateGuard:
+    """``CompiledFunction.check_module_state`` is the one guard behind both
+    module-bound entry points, so the same changes invalidate behind each."""
+
+    @staticmethod
+    def decode_wrapper():
+        imnet = make_imnet("float64")
+        cm = rc.compile(imnet)
+
+        def call():
+            with precision(imnet.dtype), inference_mode():
+                x = decoder_input(dtype=imnet.dtype)
+                assert np.array_equal(cm(x).data, imnet(x).data)
+
+        return imnet, cm, call
+
+    @staticmethod
+    def training_wrapper():
+        from repro.core.losses import LossWeights
+
+        with precision("float64"):
+            sc, ds, _, _, _ = TestCompiledTrainingStep._scenario_setup()
+            model = sc.build_model("tiny")
+        step = rc.CompiledTrainingStep(model, None, LossWeights(gamma=0.0))
+        batch = ds.sample_batch([0, 1], epoch=0)
+
+        def call():
+            model.zero_grad()
+            with precision(model.dtype):
+                assert np.isfinite(step(batch).total)
+
+        return model, step, call
+
+    CHANGES = {
+        "rebind": lambda module, p: setattr(p, "data", p.data.copy()),
+        "astype": lambda module, p: module.astype("float32"),
+        "mode-flip": lambda module, p: module.train(not module.training),
+        "requires-grad-flip": lambda module, p: setattr(p, "requires_grad", False),
+        "in-place": lambda module, p: p.data.__setitem__(Ellipsis, p.data * 0.5),
+    }
+
+    @pytest.mark.parametrize("change", list(CHANGES))
+    @pytest.mark.parametrize("make", [decode_wrapper, training_wrapper],
+                             ids=["compile", "CompiledTrainingStep"])
+    def test_identity_changes_invalidate_and_value_updates_do_not(self, make, change):
+        module, wrapper, call = make()
+        call()
+        assert wrapper.stats() == {**wrapper.stats(), "n_plans": 1, "retraces": 1}
+        self.CHANGES[change](module, module.parameters()[0])
+        call()
+        stats = wrapper.stats()
+        assert stats["n_plans"] == 1 and stats["fallbacks"] == {}
+        if change == "in-place":
+            assert stats["retraces"] == 1 and stats["plan_hits"] == 1
+        else:
+            assert stats["retraces"] == 2 and stats["plan_hits"] == 0

@@ -470,6 +470,26 @@ class TestTilingAndPlanner:
             planned = sum(g.n for g in field.planner.plan(coords))
             assert sum(shape[0] for shape in calls) == 8 * n_batch * planned
 
+    def test_planning_windows_do_not_change_the_result(self, model, lowres, monkeypatch):
+        """Scattered points planned in several windows get the bits of one window."""
+        from repro.inference import engine as engine_module
+
+        plan, windows = QueryPlanner.plan, []
+
+        def recording_plan(self, coords):
+            windows.append(len(coords))
+            return plan(self, coords)
+
+        monkeypatch.setattr(QueryPlanner, "plan", recording_plan)
+        coords = np.random.default_rng(8).random((700, 3))
+        field = InferenceEngine(model, tile_shape=(4, 16, 16)).open(lowres)
+        one_window = field.query(coords)
+        assert windows == [700]
+        monkeypatch.setattr(engine_module, "_PLAN_WINDOW", 256)
+        windows.clear()
+        assert np.array_equal(field.query(coords), one_window)
+        assert windows == [256, 256, 188]
+
     def test_layout_validation_errors(self):
         with pytest.raises(ValueError, match="not divisible"):
             tile_layout(domain=(4, 25, 40))                   # domain vs divisor

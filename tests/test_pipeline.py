@@ -17,7 +17,7 @@ from repro.pipeline import (
     validate_reports,
 )
 from repro.pipeline.cli import main as cli_main
-from repro.pipeline.config import _parse_toml_minimal, parse_toml
+from repro.pipeline.config import parse_toml
 
 MICRO_OVERRIDES = {
     "hr_shape": (8, 8, 32), "lr_factors": (2, 2, 4), "crop_shape_lr": (2, 2, 4),
@@ -70,10 +70,6 @@ class TestConfig:
         assert not cfg.figures["fig2"]
         assert cfg.train_overrides == {"world_size": 2}
         assert not cfg.validate_table1 and cfg.nmae_rtol == 0.1
-
-    def test_minimal_parser_matches_tomllib(self):
-        # The py<3.11 fallback must agree with stdlib tomllib on our subset.
-        assert _parse_toml_minimal(SAMPLE_TOML) == parse_toml(SAMPLE_TOML)
 
     def test_unknown_keys_raise_with_valid_names(self):
         with pytest.raises(KeyError, match="valid keys"):
