@@ -14,7 +14,10 @@ arbitrarily large domains:
 * query points are grouped by owning tile (:mod:`repro.inference.planner`)
   and decoded in flat blocks of bounded size — one ImNet call per block,
   no padding — under :func:`repro.autodiff.inference_mode`, with smooth
-  partition-of-unity blending across tile overlaps.
+  partition-of-unity blending across tile overlaps;
+* nothing is derived twice: the tile layout and the planner are kept per
+  domain shape, and tiles are cached channel-last, the layout the decode
+  gathers from.
 
 With ``tile_shape=None`` the engine runs in *direct* mode — a single tile
 covering the whole domain — which reproduces the seed path exactly.  In
@@ -27,6 +30,7 @@ statistics are crop-independent.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import threading
 import warnings
@@ -57,6 +61,24 @@ _PLAN_WINDOW = 1 << 20
 
 #: A cell's eight corner offsets along ``(t, z, x)``, in :func:`query_latent_grid`'s order.
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_constants(tile_shape: tuple, dtype: np.dtype):
+    """What the block decode needs of a tile shape, as read-only arrays.
+
+    ``(scale, last_cell, steps)``: cells per unit of tile-local coordinate and
+    the last cell's index along each axis (both in ``dtype``), and the flat
+    index step of one vertex along each axis of a channel-last tile — zero
+    along a one-vertex axis, whose single cell has both its ends on vertex 0.
+    """
+    sizes = np.array(tile_shape)
+    scale = np.maximum(sizes - 1, 1).astype(dtype)
+    last_cell = np.maximum(sizes - 2, 0).astype(dtype)
+    steps = np.array([tile_shape[1] * tile_shape[2], tile_shape[2], 1]) * (sizes > 1)
+    for array in (scale, last_cell, steps):
+        array.setflags(write=False)
+    return scale, last_cell, steps
 
 
 @contextlib.contextmanager
@@ -93,10 +115,13 @@ class InferenceEngine:
         Width (in low-resolution vertex units) of the smooth blending ramp
         inside each tile overlap.
     chunk_size:
-        Upper bound on rows per decoder call in tiled mode (eight per query
-        point and sample; on points per call in direct mode) — bounds decode
-        memory.  Past ~15000 rows BLAS changes kernel and a coalesced request
-        stops being bit-identical to the same request alone.
+        Upper bound on rows per decoder call, which bounds decode memory.
+        Tiled mode cuts a plan into blocks of ``chunk_size // (8 * N)`` points
+        and decodes a block in one call (per point and sample eight rows
+        under trilinear interpolation, one under nearest); direct mode hands
+        ``query_latent_grid`` that many *points* at a time.  Past ~15000 rows
+        BLAS changes kernel and a coalesced request stops being bit-identical
+        to the same request alone.
     cache_tiles:
         LRU capacity of the latent-tile cache, in tiles (``None`` for
         unbounded).  Queries are decoded in tile-major order, so even
@@ -158,6 +183,9 @@ class InferenceEngine:
         #: recycled id can never alias a dead domain's latents.
         self._open_domains: list[tuple[weakref.ref, int]] = []
         self._domains_lock = threading.Lock()
+        #: ``domain shape -> (TileLayout, QueryPlanner)``: both depend only on
+        #: that shape and on fields fixed above, so each is built once.
+        self._layouts: dict[tuple, tuple[TileLayout, QueryPlanner]] = {}
         if self.tile_shape is not None and getattr(model.config, "unet_norm", None) == "group":
             warnings.warn(
                 "group normalisation computes statistics over the whole crop, so "
@@ -244,21 +272,24 @@ class InferenceEngine:
             latent entries; with ``key=None`` identity is the array object
             itself, which is private to this engine.
         """
-        dt = self.dtype
         source = lowres.data if isinstance(lowres, Tensor) else np.asarray(lowres)
         if source.ndim != 5:
             raise ValueError(f"lowres must be 5-D (N, C, nt, nz, nx); got shape {source.shape}")
         domain_shape = source.shape[2:]
-        tile_shape = self.tile_shape if self.tile_shape is not None else domain_shape
-        layout = TileLayout(
-            domain_shape, tile_shape, halo=self.halo,
-            divisor=self.model.unet.required_divisor(), ramp_width=self.ramp_width,
-        )
+        planned = self._layouts.get(domain_shape)
+        if planned is None:
+            layout = TileLayout(
+                domain_shape, self.tile_shape if self.tile_shape is not None else domain_shape,
+                halo=self.halo, divisor=self.model.unet.required_divisor(),
+                ramp_width=self.ramp_width,
+            )
+            # setdefault: of two threads opening a new shape at once, both get one pair.
+            planned = self._layouts.setdefault(domain_shape, (layout, QueryPlanner(layout)))
         # Token identity is the *caller's* array object, before any precision
         # cast, so re-opening the same domain reuses cache entries even when
         # the engine casts a fresh float32 copy each time.
         token = ("named", key) if key is not None else self._domain_token(source)
-        return TiledLatentField(self, source, layout, token, dt)
+        return TiledLatentField(self, source, *planned, token, self.dtype)
 
     def _domain_token(self, data: np.ndarray) -> int:
         """Cache-key token for a domain array; stable across re-opens."""
@@ -314,17 +345,17 @@ class TiledLatentField:
     :meth:`InferenceEngine.open` rather than constructing them directly.
     """
 
-    def __init__(self, engine: InferenceEngine, lowres: np.ndarray,
-                 layout: TileLayout, token: int, dtype: np.dtype):
+    def __init__(self, engine: InferenceEngine, lowres: np.ndarray, layout: TileLayout,
+                 planner: QueryPlanner, token: int, dtype: np.dtype):
         self.engine = engine
         self.lowres = lowres
         self.layout = layout
+        self.planner = planner
         self.token = token
         #: Precision of the compute path; crops are cast tile-by-tile at
         #: encode time so no full-domain copy is ever materialised.
         self.dtype = np.dtype(dtype)
         self._dtype_name = self.dtype.name  # cache-key part; the property rebuilds the string
-        self.planner = QueryPlanner(layout)
 
     # ---------------------------------------------------------------- encode
     @property
@@ -335,10 +366,22 @@ class TiledLatentField:
     def latent_tile(self, tile: int) -> np.ndarray:
         """Latent grid of one tile, shape ``(N, C_latent, *tile_shape)``.
 
-        Served from the engine's LRU cache; on a miss the tile's input slice
-        is encoded with one U-Net forward pass under
-        :func:`~repro.autodiff.inference_mode` (in eval mode when tiling, so
-        normalisation statistics do not depend on the crop).
+        A transposed view of the cached tile, which is held channel-last
+        (see :meth:`_latent_store`); the values are those of
+        ``model.latent_grid`` on the tile's crop.
+        """
+        return self._latent_store(tile).transpose(0, 4, 1, 2, 3)
+
+    def _latent_store(self, tile: int) -> np.ndarray:
+        """The cached tile, ``(N, *tile_shape, C_latent)`` and C-contiguous.
+
+        Channel-last, so that a vertex's latent vector is one contiguous row
+        of ``store.reshape(N, -1, C_latent)`` and the block decode gathers
+        with a single flat index.  Served from the engine's LRU cache; on a
+        miss the tile's input slice is encoded with one U-Net forward pass
+        under :func:`~repro.autodiff.inference_mode` (in eval mode when
+        tiling, so normalisation statistics do not depend on the crop) and
+        transposed once.
         """
         return self.engine.cache.get_or_create(
             (self.token, tile, self._dtype_name), lambda: self._encode(tile))
@@ -353,7 +396,8 @@ class TiledLatentField:
         mode = contextlib.nullcontext() if self.layout.is_single_tile else _eval_mode(model.unet)
         with _span("engine.encode_tile", tile=tile, shape=str(crop.shape)), mode, \
                 precision(self.dtype), inference_mode():
-            return model.latent_grid(Tensor(crop)).data
+            latent = model.latent_grid(Tensor(crop)).data
+        return np.ascontiguousarray(latent.transpose(0, 2, 3, 4, 1))
 
     # ----------------------------------------------------------------- query
     def query(self, coords: np.ndarray) -> np.ndarray:
@@ -364,12 +408,12 @@ class TiledLatentField:
         inherits the seed behaviour of linearly extrapolating the boundary
         cell instead).
 
-        Points are planned per window of ``_PLAN_WINDOW``, then
-        decoded in *tile-major* order — all of a tile's points before moving
-        to the next tile — so each latent tile is encoded once per pass
-        regardless of cache capacity.  Consecutive groups share flat decoder
-        calls of at most ``engine.chunk_size`` rows and the per-tile outputs
-        are blended with the planner's partition-of-unity weights.
+        Points are planned per window of ``_PLAN_WINDOW``; a window's plan
+        is tile-major, so each latent tile is fetched (and, on a miss,
+        encoded) once per pass whatever the cache capacity.  The plan is cut
+        into blocks of at most ``engine.chunk_size`` decoder rows, each
+        decoded in one flat decoder call and added into the output with the
+        planner's partition-of-unity weights (:meth:`_decode_block`).
         """
         coords = np.asarray(coords, dtype=self.dtype)
         if coords.ndim != 2 or coords.shape[1] != 3:
@@ -410,9 +454,9 @@ class TiledLatentField:
         limit = max(1, self.engine.chunk_size // (8 * self.n_batch))
         block, room = [], limit  # (group, slice of it) pairs; points still free
         for group in groups:
-            start = 0
-            while start < group.n:
-                stop = min(start + room, group.n)
+            n, start = group.n, 0
+            while start < n:
+                stop = min(start + room, n)
                 block.append((group, slice(start, stop)))
                 room -= stop - start
                 start = stop
@@ -425,19 +469,28 @@ class TiledLatentField:
     def _decode_block(self, block, out_view: np.ndarray) -> None:
         """Decode one block of group slices in a single decoder call and blend.
 
-        Cell index, in-cell fraction, corner weights and the order the eight
-        corner predictions are summed in are those of
+        The block is flattened first — its pieces' rows, tile-local
+        coordinates and blend weights end to end, in tile-major order — and
+        everything after works on those flat arrays.  Cell index, in-cell
+        fraction, corner weights and the order the eight corner predictions
+        are summed in are those of
         :func:`~repro.core.latent_grid.query_latent_grid`, computed once in
-        NumPy for the whole block; the decoder gets one row per
-        (sample, corner, point) and no padding.
+        NumPy for the whole block; a corner's latent vector is row
+        ``cell · steps + offset · steps`` of its channel-last tile, so each
+        tile is gathered with one flat index; the decoder gets one row per
+        (sample, corner, point) and no padding.  The weighted values are added
+        into ``out_view`` by one ``np.add.at``, which applies entries in
+        order: a point covered by several tiles has them summed in ascending
+        tile order, whichever other points share the block.
         """
         dt = self.dtype
-        tiles = [self.latent_tile(g.tile) for g, _ in block]
-        bounds = np.cumsum([0] + [sel.stop - sel.start for _, sel in block])
-        sizes = np.array(tiles[0].shape[2:])  # every tile of a layout has this shape
+        n_batch = self.n_batch
+        scale, last_cell, steps = _cell_constants(self.layout.tile_shape, dt)
+        rows = np.concatenate([g.rows[sel] for g, sel in block])
+        weights = np.concatenate([g.weights[sel] for g, sel in block]).astype(dt, copy=False)
         local = np.concatenate([g.local_coords[sel] for g, sel in block]).astype(dt, copy=False)
-        pos = local * np.maximum(sizes - 1, 1).astype(dt)
-        cell = np.clip(np.floor(pos), 0, np.maximum(sizes - 2, 0).astype(dt))
+        pos = local * scale
+        cell = np.clip(np.floor(pos), 0, last_cell)
         frac = pos - cell
         if self.engine.model.config.interpolation == "trilinear":
             offsets = _CORNERS[:, None, :]
@@ -446,28 +499,29 @@ class TiledLatentField:
         else:
             offsets = (frac >= 0.5).astype(np.intp)[None]
             corner_w = None
-        vertex = np.minimum(cell.astype(np.intp) + offsets, sizes - 1)  # (corners, P, 3)
-        inputs = np.empty((self.n_batch, *vertex.shape[:2], 3 + tiles[0].shape[1]), dtype=dt)
+        vertex = cell.astype(np.intp) @ steps + offsets @ steps  # (corners, P)
+        stores = [self._latent_store(g.tile) for g, _ in block]
+        inputs = np.empty((n_batch, *vertex.shape, 3 + stores[0].shape[-1]), dtype=dt)
         inputs[..., :3] = frac - offsets.astype(dt)
-        for tile, lo, hi in zip(tiles, bounds[:-1], bounds[1:]):
-            v = vertex[:, lo:hi]
-            inputs[:, :, lo:hi, 3:] = tile.transpose(0, 2, 3, 4, 1)[:, v[..., 0], v[..., 1], v[..., 2]]
+        lo = 0
+        for store, (_, sel) in zip(stores, block):
+            hi = lo + sel.stop - sel.start
+            inputs[:, :, lo:hi, 3:] = store.reshape(n_batch, -1, store.shape[-1]).take(
+                vertex[:, lo:hi], axis=1)
+            lo = hi
         flat = inputs.reshape(-1, inputs.shape[-1])
         # One "nearest" point alone is decoded twice: a one-row matmul takes BLAS's
         # matrix-vector kernel, whose bits differ from what the row gets in a batch.
         feed = flat if len(flat) > 1 else np.repeat(flat, 2, axis=0)
-        with _span("engine.decode_tile", n_tiles=len(block), n_points=int(bounds[-1])), \
+        with _span("engine.decode_tile", n_tiles=len(block), n_points=len(rows)), \
                 precision(dt), inference_mode():
             pred = self.engine.decoder(Tensor(feed)).data
         pred = pred[:len(flat)].reshape(*inputs.shape[:3], -1)
-        values = pred[:, 0]
         if corner_w is not None:
-            values = corner_w[0][None, :, None] * values
+            pred = pred * corner_w[None, :, :, None]
             for k in range(1, len(corner_w)):
-                values += corner_w[k][None, :, None] * pred[:, k]
-        for (g, sel), lo, hi in zip(block, bounds[:-1], bounds[1:]):
-            weights = g.weights[sel].astype(dt, copy=False)
-            out_view[:, g.rows[sel], :] += weights[None, :, None] * values[:, lo:hi]
+                pred[:, 0] += pred[:, k]
+        np.add.at(out_view, (slice(None), rows), pred[:, 0] * weights[None, :, None])
 
     # ------------------------------------------------------------ dense grid
     def predict_grid(self, output_shape: Sequence[int]) -> np.ndarray:

@@ -19,6 +19,9 @@ from .tiling import TileLayout
 
 __all__ = ["TileGroup", "QueryPlanner", "GridQueryPlanner", "pack_groups"]
 
+#: Primary (0) or secondary (1) tile along ``(t, z, x)``: the eight overlap combinations.
+_COMBINATIONS = np.array(list(itertools.product((0, 1), repeat=3)))
+
 
 @dataclass
 class TileGroup:
@@ -49,21 +52,39 @@ class TileGroup:
 
 
 class QueryPlanner:
-    """Plans tile ownership, local coordinates and blend weights for queries."""
+    """Plans tile ownership, local coordinates and blend weights for queries.
+
+    The layout is immutable, so the per-layout constants of :meth:`plan` are
+    laid out here once, with the three axes along the leading dimension.
+    """
 
     def __init__(self, layout: TileLayout):
         self.layout = layout
+        axes, grid_shape = layout.axes, layout.grid_shape
+        column = lambda values: np.array(values, dtype=np.float64)[:, None]
+        self._scale = column([max(ax.size - 1, 1) for ax in axes])
+        self._last = column([ax.size - 1 for ax in axes])
+        self._tile_length = column([max(ax.tile - 1, 1) for ax in axes])
+        self._strides = np.array([grid_shape[1] * grid_shape[2], grid_shape[2], 1])
+        # The eight overlap combinations, primary first and last axis fastest; that
+        # order fixes how a point's weights are summed and the rows inside a group.
+        self._combo_shift = _COMBINATIONS @ self._strides
+        # First vertex of every tile along each axis, one column per linear tile id.
+        self._tile_starts = np.stack(np.meshgrid(
+            *(np.array(ax.starts, dtype=np.float64) for ax in axes), indexing="ij")).reshape(3, -1)
 
     def plan(self, coords: np.ndarray) -> list[TileGroup]:
         """Assign a chunk of global query points to covering tiles.
 
-        One pass over flat arrays: the ``(row, tile, weight)`` candidates of
-        the eight overlap combinations are built from only the rows that have
-        a secondary tile on the combination's axes (most points have none),
-        normalised per point, sorted once by tile id (stably, so a group
-        keeps combination order, rows ascending within a combination) and cut
-        into groups that are slices of the sorted arrays.  Planning is done
-        in float64 whatever the dtype of ``coords``.
+        One pass over flat arrays, the three axes batched as ``(3, P)``: the
+        ``(row, tile, weight)`` candidates of the eight overlap combinations
+        (a point enters a combination only if it has a secondary tile on each
+        of the combination's axes; most points have none, and only those that
+        have one are looked at beyond their primary tile) are normalised per
+        point, sorted once by tile id (stably, so a group keeps combination
+        order, rows ascending within a combination) and cut into groups that
+        are slices of the sorted arrays.  Planning is done in float64
+        whatever the dtype of ``coords``.
 
         Parameters
         ----------
@@ -82,60 +103,52 @@ class QueryPlanner:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError(f"coords must have shape (P, 3); got {coords.shape}")
-        layout = self.layout
         n_points = coords.shape[0]
-        grid_shape = layout.grid_shape
-        strides = (grid_shape[1] * grid_shape[2], grid_shape[2], 1)
-
-        positions = []
-        # Per axis, the tiles a point may take: its primary always, its secondary
-        # only if some point has one — (linear-id shift, weight factor, row mask).
-        choices = []
-        primary_tile = 0
-        for ax, stride, axis_coords in zip(layout.axes, strides, coords.T):
-            pos = np.clip(axis_coords * max(ax.size - 1, 1), 0.0, ax.size - 1)
-            primary, weight, has_secondary = ax.covering(pos)
-            positions.append(pos)
-            primary_tile = primary_tile + primary * stride
-            choices.append([(0, weight, None)])
-            if has_secondary.any():
-                choices[-1].append((stride, 1.0 - weight, has_secondary))
-
-        # product() walks the combinations primary-first, last axis fastest; that
-        # order fixes how a point's weights are summed and the rows inside a group.
-        all_rows = np.arange(n_points)
-        candidates = []
-        for combination in itertools.product(*choices):
-            masks = [mask for _, _, mask in combination if mask is not None]
-            f0, f1, f2 = (factor for _, factor, _ in combination)
-            if masks:
-                rows = np.logical_and.reduce(masks).nonzero()[0]
-                w = f0[rows] * f1[rows] * f2[rows]
-            else:
-                rows = all_rows
-                w = f0 * f1 * f2
-            keep = w > 0.0
-            if not keep.all():
-                rows, w = rows[keep], w[keep]
-            if rows.size:
-                shift = sum(shift for shift, _, _ in combination)
-                candidates.append((rows, primary_tile[rows] + shift, w))
-        if not candidates:
+        if n_points == 0:
             return []
+        positions = np.empty((3, n_points))
+        np.multiply(coords.T, self._scale, out=positions)
+        np.clip(positions, 0.0, self._last, out=positions)
+        primary, weight, has_secondary = self.layout.covering(positions)
 
-        rows, tiles, w = (np.concatenate(column) for column in zip(*candidates))
+        # Per axis a point takes its primary tile (factor ``weight``) or, inside a
+        # ramp, its secondary (``1 - weight``); a combination's weight is the
+        # product of its three factors, taken in axis order.  Every point is a
+        # candidate of combination 0; the other seven are built, all at once,
+        # from only the points that have a secondary tile at all.
+        primary_tile = self._strides @ primary
+        all_primary = weight[0] * weight[1] * weight[2]
+        rows = (all_primary > 0.0).nonzero()[0]
+        w, tiles = all_primary[rows], primary_tile[rows]
+        overlap = has_secondary.any(axis=0).nonzero()[0]
+        if overlap.size:
+            factor = np.empty((3, 2, overlap.size))
+            factor[:, 0] = weight[:, overlap]
+            np.subtract(1.0, factor[:, 0], out=factor[:, 1])
+            allowed = np.ones((3, 2, overlap.size), dtype=bool)
+            allowed[:, 1] = has_secondary[:, overlap]
+            product = (factor[0][:, None, None] * factor[1][None, :, None]
+                       * factor[2][None, None, :]).reshape(8, -1)
+            keep = (allowed[0][:, None, None] & allowed[1][None, :, None]
+                    & allowed[2][None, None, :]).reshape(8, -1) & (product > 0.0)
+            keep[0] = False
+            combination, index = keep.nonzero()  # combination-major, rows ascending
+            rows = np.concatenate([rows, overlap[index]])
+            w = np.concatenate([w, product[combination, index]])
+            tiles = np.concatenate(
+                [tiles, primary_tile[overlap[index]] + self._combo_shift[combination]])
+
         # bincount adds a point's weights in candidate (= combination) order.
         w /= np.bincount(rows, weights=w, minlength=n_points)[rows]
         order = np.argsort(tiles, kind="stable")
         rows, tiles, w = rows[order], tiles[order], w[order]
-        local = np.empty((rows.size, 3))
-        for axis, (ax, index) in enumerate(zip(layout.axes, np.unravel_index(tiles, grid_shape))):
-            start = np.asarray(ax.starts, dtype=np.float64)[index]
-            local[:, axis] = (positions[axis][rows] - start) / float(max(ax.tile - 1, 1))
+        local = positions.take(rows, axis=1)
+        local -= self._tile_starts.take(tiles, axis=1)
+        local /= self._tile_length
         cuts = (tiles[1:] != tiles[:-1]).nonzero()[0] + 1
         bounds = [0, *cuts.tolist(), rows.size]
         return [
-            TileGroup(tile=tile, rows=rows[lo:hi], local_coords=local[lo:hi], weights=w[lo:hi])
+            TileGroup(tile=tile, rows=rows[lo:hi], local_coords=local[:, lo:hi].T, weights=w[lo:hi])
             for tile, lo, hi in zip(tiles[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])
         ]
 

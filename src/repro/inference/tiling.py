@@ -16,6 +16,7 @@ the induced 3-D weights (products over axes) form a partition of unity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,6 +166,9 @@ def _layout_axis(size: int, tile: int, halo: int, divisor: int,
 class TileLayout:
     """Cartesian-product tiling of a 3-D ``(t, z, x)`` low-resolution domain.
 
+    A layout is immutable once built (the engine keeps one per domain
+    shape), so everything a query needs from it is derived here, once.
+
     Parameters
     ----------
     domain_shape:
@@ -181,6 +185,13 @@ class TileLayout:
     ramp_width:
         Width, in vertex units, of the smooth blending ramp inside each
         overlap (``0`` gives a sharp but still exact hand-off).
+
+    Attributes
+    ----------
+    axes:
+        One :class:`AxisLayout` per axis.
+    tile_shape, grid_shape, n_tiles:
+        Vertices per tile, tiles per axis, and tiles in all.
     """
 
     def __init__(self, domain_shape: Sequence[int], tile_shape: Sequence[int],
@@ -200,24 +211,50 @@ class TileLayout:
             for a in range(3)
         )
         self.tile_shape = tuple(ax.tile for ax in self.axes)
+        self.grid_shape = tuple(ax.n_tiles for ax in self.axes)
+        self.n_tiles = math.prod(self.grid_shape)
+        # The ramps of all axes as flat tables for :meth:`covering`: boundary
+        # ``j`` of axis ``a`` sits at ``_ramp_base[a] + j``, and each axis ends
+        # in a ``lo = +inf`` entry, so that the last tile of an axis (which
+        # hands off to nobody) is never inside a ramp.
+        self._ramp_hi_by_axis = [(a, np.asarray(ax.ramp_hi)) for a, ax in enumerate(self.axes)
+                                 if ax.n_tiles > 1]
+        self._ramp_base = np.cumsum([0, *self.grid_shape[:2]])[:, None]
+        self._ramp_lo = np.concatenate([[*ax.ramp_lo, np.inf] for ax in self.axes])
+        self._ramp_hi = np.concatenate([[*ax.ramp_hi, np.inf] for ax in self.axes])
 
     # ------------------------------------------------------------------ info
-    @property
-    def grid_shape(self) -> tuple[int, int, int]:
-        """Number of tiles along each axis."""
-        return tuple(ax.n_tiles for ax in self.axes)
-
-    @property
-    def n_tiles(self) -> int:
-        """Total number of tiles."""
-        return int(np.prod(self.grid_shape))
-
     @property
     def is_single_tile(self) -> bool:
         """True when one tile covers the whole domain (direct mode)."""
         return self.n_tiles == 1
 
     # --------------------------------------------------------------- queries
+    def covering(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`AxisLayout.covering` of all three axes in one pass.
+
+        ``positions`` is a C-contiguous float64 array of shape ``(3, P)``,
+        row ``a`` holding vertex-unit positions in ``[0, size_a - 1]``; the
+        three results have that shape too and are, row by row and bit for
+        bit, what the axis's own ``covering`` returns.
+        """
+        primary = np.zeros(positions.shape, dtype=np.intp)
+        for axis, his in self._ramp_hi_by_axis:
+            primary[axis] = np.searchsorted(his, positions[axis], side="right")
+        weight = np.ones(positions.shape)
+        has_secondary = np.zeros(positions.shape, dtype=bool)
+        boundary = primary + self._ramp_base
+        # primary = searchsorted guarantees p < hi; p > lo additionally means
+        # the point sits strictly inside the ramp (where hi > lo).
+        ramp = (positions > self._ramp_lo[boundary]).ravel().nonzero()[0]
+        if ramp.size:
+            boundary = boundary.ravel()[ramp]
+            lo = self._ramp_lo[boundary]
+            w = 1.0 - smoothstep((positions.ravel()[ramp] - lo) / (self._ramp_hi[boundary] - lo))
+            weight.ravel()[ramp] = w
+            has_secondary.ravel()[ramp] = w < 1.0
+        return primary, weight, has_secondary
+
     def tile_index(self, linear: int) -> tuple[int, int, int]:
         """Convert a linear tile id into per-axis tile indices."""
         return tuple(int(v) for v in np.unravel_index(linear, self.grid_shape))

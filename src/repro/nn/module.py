@@ -107,9 +107,12 @@ class Module:
         """Dtype of the module's parameters (first parameter's dtype).
 
         Modules are expected to be precision-homogeneous: construction
-        under one policy and :meth:`astype` both guarantee it.
+        under one policy and :meth:`astype` both guarantee it.  Read from
+        the live parameter on every call (an in-place :meth:`astype` shows
+        at once) through the lazy :meth:`named_parameters`, so only the
+        path to the first parameter is walked.
         """
-        for p in self.parameters():
+        for _, p in self.named_parameters():
             return p.data.dtype
         return default_dtype()
 

@@ -1,10 +1,11 @@
 """Tiled batched inference engine: equivalence, caching, planning, fast path."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import (
@@ -15,8 +16,9 @@ from repro.autodiff import (
     is_inference_mode,
     ops,
 )
+from repro.backend import precision
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
-from repro.core.latent_grid import regular_grid_coordinates
+from repro.core.latent_grid import query_latent_grid, regular_grid_coordinates
 from repro.inference import (
     GridQueryPlanner,
     InferenceEngine,
@@ -156,6 +158,90 @@ def layouts(draw) -> TileLayout:
         divisor.append(d)
     return TileLayout(domain, tile, halo=halo, divisor=divisor, ramp_width=ramp_width)
 
+
+
+class GridStub:
+    """A "model" whose encoder is the identity and whose decoder has no matmul.
+
+    With a zero halo the engine may tile axes of one or two vertices, which no
+    U-Net allows; and the decoder is elementwise ``+ - *`` on a row's own
+    columns, so a row's bits cannot depend on the rows it is batched with.
+    Together they let the tiled engine be compared bit for bit, in either
+    precision, with :func:`query_latent_grid` run one tile at a time.  Output
+    channel 0 is latent channel 0 untouched: the plain interpolant of the field.
+    """
+
+    def __init__(self, interpolation="trilinear", dtype="float64"):
+        self.config = SimpleNamespace(interpolation=interpolation, out_channels=2, unet_norm="none")
+        self.unet = SimpleNamespace(receptive_halo=lambda: (0, 0, 0),
+                                    required_divisor=lambda: (1, 1, 1), modules=lambda: [])
+        self.dtype = np.dtype(dtype)
+
+    def latent_grid(self, lowres: Tensor) -> Tensor:
+        return lowres
+
+    @staticmethod
+    def imnet(x: Tensor) -> Tensor:
+        rel, latent = x.data[..., :3], x.data[..., 3:]
+        mixed = rel[..., 0] * latent[..., 1] + rel[..., 1] * rel[..., 2] - latent[..., 0] * rel[..., 2]
+        return Tensor(np.stack([latent[..., 0], mixed], axis=-1))
+
+
+def per_tile_reference(field, coords) -> np.ndarray:
+    """What ``field.query(coords)`` must return, built the slow way.
+
+    The ordered per-tile loop the flat decode replaced, with the tape's own
+    cell / fraction / corner-weight arithmetic: every group of the plan is
+    decoded alone by :func:`query_latent_grid` on ``latent_tile()`` and added
+    into the output with its blend weights, tiles ascending.
+    """
+    model, dt = field.engine.model, field.dtype
+    coords = np.asarray(coords, dtype=dt)
+    out = np.zeros((field.n_batch, len(coords), model.config.out_channels), dtype=dt)
+    with precision(dt), inference_mode():
+        for group in field.planner.plan(coords):
+            tile = field.latent_tile(group.tile)
+            assert tile.shape == (field.n_batch, field.lowres.shape[1], *field.layout.tile_shape)
+            local = np.repeat(group.local_coords.astype(dt)[None], field.n_batch, axis=0)
+            pred = query_latent_grid(Tensor(tile), Tensor(local), model.imnet,
+                                     interpolation=model.config.interpolation).data
+            out[:, group.rows] += group.weights.astype(dt)[None, :, None] * pred
+    return out
+
+
+@st.composite
+def stub_fields(draw):
+    """A tiled field over a :class:`GridStub`, with query points that sit where rounding decides.
+
+    Axes of one vertex, of two, and of up to nine, cut into tiles as short as
+    two vertices; points on 0 and 1, on vertices (= cell boundaries of every
+    tile), on ramp ends and outside the domain; both precisions and
+    interpolations; blocks of one point up to the whole plan.
+    """
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    interpolation = draw(st.sampled_from(["trilinear", "nearest"]))
+    ramp_width = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    domain, tile = [], []
+    for _ in range(3):
+        size = draw(st.sampled_from([1, 2, 3, 4, 6, 9]))
+        domain.append(size)
+        tile.append(draw(st.integers(min(size, 2 + int(ramp_width)), size)))
+    engine = InferenceEngine(GridStub(interpolation, dtype), tile_shape=tile, ramp_width=ramp_width,
+                             chunk_size=draw(st.sampled_from([8, 24, 4096])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    field = engine.open(rng.standard_normal((draw(st.sampled_from([1, 2])), 2, *domain)))
+    assume(not field.layout.is_single_tile)
+    n_points = draw(st.integers(1, 40))
+    coords = rng.uniform(-0.3, 1.3, (n_points, 3))
+    ends = on_ramp_ends(field.layout)
+    vertices = np.stack([rng.integers(0, size, n_points) / max(size - 1, 1) for size in domain], axis=1)
+    pick = rng.random((n_points, 3))
+    coords[pick < 0.1] = 0.0
+    coords[pick > 0.9] = 1.0
+    coords[(0.3 < pick) & (pick < 0.6)] = vertices[(0.3 < pick) & (pick < 0.6)]
+    on_end = (0.15 < pick[:, 0]) & (pick[:, 0] < 0.25)
+    coords[on_end] = ends[rng.integers(0, len(ends), int(on_end.sum()))]
+    return field, coords
 
 
 # --------------------------------------------------------------------------- #
@@ -502,6 +588,118 @@ class TestTilingAndPlanner:
 
 
 # --------------------------------------------------------------------------- #
+# The flat block decode and what the engine keeps between queries             #
+# --------------------------------------------------------------------------- #
+class TestFlatDecode:
+    @settings(max_examples=150, deadline=None)
+    @given(case=stub_fields())
+    def test_decode_arithmetic_is_query_latent_grid_s(self, case):
+        """``_decode_block`` states in NumPy what ``_blend_corners`` states on the tape.
+
+        Same cell, fraction, corner weights, vertices and summation order, so
+        the tiled query equals the per-tile ``query_latent_grid`` loop bit for
+        bit; and tiled mode clamps what lies outside the domain.
+        """
+        field, coords = case
+        got = field.query(coords)
+        assert got.dtype == field.dtype
+        assert np.array_equal(got, per_tile_reference(field, coords))
+        assert np.array_equal(got, field.query(np.clip(coords, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+    def test_points_under_one_two_four_and_eight_tiles(self, interpolation, dtype):
+        """A point's tiles are summed in ascending order whatever shares its block."""
+        engine = InferenceEngine(GridStub(interpolation, dtype), tile_shape=(6, 6, 6), ramp_width=2.0)
+        field = engine.open(np.random.default_rng(2).standard_normal((2, 2, 9, 9, 9)))
+        assert field.layout.grid_shape == (2, 2, 2)
+        # 0.5 is the middle of the one ramp of each axis, 0.125 is inside tile 0 only.
+        coords = np.array([[0.5] * k + [0.125] * (3 - k) for k in range(4)]
+                          + [[0.125] * (3 - k) + [0.5] * k for k in range(4)])
+        covering = np.zeros(len(coords), dtype=int)
+        for group in field.planner.plan(coords):
+            covering[group.rows] += 1
+        assert covering.tolist() == [1, 2, 4, 8, 1, 2, 4, 8]
+        reference = per_tile_reference(field, coords)
+        assert np.array_equal(field.query(coords), reference)
+        # One point alone ("nearest": one decoder row, fed twice) gets the same bits.
+        for i in range(len(coords)):
+            assert np.array_equal(field.query(coords[i:i + 1]), reference[:, i:i + 1])
+
+    def test_direct_mode_extrapolates_where_tiled_mode_clamps(self):
+        """The two documented out-of-range behaviours, on a field that is linear in x."""
+        lowres = np.zeros((1, 2, 2, 4, 9))
+        lowres[:, 0] = np.arange(9.0)
+        coords = np.array([[0.5, 0.5, 1.25], [0.5, 0.5, -0.125], [2.0, -1.0, 0.5]])
+        direct = InferenceEngine(GridStub()).open(lowres)
+        tiled = InferenceEngine(GridStub(), tile_shape=(2, 4, 6), ramp_width=0.0).open(lowres)
+        assert direct.layout.is_single_tile and tiled.layout.n_tiles == 2
+        with inference_mode():
+            whole = query_latent_grid(Tensor(lowres), Tensor(coords[None]), GridStub.imnet).data
+        assert np.array_equal(direct.query(coords), whole)
+        assert direct.query(coords)[0, :, 0].tolist() == [10.0, -1.0, 4.0]  # the boundary cell, continued
+        assert tiled.query(coords)[0, :, 0].tolist() == [8.0, 0.0, 4.0]     # the boundary value
+        assert np.array_equal(tiled.query(coords), direct.query(np.clip(coords, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_coalesced_query_equals_the_requests_alone(self, dtype):
+        """Real ImNet, tiles along all three axes: a request's bits do not depend on its batch."""
+        model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval().astype(dtype)
+        field = InferenceEngine(model, tile_shape=(10, 16, 16)).open(
+            np.random.default_rng(4).standard_normal((1, 4, 16, 24, 24)))
+        assert min(field.layout.grid_shape) > 1
+        rng = np.random.default_rng(9)
+        requests = [rng.random((n, 3)) for n in (1, 16, 2, 64, 7)]
+        together = field.query(np.concatenate(requests))
+        alone = np.concatenate([field.query(coords) for coords in requests], axis=1)
+        assert together.dtype == np.dtype(dtype) and np.array_equal(together, alone)
+
+
+class TestEngineKeepsWhatItDerived:
+    def test_open_reuses_layout_and_planner_per_domain_shape(self, model, lowres):
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16))
+        first, again = engine.open(lowres), engine.open(lowres.copy(), key="other")
+        assert again.layout is first.layout and again.planner is first.planner
+        assert first.planner.layout is first.layout
+
+    def test_two_domain_shapes_on_one_engine_do_not_alias(self, model, lowres):
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16))
+        small = np.random.default_rng(6).standard_normal((1, 4, 4, 24, 24))
+        coords = np.random.default_rng(7).random((40, 3))
+        fields = [engine.open(lowres), engine.open(small), engine.open(lowres)]
+        assert fields[0].layout is fields[2].layout and fields[0].layout is not fields[1].layout
+        assert fields[0].layout.domain_shape == (4, 24, 40)
+        assert fields[1].layout.domain_shape == (4, 24, 24)
+        for field, domain in zip(fields, (lowres, small, lowres)):
+            fresh = InferenceEngine(model, tile_shape=(4, 16, 16)).query_points(domain, coords)
+            assert np.array_equal(field.query(coords), fresh)
+
+    def test_engine_dtype_follows_an_in_place_cast(self):
+        """``engine.dtype`` is read, not remembered: ``Module.astype`` casts in place."""
+        net = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval()
+        engine = InferenceEngine(net, tile_shape=(4, 16, 16))
+        assert engine.dtype == net.dtype
+        net.astype("float32" if net.dtype == np.float64 else "float64")
+        assert engine.dtype == net.dtype
+        lowres = np.random.default_rng(1).standard_normal((1, 4, 4, 24, 24))
+        assert engine.query_points(lowres, np.full((3, 3), 0.5)).dtype == net.dtype
+
+    @pytest.mark.parametrize("tile_shape", [None, (4, 16, 16)])
+    def test_latent_tile_is_the_model_s_latent_grid_of_the_crop(self, model, lowres, tile_shape):
+        """Cached channel-last, handed out channel-first: shape and values as before."""
+        field = InferenceEngine(model, tile_shape=tile_shape).open(lowres)
+        tile = field.layout.n_tiles - 1
+        crop = lowres[(slice(None), slice(None), *field.layout.tile_slices(tile))]
+        with inference_mode():
+            expected = model.latent_grid(Tensor(np.ascontiguousarray(crop, dtype=field.dtype))).data
+        latent = field.latent_tile(tile)
+        assert latent.shape == (1, model.config.latent_channels, *field.layout.tile_shape)
+        assert np.array_equal(latent, expected)
+        assert np.shares_memory(latent, field.latent_tile(tile))       # a view of the cache entry
+        assert latent.transpose(0, 2, 3, 4, 1).flags.c_contiguous      # which is channel-last
+
+
+# --------------------------------------------------------------------------- #
 # Engine API surface                                                          #
 # --------------------------------------------------------------------------- #
 class TestEngineAPI:
@@ -688,9 +886,15 @@ class TestConcurrentEngineUse:
         coords = np.random.default_rng(3).random((9, 3))
         first = engines[0].open(lowres, key="dom").query(coords)
         misses = shared.stats().misses
-        second = engines[1].open(lowres, key="dom").query(coords)
+        field = engines[1].open(lowres, key="dom")
+        second = field.query(coords)
         assert shared.stats().misses == misses  # replica 2 decoded from cache
         assert np.array_equal(first, second)
+        # ... from the very arrays replica 1 stored, whatever their layout in the cache.
+        for tile in [group.tile for group in field.planner.plan(coords)]:
+            assert np.shares_memory(field.latent_tile(tile),
+                                    engines[0].open(lowres, key="dom").latent_tile(tile))
+        assert shared.stats().misses == misses
 
     def test_replicate_shares_weight_arrays(self, model):
         """Shared-parameter replicas alias the source arrays exactly."""

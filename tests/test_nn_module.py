@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.autodiff import Tensor, ops
+from repro.backend import default_dtype, precision
 
 
 class Toy(nn.Module):
@@ -51,6 +52,30 @@ class TestModuleRegistry:
         assert any(p.grad is not None for p in m.parameters())
         m.zero_grad()
         assert all(p.grad is None for p in m.parameters())
+
+
+class TestDtype:
+    def test_dtype_is_read_from_the_first_parameter_only(self, monkeypatch):
+        """``dtype`` stops at the first parameter instead of collecting all of them."""
+        m = Toy()
+        monkeypatch.setattr(nn.Module, "parameters", lambda self: pytest.fail("walked every parameter"))
+        assert m.dtype == m.fc1.weight.data.dtype
+
+    def test_dtype_follows_an_in_place_astype(self):
+        m = Toy()
+        for name in ("float32", "float64", "float32"):
+            assert m.astype(name).dtype == np.dtype(name)
+            assert all(p.data.dtype == m.dtype for p in m.parameters())
+
+    def test_parameterless_module_reports_the_policy_dtype(self):
+        class Holder(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.inner = nn.Module()
+
+        assert Holder().dtype == default_dtype()
+        with precision("float32"):
+            assert Holder().dtype == np.float32
 
 
 class TestStateDict:
