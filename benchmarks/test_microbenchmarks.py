@@ -115,7 +115,8 @@ def test_continuous_decode_no_grad(benchmark, model, inputs):
 
 @pytest.mark.benchmark(group="kernels")
 def test_continuous_decode_inference_mode(benchmark, model, inputs):
-    """Decode under the inference-mode fast path (lean Op.apply dispatch)."""
+    """Decode under ``inference_mode()``: the one ``Op.apply`` path every mode
+    takes, so this reads like the ``no_grad`` baseline above."""
     lowres, coords, _ = inputs
     grid = model.latent_grid(lowres)
 

@@ -10,7 +10,7 @@ super-resolves a domain far larger than one training crop through
    windows, with overlaps covering the encoder's receptive-field halo,
 2. encodes each tile once, on demand, into a bounded LRU latent cache,
 3. decodes query points in fused batches (tiles stacked along the batch
-   axis) under the autodiff inference-mode fast path, and
+   axis) under autodiff ``inference_mode()``, and
 4. blends overlapping tiles with a smooth partition of unity — the result
    matches direct (untiled) decoding to floating-point round-off.
 

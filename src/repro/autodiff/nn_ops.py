@@ -99,8 +99,12 @@ class Conv3d(Op):
     def backward(self, grad):
         x, weight = self.inputs
         geometry = dict(stride=self.stride, padding=self.padding)
-        return (Conv3dGradInput.apply(grad, weight, x_shape=self._x_shape, **geometry),
-                Conv3dGradWeight.apply(grad, x, kernel=weight.shape[2:], **geometry))
+        gx = gw = None
+        if self.needs_input_grad(0):  # not for the first layer: its input is the batch
+            gx = Conv3dGradInput.apply(grad, weight, x_shape=self._x_shape, **geometry)
+        if self.needs_input_grad(1):
+            gw = Conv3dGradWeight.apply(grad, x, kernel=weight.shape[2:], **geometry)
+        return gx, gw
 
 
 class Conv3dGradInput(Op):

@@ -51,13 +51,15 @@ def _sum_axes_for_broadcast(from_shape: tuple[int, ...], to_shape: tuple[int, ..
 
 def sum_to_shape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce ``t`` to ``shape`` by summing broadcast dimensions."""
-    t = ensure_tensor(t)
-    if t.shape == tuple(shape):
+    shape = tuple(shape)
+    if not isinstance(t, Tensor):
+        t = ensure_tensor(t)
+    if t.shape == shape:
         return t
-    axes = _sum_axes_for_broadcast(t.shape, tuple(shape))
+    axes = _sum_axes_for_broadcast(t.shape, shape)
     if axes:
         t = sum(t, axis=axes, keepdims=True)
-    if t.shape != tuple(shape):
+    if t.shape != shape:
         t = reshape(t, shape)
     return t
 
@@ -70,7 +72,9 @@ class Add(Op):
         return _B.add(a, b)
 
     def backward(self, grad):
-        return sum_to_shape(grad, self._a_shape), sum_to_shape(grad, self._b_shape)
+        ga = sum_to_shape(grad, self._a_shape) if self.needs_input_grad(0) else None
+        gb = sum_to_shape(grad, self._b_shape) if self.needs_input_grad(1) else None
+        return ga, gb
 
 
 class Sub(Op):
@@ -80,7 +84,9 @@ class Sub(Op):
         return _B.subtract(a, b)
 
     def backward(self, grad):
-        return sum_to_shape(grad, self._a_shape), sum_to_shape(neg(grad), self._b_shape)
+        ga = sum_to_shape(grad, self._a_shape) if self.needs_input_grad(0) else None
+        gb = sum_to_shape(neg(grad), self._b_shape) if self.needs_input_grad(1) else None
+        return ga, gb
 
 
 class Mul(Op):
@@ -91,8 +97,8 @@ class Mul(Op):
 
     def backward(self, grad):
         a, b = self.inputs
-        ga = sum_to_shape(mul(grad, b), self._a_shape)
-        gb = sum_to_shape(mul(grad, a), self._b_shape)
+        ga = sum_to_shape(mul(grad, b), self._a_shape) if self.needs_input_grad(0) else None
+        gb = sum_to_shape(mul(grad, a), self._b_shape) if self.needs_input_grad(1) else None
         return ga, gb
 
 
@@ -104,8 +110,9 @@ class Div(Op):
 
     def backward(self, grad):
         a, b = self.inputs
-        ga = sum_to_shape(div(grad, b), self._a_shape)
-        gb = sum_to_shape(neg(div(mul(grad, a), mul(b, b))), self._b_shape)
+        ga = sum_to_shape(div(grad, b), self._a_shape) if self.needs_input_grad(0) else None
+        gb = (sum_to_shape(neg(div(mul(grad, a), mul(b, b))), self._b_shape)
+              if self.needs_input_grad(1) else None)
         return ga, gb
 
 
@@ -292,8 +299,9 @@ class Maximum(Op):
     def backward(self, grad):
         a, b = self.inputs
         mask = greater_equal_mask(a, b)
-        ga = sum_to_shape(mul(grad, mask), self._a_shape)
-        gb = sum_to_shape(mul(grad, sub(1.0, mask)), self._b_shape)
+        ga = sum_to_shape(mul(grad, mask), self._a_shape) if self.needs_input_grad(0) else None
+        gb = (sum_to_shape(mul(grad, sub(1.0, mask)), self._b_shape)
+              if self.needs_input_grad(1) else None)
         return ga, gb
 
 
@@ -306,8 +314,9 @@ class Minimum(Op):
     def backward(self, grad):
         a, b = self.inputs
         mask = less_equal_mask(a, b)
-        ga = sum_to_shape(mul(grad, mask), self._a_shape)
-        gb = sum_to_shape(mul(grad, sub(1.0, mask)), self._b_shape)
+        ga = sum_to_shape(mul(grad, mask), self._a_shape) if self.needs_input_grad(0) else None
+        gb = (sum_to_shape(mul(grad, sub(1.0, mask)), self._b_shape)
+              if self.needs_input_grad(1) else None)
         return ga, gb
 
 
@@ -383,9 +392,12 @@ class MatMul(Op):
 
     def backward(self, grad):
         a, b = self.inputs
-        ga = matmul(grad, swap_last_axes(b))
-        gb = matmul(swap_last_axes(a), grad)
-        return sum_to_shape(ga, self._a_shape), sum_to_shape(gb, self._b_shape)
+        ga = gb = None
+        if self.needs_input_grad(0):
+            ga = sum_to_shape(matmul(grad, swap_last_axes(b)), self._a_shape)
+        if self.needs_input_grad(1):
+            gb = sum_to_shape(matmul(swap_last_axes(a), grad), self._b_shape)
+        return ga, gb
 
 
 # --------------------------------------------------------------------------- reductions & shape
@@ -408,9 +420,8 @@ class Sum(Op):
             kept_shape = tuple(
                 1 if i in axes else d for i, d in enumerate(self._in_shape)
             )
-        g = grad if self.keepdims and self.axis is not None else reshape(grad, kept_shape)
-        if not self.keepdims and self.axis is None:
-            g = reshape(grad, kept_shape)
+        # With keepdims the gradient already has the kept shape.
+        g = grad if self.keepdims else reshape(grad, kept_shape)
         return (broadcast_to(g, self._in_shape),)
 
 
@@ -444,17 +455,17 @@ class Transpose(Op):
     """Axis permutation."""
     def __init__(self, axes=None):
         self.axes = tuple(axes) if axes is not None else None
+        # Reversing the axes is its own inverse; a permutation's is its argsort
+        # (in Python: NumPy's costs more than a small transpose itself).
+        self._inverse = (None if axes is None else
+                         tuple(sorted(range(len(self.axes)), key=self.axes.__getitem__)))
 
     def forward(self, a):
         self._ndim = a.ndim
         return np.transpose(a, self.axes)
 
     def backward(self, grad):
-        if self.axes is None:
-            inv = None
-        else:
-            inv = tuple(int(np.argsort(self.axes)[i]) for i in range(len(self.axes)))
-        return (transpose(grad, inv),)
+        return (transpose(grad, self._inverse),)
 
 
 def _is_basic_index(index) -> bool:
@@ -544,7 +555,9 @@ class GatherVertices(Op):
 
     def backward(self, grad):
         _, it, iz, ix = self.inputs
-        return (scatter_vertices(grad, it, iz, ix, self._grid_shape), None, None, None)
+        g = (scatter_vertices(grad, it, iz, ix, self._grid_shape)
+             if self.needs_input_grad(0) else None)
+        return (g, None, None, None)
 
 
 class ScatterVertices(Op):
@@ -562,7 +575,8 @@ class ScatterVertices(Op):
 
     def backward(self, grad):
         _, it, iz, ix = self.inputs
-        return (gather_vertices(grad, it, iz, ix), None, None, None)
+        g = gather_vertices(grad, it, iz, ix) if self.needs_input_grad(0) else None
+        return (g, None, None, None)
 
 
 class Concatenate(Op):
@@ -577,10 +591,13 @@ class Concatenate(Op):
     def backward(self, grad):
         grads = []
         start = 0
-        for size in self._sizes:
-            index = [slice(None)] * grad.ndim
-            index[self.axis] = slice(start, start + size)
-            grads.append(getitem(grad, tuple(index)))
+        for i, size in enumerate(self._sizes):
+            if self.needs_input_grad(i):
+                index = [slice(None)] * grad.ndim
+                index[self.axis] = slice(start, start + size)
+                grads.append(getitem(grad, tuple(index)))
+            else:
+                grads.append(None)
             start += size
         return tuple(grads)
 

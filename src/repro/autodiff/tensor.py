@@ -28,6 +28,8 @@ import numpy as np
 
 from ..backend import SUPPORTED_DTYPES, canonical_dtype, default_dtype, get_backend, operand_dtype
 
+_FLOAT32, _FLOAT64 = SUPPORTED_DTYPES
+
 __all__ = [
     "Tensor",
     "Op",
@@ -159,7 +161,7 @@ def is_grad_enabled() -> bool:
 
 
 def is_inference_mode() -> bool:
-    """Return whether the stricter :func:`inference_mode` fast path is active."""
+    """Return whether this thread is inside :func:`inference_mode`."""
     return _state.inference_mode
 
 
@@ -195,16 +197,16 @@ def enable_grad():
 
 @contextlib.contextmanager
 def inference_mode():
-    """Context manager for graph-free inference with a leaner dispatch path.
+    """Context manager for graph-free inference that cannot be re-enabled.
 
-    A strict superset of :func:`no_grad`: graph construction is disabled *and*
-    :meth:`Op.apply` takes a fast path that skips input coercion bookkeeping,
-    the ``requires_grad`` scan and graph-related attribute set-up on the
-    output tensor.  Inside the context, :func:`enable_grad` must not be used
-    (mirroring ``torch.inference_mode``); attempting to do so raises
-    ``RuntimeError``.  The mode is per-thread, so concurrent serving workers
-    never affect other threads.  Intended for hot serving paths such as
-    :class:`repro.inference.InferenceEngine`.
+    :func:`no_grad` plus one promise: inside the context
+    :func:`enable_grad` raises ``RuntimeError`` (mirroring
+    ``torch.inference_mode``), so code holding an output knows no graph
+    can hang off it.  :meth:`Op.apply` has a single dispatch path and
+    treats the two contexts alike; :func:`is_inference_mode` is what lets
+    callers such as :mod:`repro.compile` tell a serving call from a
+    training one.  The mode is per-thread, so concurrent serving workers
+    never affect other threads.
     """
     prev_grad, prev_inf = _state.grad_enabled, _state.inference_mode
     _state.grad_enabled = False
@@ -222,7 +224,9 @@ class Op:
     :meth:`backward` (returning one gradient :class:`Tensor` — or ``None`` —
     per input).  ``backward`` receives the upstream gradient as a
     :class:`Tensor` and must be written using tensor operations whenever the
-    op may participate in higher-order differentiation.
+    op may participate in higher-order differentiation.  A rule with more
+    than one input computes only the gradients :meth:`needs_input_grad`
+    asks for and returns ``None`` in the other slots.
     """
 
     #: Inputs captured by :meth:`apply`.
@@ -234,40 +238,51 @@ class Op:
     def backward(self, grad_output: "Tensor") -> Sequence[Optional["Tensor"]]:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def needs_input_grad(self, i: int) -> bool:
+        """Whether a sweep will keep this op's gradient for input ``i``.
+
+        :meth:`apply` marks every tensor downstream of a leaf that requires
+        grad, in first-order and ``create_graph=True`` sweeps alike, so an
+        input without the flag is a constant (a Python scalar, the
+        low-resolution batch, the query coordinates at gamma=0) and a
+        gradient computed for it would be dropped by the sweep.
+        """
+        return self.inputs[i].requires_grad
+
     @classmethod
     def apply(cls, *inputs, **kwargs) -> "Tensor":
         """Run the op on ``inputs`` and (optionally) record it in the graph.
 
-        Non-tensor operands are coerced under the backend promotion rule:
-        operands that already carry a floating dtype (arrays, NumPy
-        scalars) keep it, while *weak* operands (Python scalars, lists,
-        integer arrays) adopt the promoted dtype of the strong operands —
-        or the policy default when there is none — so a scalar never
-        upcasts a float32 graph to float64.
+        One path for every mode: the grad flag decides only whether the
+        output remembers the op.  Non-tensor operands are coerced under the
+        backend promotion rule (see :func:`_coerce_operands`).
         """
         hook = _OP_HOOK
         token = hook.start() if hook is not None else None
-        if _state.inference_mode and _state.tracer is None:
-            # Fast path: no graph can ever be recorded, so skip the
-            # requires_grad scan and build the output tensor directly.
-            if all(isinstance(x, Tensor) for x in inputs):
-                arrays = tuple(x.data for x in inputs)
-            else:
-                arrays = tuple(t.data for t in _coerce_operands(inputs))
-            out = Tensor(cls(**kwargs).forward(*arrays))
-            if hook is not None:
-                hook.finish(token, cls.__name__, out.data)
-            return out
-        tensors = _coerce_operands(inputs)
+        state = _state.__dict__  # this thread's flags, fetched once
+        for x in inputs:
+            if not isinstance(x, Tensor):
+                inputs = _coerce_operands(inputs)
+                break
         op = cls(**kwargs)
-        data = op.forward(*(t.data for t in tensors))
-        requires_grad = _state.grad_enabled and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires_grad)
-        if requires_grad:
-            op.inputs = tensors
-            out._op = op
-        if _state.tracer is not None:
-            _state.tracer.record(op, tensors, out, kwargs)
+        if len(inputs) == 2:  # spelled out: a comprehension is 0.3 us, a fifth of a small op
+            a, b = inputs
+            data = op.forward(a.data, b.data)
+        elif len(inputs) == 1:
+            data = op.forward(inputs[0].data)
+        else:
+            data = op.forward(*[t.data for t in inputs])
+        out = _wrap(data)
+        if state["grad_enabled"]:
+            for t in inputs:
+                if t.requires_grad:
+                    op.inputs = inputs
+                    out._op = op
+                    out.requires_grad = True
+                    break
+        tracer = state["tracer"]
+        if tracer is not None:
+            tracer.record(op, inputs, out, kwargs)
         if hook is not None:
             hook.finish(token, cls.__name__, out.data)
         return out
@@ -342,7 +357,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
+        return _wrap(self.data)
 
     def astype(self, dtype) -> "Tensor":
         """Return a leaf copy of this tensor cast to ``dtype``.
@@ -400,6 +415,25 @@ def ensure_tensor(x, dtype=None) -> Tensor:
     return Tensor(x, requires_grad=False, dtype=dtype)
 
 
+def _wrap(data) -> Tensor:
+    """A history-free tensor around an op result, skipping the constructor.
+
+    A float32 / float64 ``ndarray`` is exactly what ``Tensor(data)`` would
+    store, so the slots are filled directly.  Anything else — the NumPy
+    scalar of a full reduction, a bool or integer array — goes through
+    the constructor, which gives it the dtype and 0-d shape it always had.
+    """
+    if type(data) is not np.ndarray or (data.dtype is not _FLOAT64 and data.dtype is not _FLOAT32):
+        return Tensor(data)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out.grad = None
+    out._op = None
+    out.name = None
+    return out
+
+
 def _coerce_operands(inputs) -> tuple[Tensor, ...]:
     """Coerce an op's operand list to tensors under the promotion rule.
 
@@ -407,10 +441,23 @@ def _coerce_operands(inputs) -> tuple[Tensor, ...]:
     weak operands adopt :func:`repro.backend.operand_dtype` of the whole
     operand list, so ``float32_tensor * 2.0`` stays float32 instead of
     minting a float64 constant (which NumPy 2 promotion would then spread
-    over the result).
+    over the result).  Python ``float`` / ``int`` operands beside tensors
+    of one dtype — ``mul(t, 2.0)``, every backward rule's constants — take
+    that dtype without the promotion walk.
     """
-    if all(isinstance(x, Tensor) for x in inputs):
-        return tuple(inputs)
+    dtype = None
+    for x in inputs:
+        if isinstance(x, Tensor):
+            if dtype is None:
+                dtype = x.data.dtype
+            elif x.data.dtype is not dtype:
+                break
+        elif type(x) is not float and type(x) is not int:
+            break
+    else:
+        if dtype is _FLOAT64 or dtype is _FLOAT32:
+            return tuple([x if isinstance(x, Tensor) else _wrap(np.array(x, dtype=dtype))
+                          for x in inputs])
     weak = operand_dtype(inputs)
     return tuple(ensure_tensor(x, dtype=weak) for x in inputs)
 
@@ -476,7 +523,9 @@ def _backward_pass(
 
 
 def _accumulate(grads, nodes, node: Tensor, g: Tensor, create_graph: bool) -> None:
-    if not create_graph:
+    # Rule outputs of a ``no_grad`` sweep carry no history already; only a
+    # caller's ``grad_output`` (or a rule handing back a graph tensor) does.
+    if not create_graph and (g._op is not None or g.requires_grad):
         g = g.detach()
     if g.shape != node.shape:
         raise ValueError(
@@ -485,9 +534,7 @@ def _accumulate(grads, nodes, node: Tensor, g: Tensor, create_graph: bool) -> No
     key = id(node)
     nodes[key] = node
     if key in grads:
-        from . import ops  # local import to avoid a circular dependency
-
-        grads[key] = ops.add(grads[key], g)
+        grads[key] = grads[key] + g  # ``ops.add``, through the operator ``ops`` attaches
     else:
         grads[key] = g
 

@@ -633,6 +633,18 @@ class TestGeneratedPrograms:
              lambda a: ops.mul(a, ops.sum(a))]
     BINARY = [ops.add, ops.sub, ops.mul, ops.maximum, ops.minimum, ops.matmul]
 
+    @classmethod
+    def draw_dag(cls, data):
+        """A drawn DAG (``(builder, operand indices)`` per node) and the
+        indices of the nodes chosen as outputs."""
+        nodes = st.one_of(
+            st.tuples(st.sampled_from(cls.UNARY), st.tuples(st.integers(0, 13))),
+            st.tuples(st.sampled_from(cls.BINARY), st.tuples(st.integers(0, 13), st.integers(0, 13))))
+        dag = data.draw(st.lists(nodes, min_size=4, max_size=12))
+        outputs = data.draw(st.lists(st.integers(0, len(dag) - 1), min_size=1, max_size=4,
+                                     unique=True))
+        return dag, outputs
+
     @staticmethod
     def build(dag, outputs):
         """The traced function of a drawn DAG: the chosen values, then the
@@ -652,12 +664,7 @@ class TestGeneratedPrograms:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), policy=st.sampled_from(["float64", "float32"]))
     def test_compiled_dag_matches_eager(self, data, policy):
-        nodes = st.one_of(
-            st.tuples(st.sampled_from(self.UNARY), st.tuples(st.integers(0, 13))),
-            st.tuples(st.sampled_from(self.BINARY), st.tuples(st.integers(0, 13), st.integers(0, 13))))
-        dag = data.draw(st.lists(nodes, min_size=4, max_size=12))
-        outputs = data.draw(st.lists(st.integers(0, len(dag) - 1), min_size=1, max_size=4,
-                                     unique=True))
+        dag, outputs = self.draw_dag(data)
         fn = self.build(dag, outputs)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
         cf = rc.compile_fn(fn)
@@ -676,6 +683,45 @@ class TestGeneratedPrograms:
             if e is not None:
                 assert c.dtype == e.dtype
                 assert np.array_equal(c.data, e.data, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), policy=st.sampled_from(["float64", "float32"]))
+    def test_masked_leaves_get_the_gradients_of_the_full_graph(self, data, policy):
+        """The eager tape against itself: backward rules skip the gradient of
+        an input that does not require one, so a graph in which only some
+        leaves require grad must hand those leaves, bit for bit, what the
+        same graph computes when every leaf does — in a first-order sweep
+        and in a second ``grad`` through a ``create_graph=True`` one."""
+        n_leaves = 3
+        dag, outputs = self.draw_dag(data)
+        mask = data.draw(st.lists(st.booleans(), min_size=n_leaves, max_size=n_leaves)
+                         .filter(lambda m: any(m) and not all(m)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        arrays = [rng.uniform(-1, 1, (self.N, self.N)).astype(policy) for _ in range(n_leaves)]
+
+        def sweep(requires_grad):
+            leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires_grad)]
+            values = list(leaves)
+            for builder, operands in dag:
+                values.append(builder(*(values[i % len(values)] for i in operands)))
+            total = values[n_leaves + outputs[0]].sum()
+            for i in outputs[1:]:
+                total = ops.add(total, values[n_leaves + i].sum())
+            wanted = [leaf for leaf, m in zip(leaves, mask) if m]
+            first = grad(total, wanted)
+            again = grad(total, wanted, create_graph=True)
+            live = [g for g in again if g is not None and g.requires_grad]
+            second = (grad(ops.sum(ops.concatenate(live)), wanted) if live
+                      else (None,) * len(wanted))
+            return (*first, *again, *second)
+
+        with precision(policy), np.errstate(all="ignore"):
+            masked, full = sweep(mask), sweep([True] * n_leaves)
+        for m, f in zip(masked, full):
+            assert (m is None) == (f is None)
+            if f is not None:
+                assert m.dtype == f.dtype
+                assert np.array_equal(m.data, f.data, equal_nan=True)
 
 
 class TestPlanCache:

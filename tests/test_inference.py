@@ -1,4 +1,4 @@
-"""Tiled batched inference engine: equivalence, caching, planning, fast path."""
+"""Tiled batched inference engine: equivalence, caching, planning, inference mode."""
 
 import itertools
 from types import SimpleNamespace
@@ -747,7 +747,7 @@ class TestEngineAPI:
 
 
 # --------------------------------------------------------------------------- #
-# autodiff inference_mode fast path                                           #
+# autodiff inference_mode                                                     #
 # --------------------------------------------------------------------------- #
 class TestInferenceMode:
     def test_no_graph_is_recorded(self):
