@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every table/figure benchmark runs its experiment at a CPU-friendly scale (the
-``bench_scale`` fixture) through ``benchmark.pedantic(rounds=1)`` — the point
-of these benchmarks is to *regenerate* the paper's tables and figures and
-report how long that takes, not to micro-profile a hot loop.  The
-micro-benchmarks in ``test_microbenchmarks.py`` use normal multi-round timing.
+Every table/figure benchmark selects its experiment with a ``PipelineConfig``
+at a CPU-friendly scale (the ``bench_scale`` overrides) and runs it in memory
+through ``benchmark.pedantic(rounds=1)`` — the point of these benchmarks is to
+*regenerate* the paper's tables and figures and report how long that takes,
+not to micro-profile a hot loop.  The micro-benchmarks in
+``test_microbenchmarks.py`` use normal multi-round timing.
 
 Benchmarks that want their numbers tracked *across PRs* record entries
 through the ``bench_artifact`` fixture; at session end the collected
@@ -26,8 +27,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
-from repro.experiments import SCALES
 
 #: Schema version of the BENCH_*.json artifacts.
 BENCH_ARTIFACT_SCHEMA = "repro-bench/1"
@@ -105,9 +104,9 @@ def run_traced():
 
 
 @pytest.fixture(scope="session")
-def bench_scale():
-    """Scale used by the table/figure regeneration benchmarks."""
-    return SCALES["tiny"].with_overrides(
+def bench_scale() -> dict:
+    """``PipelineConfig.scale_overrides`` of the table/figure regeneration benchmarks."""
+    return dict(
         hr_shape=(16, 16, 64),
         lr_factors=(2, 2, 4),
         crop_shape_lr=(4, 4, 8),
@@ -119,9 +118,9 @@ def bench_scale():
 
 
 @pytest.fixture(scope="session")
-def bench_scale_solver(bench_scale):
-    """Same scale but generating data with the actual Rayleigh–Bénard solver."""
-    return bench_scale.with_overrides(backend="solver", t_final=4.0)
+def bench_scale_solver(bench_scale) -> dict:
+    """Same overrides but generating data with the actual Rayleigh–Bénard solver."""
+    return {**bench_scale, "backend": "solver", "t_final": 4.0}
 
 
 @pytest.fixture

@@ -8,15 +8,19 @@ regenerate the figure).
 import numpy as np
 import pytest
 
-from repro.experiments import run_fig2_simulation
+from repro.pipeline import PipelineConfig, build_standard_pipeline, run_pipeline
 
 
 @pytest.mark.benchmark(group="fig2")
 def test_fig2_simulation_snapshot(benchmark, bench_scale_solver, once):
-    result = once(benchmark, run_fig2_simulation, scale=bench_scale_solver)
+    cfg = PipelineConfig(scale_overrides=bench_scale_solver, tables={}, figures={"fig2": True})
+    report = once(benchmark, run_pipeline, build_standard_pipeline(cfg), store=None,
+                  until="fig.fig2")
+    assert report.ok
+    result = report.values["fig.fig2"]
     fields = result["fields"]
     assert set(fields) == {"p", "T", "u", "w"}
-    nz, nx = bench_scale_solver.hr_shape[1:]
+    nz, nx = bench_scale_solver["hr_shape"][1:]
     for name, field in fields.items():
         assert field.shape == (nz, nx)
         assert np.isfinite(field).all()

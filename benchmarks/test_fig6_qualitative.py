@@ -7,12 +7,17 @@ baseline) for one snapshot and reports reconstruction errors.
 import numpy as np
 import pytest
 
-from repro.experiments import run_fig6_qualitative
+from repro.pipeline import PipelineConfig, build_standard_pipeline, run_pipeline
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_qualitative_fields(benchmark, bench_scale, once):
-    result = once(benchmark, run_fig6_qualitative, scale=bench_scale, gamma=0.0125)
+    cfg = PipelineConfig(scale_overrides=bench_scale, tables={}, figures={"fig6": True},
+                         gamma_star=0.0125)
+    report = once(benchmark, run_pipeline, build_standard_pipeline(cfg), store=None,
+                  until="fig.fig6")
+    assert report.ok
+    result = report.values["fig.fig6"]
     channels = ("p", "T", "u", "w")
     assert result["channels"] == channels
     for group in ("lowres", "prediction", "trilinear", "ground_truth"):

@@ -8,13 +8,18 @@ counts.
 
 import pytest
 
-from repro.experiments import run_fig7_scaling
+from repro.pipeline import PipelineConfig, build_standard_pipeline, run_pipeline
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7a_throughput_and_efficiency(benchmark, once):
-    result = once(benchmark, run_fig7_scaling, scale="tiny",
-                  world_sizes=(1, 2, 4, 8, 16, 32, 64, 128), train_curves=False)
+    cfg = PipelineConfig(tables={}, figures={"fig7": True},
+                         fig7_world_sizes=(1, 2, 4, 8, 16, 32, 64, 128),
+                         fig7_curve_world_sizes=())
+    report = once(benchmark, run_pipeline, build_standard_pipeline(cfg), store=None,
+                  until="fig.fig7")
+    assert report.ok
+    result = report.values["fig.fig7"]
     throughput = result["throughput"]
     tps = [throughput[w]["throughput"] for w in (1, 2, 4, 8, 16, 32, 64, 128)]
     assert all(b > a for a, b in zip(tps, tps[1:]))          # monotone scaling
@@ -30,8 +35,13 @@ def test_fig7a_throughput_and_efficiency(benchmark, once):
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7bc_loss_curves(benchmark, bench_scale, once):
-    result = once(benchmark, run_fig7_scaling, scale=bench_scale,
-                  world_sizes=(1, 2, 16, 128), curve_world_sizes=(1, 2), epochs=2)
+    cfg = PipelineConfig(scale_overrides={**bench_scale, "epochs": 2},
+                         tables={}, figures={"fig7": True},
+                         fig7_world_sizes=(1, 2, 16, 128), fig7_curve_world_sizes=(1, 2))
+    report = once(benchmark, run_pipeline, build_standard_pipeline(cfg), store=None,
+                  until="fig.fig7")
+    assert report.ok
+    result = report.values["fig.fig7"]
     curves = result["loss_curves"]
     assert set(curves) == {1, 2}
     for ws, curve in curves.items():

@@ -18,15 +18,7 @@ from repro.pipeline import ArtifactStore, PipelineConfig, build_standard_pipelin
 def test_pipeline_warm_vs_cold(benchmark, bench_scale, once, tmp_path, bench_artifact):
     cfg = PipelineConfig(
         name="bench",
-        scale_overrides={
-            "hr_shape": list(bench_scale.hr_shape),
-            "lr_factors": list(bench_scale.lr_factors),
-            "crop_shape_lr": list(bench_scale.crop_shape_lr),
-            "n_points": bench_scale.n_points,
-            "samples_per_epoch": bench_scale.samples_per_epoch,
-            "epochs": bench_scale.epochs,
-            "batch_size": bench_scale.batch_size,
-        },
+        scale_overrides=bench_scale,
         table1_gammas=(0.0, 0.0125),
         validate_table1=False,
         jobs=2,

@@ -10,15 +10,18 @@ simulation.  The paper's qualitative findings to compare against:
 
 import pytest
 
-from repro.experiments import run_table1_gamma_sweep
 from repro.metrics import format_table
+from repro.pipeline import PipelineConfig, build_standard_pipeline, run_pipeline
 
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_gamma_sweep(benchmark, bench_scale, once):
-    result = once(benchmark, run_table1_gamma_sweep, scale=bench_scale,
-                  gammas=(0.0, 0.0125, 0.2))
-    reports = result["reports"]
+    cfg = PipelineConfig(scale_overrides=bench_scale, tables={"table1": True}, figures={},
+                         table1_gammas=(0.0, 0.0125, 0.2), validate_table1=False)
+    report = once(benchmark, run_pipeline, build_standard_pipeline(cfg), store=None,
+                  until="table.table1")
+    assert report.ok
+    reports = report.values["table.table1"]["reports"]
     assert set(reports) == {"gamma=0", "gamma=0.0125", "gamma=0.2"}
     for report in reports.values():
         # all nine metrics must be present and finite

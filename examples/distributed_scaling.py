@@ -10,9 +10,10 @@ Three parts:
    (sharded samplers, per-node fused micro-batches, bucketed ring all-reduce
    on the gradients), printing the per-epoch loss and the bytes moved /
    collectives issued that its history records.
-3. **Loss vs. epochs / wall time (Fig. 7b-c)** — synchronous data-parallel
-   training simulated by gradient averaging over per-worker micro-batches;
-   wall times come from the performance model.
+3. **Loss vs. epochs / wall time (Fig. 7b-c)** — the ``fig.fig7`` stage of the
+   experiment pipeline, selected with a ``PipelineConfig``: synchronous
+   data-parallel training simulated by gradient averaging over per-worker
+   micro-batches; wall times come from the performance model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
 from repro.data import SuperResolutionDataset
 from repro.distributed import ScalingPerformanceModel
-from repro.experiments import run_fig7_scaling
+from repro.pipeline import PipelineConfig, build_standard_pipeline, run_pipeline
 from repro.simulation import synthetic_convection
 from repro.training import DistributedTrainer, TrainerConfig
 
@@ -61,8 +62,11 @@ def part2_gradient_sync(world_size: int = 4, nodes: int = 2, epochs: int = 2) ->
 
 def part3_loss_curves(world_sizes, epochs: int) -> None:
     print("=== Fig. 7b/7c — loss vs epochs and vs modelled wall time ===")
-    out = run_fig7_scaling(scale="tiny", world_sizes=world_sizes,
-                           curve_world_sizes=world_sizes, epochs=epochs)
+    cfg = PipelineConfig(tables={}, figures={"fig7": True},
+                         fig7_world_sizes=world_sizes, fig7_curve_world_sizes=world_sizes,
+                         scale_overrides={"epochs": epochs})
+    report = run_pipeline(build_standard_pipeline(cfg), store=None, until="fig.fig7")
+    out = report.values["fig.fig7"]
     for ws, curve in out["loss_curves"].items():
         losses = ", ".join(f"{l:.4f}" for l in curve["loss"])
         print(f"  {ws:4d} workers: loss per epoch = [{losses}]")

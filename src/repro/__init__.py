@@ -15,8 +15,8 @@ graph-capture fused executor that traces, fuses and buffer-reuses the
 autodiff hot paths (:mod:`repro.compile`), a pluggable scenario registry
 bundling PDE systems, data generators, normalization and metrics per physics
 family (:mod:`repro.scenarios` — Rayleigh–Bénard plus decaying turbulence,
-shallow water and advection–diffusion), and the experiment harnesses that
-regenerate every table and figure of the paper.
+shallow water and advection–diffusion), and the cached experiment pipeline
+that regenerates every table and figure of the paper (:mod:`repro.pipeline`).
 
 Quickstart
 ----------

@@ -61,9 +61,9 @@ class MeshfreeFlowNetConfig:
 
     # ----------------------------------------------------------------- presets
     @classmethod
-    def paper(cls) -> "MeshfreeFlowNetConfig":
+    def paper(cls, **overrides) -> "MeshfreeFlowNetConfig":
         """The architecture sizes reported in Fig. 5 of the paper."""
-        return cls()
+        return cls(**overrides)
 
     @classmethod
     def small(cls, **overrides) -> "MeshfreeFlowNetConfig":

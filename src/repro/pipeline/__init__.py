@@ -15,6 +15,8 @@ Layers (each its own module):
 * :mod:`~repro.pipeline.stage` / :mod:`~repro.pipeline.graph` — typed
   :class:`Stage` nodes, the :class:`Pipeline` DAG and its parallel,
   cache-aware executor :func:`run_pipeline`,
+* :mod:`~repro.pipeline.scale` — :class:`ExperimentScale` presets sizing the
+  data, the model and the training run of every stage,
 * :mod:`~repro.pipeline.config` — ``pipeline.toml`` →
   :class:`PipelineConfig`,
 * :mod:`~repro.pipeline.stages` — the registered simulate → train →
@@ -31,6 +33,7 @@ from .artifacts import ArtifactCorrupted, ArtifactMissing, ArtifactStore
 from .config import PipelineConfig, load_pipeline_config
 from .fingerprint import fingerprint
 from .graph import Pipeline, RunReport, StageResult, run_pipeline
+from .scale import SCALES, ExperimentScale, build_dataset, build_model, get_scale, simulate
 from .stage import Stage, StageContext
 from .stages import build_standard_pipeline
 from .validation import available_pins, load_pins, pins_from_reports, validate_reports
@@ -38,6 +41,7 @@ from .validation import available_pins, load_pins, pins_from_reports, validate_r
 __all__ = [
     "ArtifactCorrupted", "ArtifactMissing", "ArtifactStore",
     "PipelineConfig", "load_pipeline_config",
+    "ExperimentScale", "SCALES", "get_scale", "simulate", "build_dataset", "build_model",
     "fingerprint",
     "Pipeline", "RunReport", "StageResult", "run_pipeline",
     "Stage", "StageContext",

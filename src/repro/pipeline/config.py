@@ -1,12 +1,13 @@
 """``pipeline.toml`` → validated :class:`PipelineConfig`.
 
 The config front-end is deliberately thin: a TOML document selects the
-experiment scale (and per-knob overrides resolved through
-:func:`repro.experiments.get_scale` / :meth:`ExperimentScale.with_overrides`),
-which tables, figures and ablations to build, trainer knobs threaded to every
-training stage (``world_size``, ``compile``, precision), and the validation
-pins.  Unknown sections and keys raise immediately with the list of valid
-names — a typo never silently disables a stage.
+experiment scale (a :data:`repro.pipeline.scale.SCALES` preset plus per-knob
+overrides through :meth:`ExperimentScale.with_overrides`), which tables,
+figures and ablations to build, trainer knobs threaded to every training
+stage (``world_size``, ``compile``, precision), and the validation pins.  A
+:class:`PipelineConfig` built in code is the same thing: the selection *is*
+the experiment.  Unknown sections and keys raise immediately with the list of
+valid names — a typo never silently disables a stage.
 
 Parsing uses stdlib :mod:`tomllib` (the package requires Python ≥ 3.11).
 """
@@ -17,6 +18,9 @@ import tomllib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
+
+from ..faults import Retry
+from .scale import ExperimentScale, get_scale
 
 __all__ = ["PipelineConfig", "load_pipeline_config", "parse_toml"]
 
@@ -92,10 +96,8 @@ class PipelineConfig:
         self.retry_policy()  # validate the numeric knobs eagerly
 
     # ------------------------------------------------------------ resolution
-    def resolved_scale(self):
-        """The :class:`~repro.experiments.ExperimentScale` this config selects."""
-        from ..experiments import get_scale
-
+    def resolved_scale(self) -> ExperimentScale:
+        """The :class:`ExperimentScale` this config selects."""
         scale = get_scale(self.scale)
         if self.scale_overrides:
             overrides = {
@@ -126,8 +128,6 @@ class PipelineConfig:
         """
         if not self.retry:
             return None
-        from ..faults import Retry
-
         knobs = {k: v for k, v in self.retry.items() if k != "stages"}
         casts = {"max_attempts": int, "seed": int, "backoff": float,
                  "multiplier": float, "max_backoff": float, "jitter": float}

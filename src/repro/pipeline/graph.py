@@ -213,8 +213,8 @@ def run_pipeline(pipeline: Pipeline, store: Optional[ArtifactStore] = None,
     jobs:
         Max concurrently running stages (threads).
     keep_values:
-        Keep every stage value in :attr:`RunReport.values` (tests and the
-        legacy wrappers want them; the CLI disables this to keep memory flat
+        Keep every stage value in :attr:`RunReport.values` (tests and
+        in-memory runs read them; the CLI disables this to keep memory flat
         and retains only terminal stages' values).
     """
     order = pipeline.topo_order()

@@ -1,8 +1,8 @@
-"""Shared infrastructure for the experiment runners.
+"""Experiment scales: how big the data, the model and the training run are.
 
-Every table/figure runner accepts an :class:`ExperimentScale` that controls
-dataset sizes, model capacity and training length.  Three presets are
-provided:
+Every stage of the standard pipeline is sized by an :class:`ExperimentScale`,
+selected by name in ``pipeline.toml`` (``scale = "tiny"``) and adjusted knob by
+knob through ``[pipeline.scale_overrides]``.  Three presets are provided:
 
 * ``tiny``   — synthetic data, seconds per experiment; used by the benchmark
   suite and CI so every experiment runs on a single CPU core.
@@ -11,6 +11,9 @@ provided:
 * ``paper``  — the paper's nominal sizes (512×128 spatial grid, 400 snapshots,
   3000 samples/epoch, 100 epochs).  Provided for completeness; running it
   requires hours of CPU time (the original work used V100 GPUs).
+
+:func:`simulate`, :func:`build_dataset` and :func:`build_model` turn a scale
+into the objects the simulate / train / evaluate stage bodies work on.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
-
 from ..core.config import MeshfreeFlowNetConfig
 from ..core.model import MeshfreeFlowNet
 from ..data.dataset import SuperResolutionDataset
-from ..pde import RayleighBenard2D
+from ..scenarios import get_scenario
 from ..simulation import DatasetSpec, SimulationResult, generate_dataset
-from ..training import Trainer, TrainerConfig
+from ..training import TrainerConfig
 
-__all__ = ["ExperimentScale", "get_scale", "build_datasets", "build_dataset",
-           "build_model", "train_model", "run_stages", "SCALES"]
+__all__ = ["ExperimentScale", "SCALES", "get_scale", "simulate", "build_dataset",
+           "build_model"]
 
 
 @dataclass
@@ -53,6 +55,7 @@ class ExperimentScale:
     seed: int = 0
 
     def with_overrides(self, **overrides) -> "ExperimentScale":
+        """A copy with the named fields replaced; unknown names raise ``KeyError``."""
         valid = {f.name for f in fields(self)}
         unknown = sorted(set(overrides) - valid)
         if unknown:
@@ -62,28 +65,21 @@ class ExperimentScale:
             )
         return replace(self, **overrides)
 
-    def _scenario_model_overrides(self) -> dict:
-        if self.scenario == "rayleigh_benard":
-            return {}  # the config defaults already describe the paper's channels
-        from ..scenarios import get_scenario  # lazy: avoids an import cycle
-
-        return get_scenario(self.scenario).model_overrides()
-
     def model_config(self, **overrides) -> MeshfreeFlowNetConfig:
+        """The ``model_size`` architecture with this scale's pooling, seed and scenario channels."""
         factory = {
             "tiny": MeshfreeFlowNetConfig.tiny,
             "small": MeshfreeFlowNetConfig.small,
             "paper": MeshfreeFlowNetConfig.paper,
         }[self.model_size]
-        merged = {"seed": self.seed, **self._scenario_model_overrides(), **overrides}
-        if self.model_size == "paper":
-            cfg = factory()
-            for key, value in merged.items():
-                setattr(cfg, key, value)
-            return cfg
-        return factory(unet_pool_factors=self.model_pool_factors, **merged)
+        scenario = {}  # the config defaults already describe the paper's channels
+        if self.scenario != "rayleigh_benard":
+            scenario = get_scenario(self.scenario).model_overrides()
+        return factory(**{"unet_pool_factors": self.model_pool_factors,
+                          "seed": self.seed, **scenario, **overrides})
 
     def trainer_config(self, gamma: float, **overrides) -> TrainerConfig:
+        """This scale's training length and batch size at equation-loss weight ``gamma``."""
         base = dict(
             epochs=self.epochs,
             batch_size=self.batch_size,
@@ -128,33 +124,12 @@ SCALES: dict[str, ExperimentScale] = {
 }
 
 
-def get_scale(scale: str | ExperimentScale | None) -> ExperimentScale:
-    """Resolve a scale name (or pass through an :class:`ExperimentScale`)."""
-    if scale is None:
-        return SCALES["tiny"]
-    if isinstance(scale, ExperimentScale):
-        return scale
+def get_scale(name: str) -> ExperimentScale:
+    """The preset :class:`ExperimentScale` called ``name``."""
     try:
-        return SCALES[scale]
+        return SCALES[name]
     except KeyError as exc:
-        raise KeyError(f"unknown scale '{scale}'; available: {sorted(SCALES)}") from exc
-
-
-def run_stages(stages, name: str = "adhoc", jobs: int = 1) -> dict:
-    """Run ad-hoc pipeline stages fully in memory; return stage values by name.
-
-    The legacy table/figure runners are thin wrappers that build a few
-    :mod:`repro.pipeline.stages` nodes and extract their values from here.
-    Raises ``RuntimeError`` listing the failing stages if any stage body
-    raised (in-memory runs have no cone poisoning to hide behind).
-    """
-    from ..pipeline.graph import Pipeline, run_pipeline  # lazy: avoids an import cycle
-
-    report = run_pipeline(Pipeline(stages, name=name), store=None, jobs=jobs)
-    if not report.ok:
-        failures = {r.name: r.error for r in report.results.values() if r.status == "failed"}
-        raise RuntimeError(f"pipeline stage(s) failed: {failures}")
-    return report.values
+        raise KeyError(f"unknown scale '{name}'; available: {sorted(SCALES)}") from exc
 
 
 def simulate(scale: ExperimentScale, rayleigh: Optional[float] = None,
@@ -162,8 +137,6 @@ def simulate(scale: ExperimentScale, rayleigh: Optional[float] = None,
     """Generate one high-resolution dataset at this scale."""
     nt, nz, nx = scale.hr_shape
     if scale.scenario != "rayleigh_benard":
-        from ..scenarios import get_scenario  # lazy: avoids an import cycle
-
         return get_scenario(scale.scenario).generate(
             nt=nt, nz=nz, nx=nx, t_final=scale.t_final,
             seed=scale.seed if seed is None else int(seed),
@@ -179,48 +152,19 @@ def simulate(scale: ExperimentScale, rayleigh: Optional[float] = None,
     return generate_dataset(spec)
 
 
-def build_dataset(scale: ExperimentScale, results: Sequence[SimulationResult] | SimulationResult | None = None,
-                  rayleigh: Optional[float] = None, seed: Optional[int] = None,
-                  **overrides) -> SuperResolutionDataset:
-    """Build a :class:`SuperResolutionDataset` for this scale."""
-    if results is None:
-        results = simulate(scale, rayleigh=rayleigh, seed=seed)
-    params = dict(
+def build_dataset(scale: ExperimentScale,
+                  results: Sequence[SimulationResult] | SimulationResult) -> SuperResolutionDataset:
+    """Build a :class:`SuperResolutionDataset` over ``results`` for this scale."""
+    return SuperResolutionDataset(
+        results,
         lr_factors=scale.lr_factors,
         crop_shape_lr=scale.crop_shape_lr,
         n_points=scale.n_points,
         samples_per_epoch=scale.samples_per_epoch,
         seed=scale.seed,
     )
-    params.update(overrides)
-    return SuperResolutionDataset(results, **params)
-
-
-def build_datasets(scale: ExperimentScale, seeds: Sequence[int]) -> list[SimulationResult]:
-    """Generate several datasets differing only in their initial-condition seed."""
-    return [simulate(scale, seed=s) for s in seeds]
 
 
 def build_model(scale: ExperimentScale, **config_overrides) -> MeshfreeFlowNet:
     """Instantiate a MeshfreeFlowNet sized for this scale."""
     return MeshfreeFlowNet(scale.model_config(**config_overrides))
-
-
-def train_model(scale: ExperimentScale, dataset: SuperResolutionDataset,
-                gamma: float, model: Optional[MeshfreeFlowNet] = None,
-                rayleigh: Optional[float] = None, **trainer_overrides) -> Trainer:
-    """Train a MeshfreeFlowNet on ``dataset`` with equation-loss weight ``gamma``."""
-    model = model if model is not None else build_model(scale)
-    pde = None
-    if gamma > 0:
-        if scale.scenario == "rayleigh_benard":
-            ra = scale.rayleigh if rayleigh is None else float(rayleigh)
-            pde = RayleighBenard2D(rayleigh=ra, prandtl=scale.prandtl)
-        else:
-            from ..scenarios import get_scenario  # lazy: avoids an import cycle
-
-            pde = get_scenario(scale.scenario).make_pde_system()
-    trainer = Trainer(model, dataset, pde_system=pde,
-                      config=scale.trainer_config(gamma, **trainer_overrides))
-    trainer.train()
-    return trainer

@@ -1,15 +1,15 @@
 """Registered stage bodies + builders for the standard experiment pipeline.
 
-This module decomposes the old monolithic ``repro.experiments`` runners into
-reusable, individually cached DAG stages:
+Every table, figure and ablation of the paper is defined here, once, as a
+DAG of reusable, individually cached stages:
 
 * **simulate** — one high-resolution dataset (one initial condition / one
   Rayleigh number) as a :class:`SimulationResult` artifact,
 * **train** — one trained model; the artifact is the model state dict plus
   the training history (and parameter count).  Training checkpoints into the
-  stage's scratch directory every ``checkpoint_every`` epochs with the
-  artifact fingerprint embedded, so an interrupted stage resumes
-  bit-identically (PR 4's checkpoint/resume contract) instead of restarting,
+  stage's scratch directory after every epoch with the artifact fingerprint
+  embedded, so an interrupted stage resumes bit-identically (PR 4's
+  checkpoint/resume contract) instead of restarting,
 * **evaluate** — the physics-metric :class:`MetricReport` of one model on one
   held-out simulation (one row of Tables 1–4),
 * **render** — assemble rows into a table artifact (reports + formatted
@@ -18,14 +18,15 @@ reusable, individually cached DAG stages:
   per-metric tolerances, emitting a machine-readable report.
 
 :func:`build_standard_pipeline` wires a :class:`PipelineConfig` into the full
-DAG.  Stage names are shared across experiments wherever the computation is
-identical (Table 1's γ=0 training is Table 2's ``mfn_gamma=0`` training, the
-γ-sweep's training simulation is Figure 2's snapshot source, …), so the
+DAG; an experiment is a config selection (``tables=``, ``figures=``,
+``ablations=``, ...) run through :func:`~repro.pipeline.graph.run_pipeline`,
+in memory (``store=None``) or against an :class:`ArtifactStore`.  Stage names
+are shared across experiments wherever the computation is identical (Table
+1's γ=0 training is Table 2's ``mfn_gamma=0`` training, the γ-sweep's
+training simulation is Figure 2's snapshot source, …), so the
 content-addressed cache deduplicates work across tables automatically.
-
-All stage bodies import their collaborators lazily to keep
-``repro.pipeline`` ↔ ``repro.experiments`` import-order free (the legacy
-runners are now thin wrappers over these stages).
+``docs/ARCHITECTURE.md`` maps each paper artefact to its config key and
+stage name.
 """
 
 from __future__ import annotations
@@ -36,8 +37,19 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..autodiff import Tensor
+from ..baselines import TrilinearBaseline, UNetDecoderBaseline
+from ..distributed import ScalingPerformanceModel
+from ..inference import InferenceEngine
+from ..metrics import turbulence_summary
+from ..metrics.report import format_table
+from ..pde import RayleighBenard2D
+from ..scenarios import get_scenario
+from ..training import DistributedTrainer, Trainer, evaluate_model
+from ..training.checkpoint import CheckpointFingerprintError, verify_checkpoint_fingerprint
 from .config import PipelineConfig
 from .graph import Pipeline
+from .scale import ExperimentScale, build_dataset, build_model, simulate
 from .stage import Stage, StageContext
 from .validation import load_pins, validate_reports
 
@@ -46,7 +58,6 @@ __all__ = [
     "sim_stage", "train_stage", "eval_stage", "table_stage",
     "fig2_stage", "fig6_stage", "fig7_stage", "allreduce_stage",
     "validate_stage",
-    "fig6_payload", "fig7_payload",
 ]
 
 
@@ -59,10 +70,8 @@ def _scale_params(scale) -> dict:
     return asdict(scale)
 
 
-def _scale_from_params(params: Mapping):
+def _scale_from_params(params: Mapping) -> ExperimentScale:
     """Rebuild an :class:`ExperimentScale` from :func:`_scale_params` output."""
-    from ..experiments.common import ExperimentScale
-
     kwargs = dict(params)
     for key in ("hr_shape", "lr_factors", "crop_shape_lr"):
         kwargs[key] = tuple(kwargs[key])
@@ -72,9 +81,6 @@ def _scale_from_params(params: Mapping):
 
 def _build_model_for(scale, kind: str, overrides: Mapping):
     """Instantiate the model a train/evaluate stage operates on."""
-    from ..baselines import TrilinearBaseline, UNetDecoderBaseline
-    from ..experiments.common import build_model
-
     if kind == "trilinear":
         return TrilinearBaseline()
     if kind == "unet_baseline":
@@ -91,8 +97,6 @@ def _build_model_for(scale, kind: str, overrides: Mapping):
 
 def _run_simulate(ctx: StageContext):
     """Generate one high-resolution simulation block."""
-    from ..experiments.common import simulate
-
     p = ctx.params
     return simulate(_scale_from_params(p["scale"]), rayleigh=p.get("rayleigh"),
                     seed=p["seed"])
@@ -100,11 +104,6 @@ def _run_simulate(ctx: StageContext):
 
 def _run_train(ctx: StageContext):
     """Train one model; resumable via fingerprinted scratch checkpoints."""
-    from ..experiments.common import build_dataset
-    from ..pde import RayleighBenard2D
-    from ..training import DistributedTrainer, Trainer
-    from ..training.checkpoint import CheckpointFingerprintError, verify_checkpoint_fingerprint
-
     p = ctx.params
     scale = _scale_from_params(p["scale"])
     sims = [ctx.inputs[name] for name in p["sim_inputs"]]
@@ -120,15 +119,12 @@ def _run_train(ctx: StageContext):
             pde = RayleighBenard2D(rayleigh=scale.rayleigh if ra is None else float(ra),
                                    prandtl=scale.prandtl)
         else:
-            from ..scenarios import get_scenario
-
             pde = get_scenario(scale.scenario).make_pde_system()
     trainer_cls = DistributedTrainer if p.get("distributed") else Trainer
     trainer = trainer_cls(model, dataset, pde_system=pde,
                           config=scale.trainer_config(gamma, **p.get("trainer_overrides", {})))
 
     total_epochs = trainer.config.epochs
-    every = max(1, int(p.get("checkpoint_every", 1)))
     ckpt = ctx.scratch / "train.npz" if ctx.scratch is not None else None
     if ckpt is not None and ckpt.exists():
         try:
@@ -139,7 +135,7 @@ def _run_train(ctx: StageContext):
         except (CheckpointFingerprintError, ValueError, OSError, KeyError):
             ckpt.unlink(missing_ok=True)
     while trainer.epochs_completed < total_epochs:
-        trainer.train(epochs=min(every, total_epochs - trainer.epochs_completed))
+        trainer.train(epochs=1)  # checkpoint after every epoch
         if ckpt is not None:
             trainer.save(ckpt, extra_metadata={"artifact_fingerprint": ctx.fingerprint})
     return {
@@ -164,9 +160,6 @@ def _restore_model(ctx: StageContext, scale):
 
 def _run_evaluate(ctx: StageContext):
     """Physics-metric report of one model on one held-out simulation."""
-    from ..experiments.common import build_dataset
-    from ..training import evaluate_model
-
     p = ctx.params
     scale = _scale_from_params(p["scale"])
     model = _restore_model(ctx, scale)
@@ -176,8 +169,6 @@ def _run_evaluate(ctx: StageContext):
 
 def _run_table(ctx: StageContext):
     """Assemble evaluation rows into one table artifact (reports + text)."""
-    from ..metrics.report import format_table
-
     p = ctx.params
     reports = {label: ctx.inputs[dep] for label, dep in p["rows"]}
     return {
@@ -191,12 +182,10 @@ def _run_table(ctx: StageContext):
 
 def _run_fig2(ctx: StageContext):
     """Late-time snapshot + turbulence statistics of the data-generating run."""
-    from ..metrics import turbulence_summary
-
     p = ctx.params
     scale = _scale_from_params(p["scale"])
     sim = ctx.inputs[p["sim_input"]]
-    index = min(int(p["snapshot_fraction"] * (sim.nt - 1)), sim.nt - 1)
+    index = int(0.75 * (sim.nt - 1))  # a late-time snapshot
     snapshot = sim.snapshot(index)
     _, dz, dx = sim.grid_spacing()
     nu = float(np.sqrt(sim.prandtl / sim.rayleigh))
@@ -214,11 +203,12 @@ def _run_fig2(ctx: StageContext):
     }
 
 
-def fig6_payload(model, dataset, scale, gamma: float, snapshot_fraction: float) -> dict:
-    """Figure 6 rows (input / prediction / trilinear / truth) for one model."""
-    from ..autodiff import Tensor
-    from ..baselines import TrilinearBaseline
-    from ..inference import InferenceEngine
+def _run_fig6(ctx: StageContext):
+    """Figure 6 rows (input / prediction / trilinear / truth) for one trained model."""
+    p = ctx.params
+    scale = _scale_from_params(p["scale"])
+    model = _restore_model(ctx, scale)
+    dataset = build_dataset(scale, results=ctx.inputs[p["sim_input"]])
 
     lowres, highres, _ = dataset.evaluation_pair(0)
     hr_shape = highres.shape[1:]
@@ -231,13 +221,13 @@ def fig6_payload(model, dataset, scale, gamma: float, snapshot_fraction: float) 
     true_fields = dataset.denormalize(highres, channel_axis=0)
     low_fields = dataset.denormalize(lowres, channel_axis=0)
 
-    t_hr = min(int(snapshot_fraction * (hr_shape[0] - 1)), hr_shape[0] - 1)
+    t_hr = int(0.5 * (hr_shape[0] - 1))  # the mid-time snapshot
     t_lr = min(t_hr // scale.lr_factors[0], lowres.shape[1] - 1)
     channels = dataset.channel_names
     return {
         "experiment": "fig6_qualitative",
         "scale": scale.name,
-        "gamma": gamma,
+        "gamma": float(p["gamma"]),
         "channels": channels,
         "lowres": {c: low_fields[i, t_lr] for i, c in enumerate(channels)},
         "prediction": {c: pred_fields[i, t_hr] for i, c in enumerate(channels)},
@@ -250,54 +240,10 @@ def fig6_payload(model, dataset, scale, gamma: float, snapshot_fraction: float) 
     }
 
 
-def _run_fig6(ctx: StageContext):
-    """Figure 6 payload from a trained-model artifact + its simulation."""
-    from ..experiments.common import build_dataset
-
-    p = ctx.params
-    scale = _scale_from_params(p["scale"])
-    model = _restore_model(ctx, scale)
-    dataset = build_dataset(scale, results=ctx.inputs[p["sim_input"]])
-    return fig6_payload(model, dataset, scale, gamma=float(p["gamma"]),
-                        snapshot_fraction=float(p["snapshot_fraction"]))
-
-
-def fig7_payload(perf, world_sizes: Sequence[int], curves: Mapping[int, Mapping],
-                 scale_name: str) -> dict:
-    """Figure 7 payload from a performance model + per-world-size loss curves."""
-    throughput_points = perf.evaluate(list(world_sizes))
-    return {
-        "experiment": "fig7_scaling",
-        "scale": scale_name,
-        "world_sizes": [int(w) for w in world_sizes],
-        "throughput": {
-            p.world_size: {
-                "throughput": p.throughput,
-                "ideal_throughput": perf.ideal_throughput(p.world_size),
-                "efficiency": p.efficiency,
-                "step_time": p.step_time,
-                "communication_time": p.communication_time,
-                "epoch_time": p.epoch_time,
-            }
-            for p in throughput_points
-        },
-        "efficiency_at_max": throughput_points[-1].efficiency,
-        "loss_curves": dict(curves),
-        "performance_model": {
-            "n_parameters": perf.n_parameters,
-            "compute_time_per_sample": perf.compute_time_per_sample,
-            "batch_size_per_worker": perf.batch_size_per_worker,
-            "overlap_fraction": perf.overlap_fraction,
-        },
-    }
-
-
 def _run_fig7(ctx: StageContext):
     """Figure 7 scaling payload (α–β throughput model + training-loss curves)."""
-    from ..distributed import ScalingPerformanceModel
-
     p = ctx.params
-    perf = ScalingPerformanceModel(**p.get("perf_kwargs", {}))
+    perf = ScalingPerformanceModel()
     curves: dict[int, dict] = {}
     for ws, dep in p["curve_inputs"]:
         records = ctx.inputs[dep]["history"]["records"]
@@ -309,13 +255,35 @@ def _run_fig7(ctx: StageContext):
             "wall_time": (np.arange(1, len(losses) + 1) * epoch_time).tolist(),
             "modelled_epoch_time": epoch_time,
         }
-    return fig7_payload(perf, p["world_sizes"], curves, p["scale_name"])
+    throughput_points = perf.evaluate(list(p["world_sizes"]))
+    return {
+        "experiment": "fig7_scaling",
+        "scale": p["scale_name"],
+        "world_sizes": [int(w) for w in p["world_sizes"]],
+        "throughput": {
+            pt.world_size: {
+                "throughput": pt.throughput,
+                "ideal_throughput": perf.ideal_throughput(pt.world_size),
+                "efficiency": pt.efficiency,
+                "step_time": pt.step_time,
+                "communication_time": pt.communication_time,
+                "epoch_time": pt.epoch_time,
+            }
+            for pt in throughput_points
+        },
+        "efficiency_at_max": throughput_points[-1].efficiency,
+        "loss_curves": curves,
+        "performance_model": {
+            "n_parameters": perf.n_parameters,
+            "compute_time_per_sample": perf.compute_time_per_sample,
+            "batch_size_per_worker": perf.batch_size_per_worker,
+            "overlap_fraction": perf.overlap_fraction,
+        },
+    }
 
 
 def _run_allreduce_ablation(ctx: StageContext):
     """Scaling-efficiency ablation over communication/computation overlap."""
-    from ..distributed import ScalingPerformanceModel
-
     p = ctx.params
     world_sizes = [int(w) for w in p["world_sizes"]]
     results = {}
@@ -363,7 +331,7 @@ def sim_stage(name: str, scale, seed: int, rayleigh: Optional[float] = None) -> 
 def train_stage(name: str, scale, gamma: float, sim_deps: Sequence[str],
                 model_kind: str = "mfn", model_overrides: Optional[Mapping] = None,
                 trainer_overrides: Optional[Mapping] = None,
-                pde_rayleigh: Optional[float] = None, checkpoint_every: int = 1,
+                pde_rayleigh: Optional[float] = None,
                 distributed: bool = False) -> Stage:
     """A train stage producing a model-state + history artifact."""
     return Stage(name=name, fn=_run_train, deps=tuple(sim_deps), params={
@@ -372,7 +340,6 @@ def train_stage(name: str, scale, gamma: float, sim_deps: Sequence[str],
         "model_overrides": dict(model_overrides or {}),
         "trainer_overrides": dict(trainer_overrides or {}),
         "pde_rayleigh": None if pde_rayleigh is None else float(pde_rayleigh),
-        "checkpoint_every": int(checkpoint_every),
         "distributed": bool(distributed),
     }, description="train one model (resumable)")
 
@@ -400,34 +367,29 @@ def table_stage(name: str, experiment: str, scale_name: str,
     }, description="render evaluation rows into a table artifact")
 
 
-def fig2_stage(name: str, scale, sim_dep: str, snapshot_fraction: float = 0.75) -> Stage:
+def fig2_stage(name: str, scale, sim_dep: str) -> Stage:
     """The Figure 2 render stage (simulation snapshot + turbulence stats)."""
     return Stage(name=name, fn=_run_fig2, deps=(sim_dep,), params={
         "scale": _scale_params(scale), "sim_input": sim_dep,
-        "snapshot_fraction": float(snapshot_fraction),
     }, description="render the simulation snapshot figure")
 
 
-def fig6_stage(name: str, scale, train_dep: str, sim_dep: str, gamma: float,
-               snapshot_fraction: float = 0.5, model_kind: str = "mfn",
-               model_overrides: Optional[Mapping] = None) -> Stage:
+def fig6_stage(name: str, scale, train_dep: str, sim_dep: str, gamma: float) -> Stage:
     """The Figure 6 render stage (qualitative super-resolution rows)."""
     return Stage(name=name, fn=_run_fig6, deps=(sim_dep, train_dep), params={
         "scale": _scale_params(scale), "sim_input": sim_dep, "train_input": train_dep,
-        "gamma": float(gamma), "snapshot_fraction": float(snapshot_fraction),
-        "model_kind": model_kind, "model_overrides": dict(model_overrides or {}),
+        "gamma": float(gamma),
     }, description="render the qualitative super-resolution figure")
 
 
 def fig7_stage(name: str, scale_name: str, world_sizes: Sequence[int],
-               curve_inputs: Sequence[tuple[int, str]],
-               perf_kwargs: Optional[Mapping] = None) -> Stage:
+               curve_inputs: Sequence[tuple[int, str]]) -> Stage:
     """The Figure 7 render stage (scaling study)."""
     curve_inputs = [(int(ws), str(dep)) for ws, dep in curve_inputs]
     return Stage(name=name, fn=_run_fig7,
                  deps=tuple(dep for _, dep in curve_inputs), params={
         "scale_name": scale_name, "world_sizes": [int(w) for w in world_sizes],
-        "curve_inputs": curve_inputs, "perf_kwargs": dict(perf_kwargs or {}),
+        "curve_inputs": curve_inputs,
     }, description="render the scaling-study figure")
 
 
@@ -466,6 +428,17 @@ def build_standard_pipeline(cfg: PipelineConfig) -> Pipeline:
     """
     scale = cfg.resolved_scale()
     pipe = Pipeline(name=cfg.name)
+    policy, patterns = cfg.retry_policy(), cfg.retry_stage_patterns()
+
+    def add(stage: Stage) -> None:
+        """Register ``stage``, under the ``[pipeline.retry]`` policy if it matches.
+
+        ``Stage.retry`` never enters the fingerprint, so this is cache-neutral.
+        """
+        if policy is not None and any(fnmatch.fnmatchcase(stage.name, p) for p in patterns):
+            stage = replace(stage, retry=policy)
+        pipe.add(stage)
+
     train_kw = dict(cfg.train_overrides)
     distributed = bool(train_kw.pop("distributed", False))
 
@@ -476,18 +449,18 @@ def build_standard_pipeline(cfg: PipelineConfig) -> Pipeline:
         key = (int(seed), rayleigh)
         if key not in sims:
             name = f"sim.s{seed}" if rayleigh is None else f"sim.ra{rayleigh:g}.s{seed}"
-            pipe.add(sim_stage(name, scale, seed=seed, rayleigh=rayleigh))
+            add(sim_stage(name, scale, seed=seed, rayleigh=rayleigh))
             sims[key] = name
         return sims[key]
 
     trains: dict[str, str] = {}
 
-    def ensure_train(tag: str, **kwargs) -> str:
+    def ensure_train(tag: str, trainer_overrides: Mapping = train_kw, **kwargs) -> str:
         """Register (once) and name the train stage for ``tag``."""
         if tag not in trains:
             name = f"train.{tag}"
-            pipe.add(train_stage(name, scale, distributed=distributed,
-                                 trainer_overrides=train_kw, **kwargs))
+            add(train_stage(name, scale, distributed=distributed,
+                            trainer_overrides=trainer_overrides, **kwargs))
             trains[tag] = name
         return trains[tag]
 
@@ -504,35 +477,35 @@ def build_standard_pipeline(cfg: PipelineConfig) -> Pipeline:
         train = ensure_train(tag, gamma=gamma, sim_deps=[base_sim])
         name = f"eval.{tag}"
         if name not in pipe:
-            pipe.add(eval_stage(name, scale, label=f"gamma={gamma:g}",
-                                sim_dep=val_sim, train_dep=train))
+            add(eval_stage(name, scale, label=f"gamma={gamma:g}",
+                           sim_dep=val_sim, train_dep=train))
         return name
 
     # ---------------------------------------------------------------- tables
     if "table1" in tables:
         rows = [(f"gamma={g:g}", mfn_eval(g)) for g in cfg.table1_gammas]
-        pipe.add(table_stage("table.table1", "table1_gamma_sweep", scale.name, rows,
-                             title="Table 1 — equation-loss weight sweep",
-                             extras={"gammas": list(cfg.table1_gammas)}))
+        add(table_stage("table.table1", "table1_gamma_sweep", scale.name, rows,
+                        title="Table 1 — equation-loss weight sweep",
+                        extras={"gammas": list(cfg.table1_gammas)}))
         if cfg.validate_table1:
             pins = load_pins(cfg.pins if cfg.pins is not None else f"table1_{scale.name}")
-            pipe.add(validate_stage("validate.table1", "table.table1", pins,
-                                    nmae_rtol=cfg.nmae_rtol, r2_atol=cfg.r2_atol))
+            add(validate_stage("validate.table1", "table.table1", pins,
+                               nmae_rtol=cfg.nmae_rtol, r2_atol=cfg.r2_atol))
 
     if "table2" in tables:
-        pipe.add(eval_stage("eval.baseline1", scale, label="baseline_I_trilinear",
-                            sim_dep=val_sim, model_kind="trilinear"))
+        add(eval_stage("eval.baseline1", scale, label="baseline_I_trilinear",
+                       sim_dep=val_sim, model_kind="trilinear"))
         b2 = ensure_train("unet.g0", gamma=0.0, sim_deps=[base_sim],
                           model_kind="unet_baseline")
-        pipe.add(eval_stage("eval.baseline2", scale, label="baseline_II_unet",
-                            sim_dep=val_sim, train_dep=b2, model_kind="unet_baseline"))
+        add(eval_stage("eval.baseline2", scale, label="baseline_II_unet",
+                       sim_dep=val_sim, train_dep=b2, model_kind="unet_baseline"))
         rows = [("baseline_I_trilinear", "eval.baseline1"),
                 ("baseline_II_unet", "eval.baseline2"),
                 ("mfn_gamma=0", mfn_eval(0.0)),
                 ("mfn_gamma=gamma*", mfn_eval(cfg.gamma_star))]
-        pipe.add(table_stage("table.table2", "table2_baselines", scale.name, rows,
-                             title="Table 2 — MeshfreeFlowNet vs baselines",
-                             extras={"gamma_star": cfg.gamma_star}))
+        add(table_stage("table.table2", "table2_baselines", scale.name, rows,
+                        title="Table 2 — MeshfreeFlowNet vs baselines",
+                        extras={"gamma_star": cfg.gamma_star}))
 
     if "table3" in tables:
         counts = cfg.table3_dataset_counts
@@ -544,13 +517,13 @@ def build_standard_pipeline(cfg: PipelineConfig) -> Pipeline:
             train = ensure_train(tag, gamma=cfg.gamma_star, sim_deps=train_sims[:count])
             label = f"{count}_dataset" + ("s" if count > 1 else "")
             name = f"eval.table3.n{count}"
-            pipe.add(eval_stage(name, scale, label=label, sim_dep=unseen,
-                                train_dep=train))
+            add(eval_stage(name, scale, label=label, sim_dep=unseen,
+                           train_dep=train))
             rows.append((label, name))
-        pipe.add(table_stage("table.table3", "table3_unseen_ic", scale.name, rows,
-                             title="Table 3 — unseen initial conditions",
-                             extras={"dataset_counts": list(counts),
-                                     "gamma": cfg.gamma_star}))
+        add(table_stage("table.table3", "table3_unseen_ic", scale.name, rows,
+                        title="Table 3 — unseen initial conditions",
+                        extras={"dataset_counts": list(counts),
+                                "gamma": cfg.gamma_star}))
 
     if "table4" in tables:
         train_ra = cfg.table4_train_rayleigh
@@ -564,107 +537,65 @@ def build_standard_pipeline(cfg: PipelineConfig) -> Pipeline:
             test_sim = ensure_sim(scale.seed + 500 + i, rayleigh=ra)
             label = f"Ra={ra:.0e}"
             name = f"eval.table4.ra{ra:g}"
-            pipe.add(eval_stage(name, scale, label=label, sim_dep=test_sim,
-                                train_dep=train))
+            add(eval_stage(name, scale, label=label, sim_dep=test_sim,
+                           train_dep=train))
             rows.append((label, name))
-        pipe.add(table_stage("table.table4", "table4_rayleigh_transfer", scale.name,
-                             rows, title="Table 4 — Rayleigh-number transfer",
-                             extras={"train_rayleigh": list(train_ra),
-                                     "test_rayleigh": list(cfg.table4_test_rayleigh),
-                                     "gamma": cfg.gamma_star}))
+        add(table_stage("table.table4", "table4_rayleigh_transfer", scale.name,
+                        rows, title="Table 4 — Rayleigh-number transfer",
+                        extras={"train_rayleigh": list(train_ra),
+                                "test_rayleigh": list(cfg.table4_test_rayleigh),
+                                "gamma": cfg.gamma_star}))
 
     # --------------------------------------------------------------- figures
     if "fig2" in figures:
-        pipe.add(fig2_stage("fig.fig2", scale, sim_dep=base_sim))
+        add(fig2_stage("fig.fig2", scale, sim_dep=base_sim))
 
     if "fig6" in figures:
         tag = f"mfn.{_gamma_tag(cfg.gamma_star)}"
         train = ensure_train(tag, gamma=cfg.gamma_star, sim_deps=[base_sim])
-        pipe.add(fig6_stage("fig.fig6", scale, train_dep=train, sim_dep=base_sim,
-                            gamma=cfg.gamma_star))
+        add(fig6_stage("fig.fig6", scale, train_dep=train, sim_dep=base_sim,
+                       gamma=cfg.gamma_star))
 
     if "fig7" in figures:
-        curve_inputs = []
-        for ws in cfg.fig7_curve_world_sizes:
-            tag = f"mfn.g0.ws{ws}"
-            overrides = {**train_kw, "world_size": int(ws)}
-            name = f"train.{tag}"
-            if tag not in trains:
-                pipe.add(train_stage(name, scale, gamma=0.0, sim_deps=[base_sim],
-                                     trainer_overrides=overrides,
-                                     distributed=distributed))
-                trains[tag] = name
-            curve_inputs.append((int(ws), name))
-        pipe.add(fig7_stage("fig.fig7", scale.name, cfg.fig7_world_sizes, curve_inputs))
+        curve_inputs = [
+            (ws, ensure_train(f"mfn.g0.ws{ws}", gamma=0.0, sim_deps=[base_sim],
+                              trainer_overrides={**train_kw, "world_size": ws}))
+            for ws in cfg.fig7_curve_world_sizes]
+        add(fig7_stage("fig.fig7", scale.name, cfg.fig7_world_sizes, curve_inputs))
 
     # ------------------------------------------------------------- ablations
-    if "activation" in ablations:
+    def ablation_grid(key: str, title: str, gamma: float,
+                      variants: Sequence[tuple[str, str, dict]]) -> None:
+        """A one-knob ablation: train + evaluate each ``(tag, label, model
+        overrides)`` variant on the shared simulations, one table of rows."""
         rows = []
-        for act in cfg.ablation_activations:
-            tag = f"mfn.{_gamma_tag(cfg.gamma_star)}.act-{act}"
-            train = ensure_train(tag, gamma=cfg.gamma_star, sim_deps=[base_sim],
-                                 model_overrides={"imnet_activation": act})
-            label = f"activation={act}"
-            name = f"eval.abl.act-{act}"
-            pipe.add(eval_stage(name, scale, label=label, sim_dep=val_sim,
-                                train_dep=train,
-                                model_overrides={"imnet_activation": act}))
+        for tag, label, overrides in variants:
+            train = ensure_train(f"mfn.{_gamma_tag(gamma)}.{tag}", gamma=gamma,
+                                 sim_deps=[base_sim], model_overrides=overrides)
+            name = f"eval.abl.{tag}"
+            add(eval_stage(name, scale, label=label, sim_dep=val_sim,
+                           train_dep=train, model_overrides=overrides))
             rows.append((label, name))
-        pipe.add(table_stage("ablation.activation", "ablation_activation",
-                             scale.name, rows,
-                             title="Ablation — decoder activation"))
+        add(table_stage(f"ablation.{key}", f"ablation_{key}", scale.name, rows,
+                        title=title))
+
+    if "activation" in ablations:
+        ablation_grid("activation", "Ablation — decoder activation", cfg.gamma_star,
+                      [(f"act-{act}", f"activation={act}", {"imnet_activation": act})
+                       for act in cfg.ablation_activations])
 
     if "interpolation" in ablations:
-        rows = []
-        for mode in ("trilinear", "nearest"):
-            tag = f"mfn.g0.interp-{mode}"
-            train = ensure_train(tag, gamma=0.0, sim_deps=[base_sim],
-                                 model_overrides={"interpolation": mode})
-            label = f"interpolation={mode}"
-            name = f"eval.abl.interp-{mode}"
-            pipe.add(eval_stage(name, scale, label=label, sim_dep=val_sim,
-                                train_dep=train,
-                                model_overrides={"interpolation": mode}))
-            rows.append((label, name))
-        pipe.add(table_stage("ablation.interpolation", "ablation_interpolation",
-                             scale.name, rows,
-                             title="Ablation — latent interpolation"))
+        ablation_grid("interpolation", "Ablation — latent interpolation", 0.0,
+                      [(f"interp-{mode}", f"interpolation={mode}", {"interpolation": mode})
+                       for mode in ("trilinear", "nearest")])
 
     if "capacity" in ablations:
-        rows = []
-        for channels in cfg.ablation_latent_channels:
-            tag = f"mfn.g0.latent{channels}"
-            train = ensure_train(tag, gamma=0.0, sim_deps=[base_sim],
-                                 model_overrides={"latent_channels": int(channels)})
-            label = f"latent={channels}"
-            name = f"eval.abl.latent{channels}"
-            pipe.add(eval_stage(name, scale, label=label, sim_dep=val_sim,
-                                train_dep=train,
-                                model_overrides={"latent_channels": int(channels)}))
-            rows.append((label, name))
-        pipe.add(table_stage("ablation.capacity", "ablation_capacity",
-                             scale.name, rows,
-                             title="Ablation — latent capacity"))
+        ablation_grid("capacity", "Ablation — latent capacity", 0.0,
+                      [(f"latent{c}", f"latent={c}", {"latent_channels": c})
+                       for c in cfg.ablation_latent_channels])
 
     if "allreduce" in ablations:
-        pipe.add(allreduce_stage("ablation.allreduce", world_sizes=(1, 2, 8, 32, 128),
-                                 overlap_fractions=(0.0, 0.5, 0.9)))
+        add(allreduce_stage("ablation.allreduce", world_sizes=(1, 2, 8, 32, 128),
+                            overlap_fractions=(0.0, 0.5, 0.9)))
 
-    _apply_retry_policy(pipe, cfg)
     return pipe
-
-
-def _apply_retry_policy(pipe: Pipeline, cfg: PipelineConfig) -> None:
-    """Attach the ``[pipeline.retry]`` policy to every matching stage.
-
-    Applied after the DAG is built so the policy reaches stages regardless
-    of which experiment registered them.  ``Stage.retry`` never enters the
-    fingerprint, so this is cache-neutral by construction.
-    """
-    policy = cfg.retry_policy()
-    if policy is None:
-        return
-    patterns = cfg.retry_stage_patterns()
-    for stage in pipe.stages:
-        if any(fnmatch.fnmatchcase(stage.name, p) for p in patterns):
-            pipe._stages[stage.name] = replace(stage, retry=policy)

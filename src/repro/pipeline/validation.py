@@ -7,7 +7,7 @@ one table at one scale::
      "rows": {"gamma=0": {"nmae": {"Etot": ...}, "r2": {...}, "average_r2": ...}}}
 
 Shipped pin sets live in ``repro/pipeline/pins/`` (the tiny-scale numbers are
-exact regenerations — the runners are deterministic — with tolerances
+exact regenerations — the stage bodies are deterministic — with tolerances
 absorbing BLAS/platform round-off drift).  :func:`validate_reports` compares
 a table's :class:`~repro.metrics.report.MetricReport` rows against a pin set
 and returns a machine-readable verdict; :func:`pins_from_reports` regenerates

@@ -5,19 +5,25 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import SCALES
 from repro.pipeline import (
+    SCALES,
     ArtifactStore,
+    ExperimentScale,
     PipelineConfig,
+    build_dataset,
+    build_model,
     build_standard_pipeline,
+    get_scale,
     load_pipeline_config,
     load_pins,
     pins_from_reports,
     run_pipeline,
+    simulate,
     validate_reports,
 )
 from repro.pipeline.cli import main as cli_main
 from repro.pipeline.config import parse_toml
+from repro.training import Trainer
 
 MICRO_OVERRIDES = {
     "hr_shape": (8, 8, 32), "lr_factors": (2, 2, 4), "crop_shape_lr": (2, 2, 4),
@@ -58,6 +64,64 @@ world_size = 2
 table1 = false
 nmae_rtol = 0.1
 """
+
+
+class TestScales:
+    def test_presets_exist(self):
+        assert {"tiny", "small", "paper"} <= set(SCALES)
+        assert get_scale("tiny") is SCALES["tiny"]
+
+    def test_paper_scale_matches_paper_settings(self):
+        paper = SCALES["paper"]
+        assert paper.hr_shape == (400, 128, 512)
+        assert paper.lr_factors == (4, 8, 8)
+        assert paper.samples_per_epoch == 3000
+        assert paper.epochs == 100
+
+    def test_get_scale_error_lists_available_scales(self):
+        with pytest.raises(KeyError) as excinfo:
+            get_scale("gigantic")
+        message = str(excinfo.value)
+        for name in sorted(SCALES):
+            assert name in message
+        with pytest.raises(KeyError, match="gigantic"):
+            PipelineConfig(scale="gigantic").resolved_scale()
+
+    def test_with_overrides(self):
+        scale = SCALES["tiny"].with_overrides(epochs=99)
+        assert scale.epochs == 99
+        assert SCALES["tiny"].epochs != 99
+
+    def test_with_overrides_unknown_key_lists_valid_fields(self):
+        with pytest.raises(KeyError, match="valid fields") as excinfo:
+            SCALES["tiny"].with_overrides(epochz=99)
+        assert "epochs" in str(excinfo.value)
+
+    def test_model_config_threads_the_scale_seed(self):
+        assert SCALES["tiny"].with_overrides(seed=3).model_config().seed == 3
+        # An explicit override still wins.
+        assert SCALES["tiny"].with_overrides(seed=3).model_config(seed=7).seed == 7
+
+    @pytest.mark.parametrize("size", ["tiny", "small", "paper"])
+    def test_model_config_overrides_are_validated_for_every_size(self, size):
+        scale = ExperimentScale(model_size=size)
+        with pytest.raises(ValueError, match="bogus"):
+            scale.model_config(interpolation="bogus")
+        # Overrides go through the constructor, so lists are normalised to tuples.
+        assert scale.model_config(imnet_hidden=[8, 8]).imnet_hidden == (8, 8)
+
+    @pytest.mark.parametrize("size", ["tiny", "small", "paper"])
+    def test_model_config_honours_pool_factors_for_every_size(self, size):
+        pools = ((1, 2, 2), (2, 1, 1))
+        scale = ExperimentScale(model_size=size, model_pool_factors=pools)
+        assert scale.model_config().unet_pool_factors == pools
+
+    def test_build_helpers(self):
+        scale = micro_config().resolved_scale()
+        sim = simulate(scale)
+        assert sim.shape == scale.hr_shape
+        assert build_dataset(scale, sim).lr_shape == (4, 4, 8)
+        assert build_model(scale).config.latent_channels == 6
 
 
 class TestConfig:
@@ -166,12 +230,14 @@ class TestStandardPipeline:
         assert sorted(s1) == sorted(s2)
         for key in s1:
             np.testing.assert_array_equal(s1[key], s2[key])
+        # The training histories agree too, wall-clock time aside.
+        h1, h2 = ([{k: v for k, v in record.items() if k != "wall_time"}
+                   for record in run.values["train.mfn.g0"]["history"]["records"]]
+                  for run in (first, second))
+        assert h1 == h2 and len(h1) == 2
 
     def test_interrupted_training_resumes_bit_identically(self, tmp_path):
         """Mid-train interrupt + rerun must reproduce the uninterrupted state."""
-        from repro.experiments.common import build_dataset, build_model, simulate
-        from repro.training import Trainer
-
         cfg = micro_config(table1_gammas=(0.0,),
                            figures={"fig2": False, "fig6": False, "fig7": False})
         pipe = build_standard_pipeline(cfg)
@@ -203,9 +269,6 @@ class TestStandardPipeline:
 
     def test_stale_scratch_checkpoint_is_discarded(self, tmp_path):
         """A checkpoint written for a different fingerprint restarts cleanly."""
-        from repro.experiments.common import build_dataset, build_model, simulate
-        from repro.training import Trainer
-
         cfg = micro_config(table1_gammas=(0.0,),
                            figures={"fig2": False, "fig6": False, "fig7": False})
         pipe = build_standard_pipeline(cfg)
@@ -226,6 +289,112 @@ class TestStandardPipeline:
         s2 = reference.values["train.mfn.g0"]["model_state"]
         for key in s2:
             np.testing.assert_array_equal(s1[key], s2[key])
+
+
+#: config key -> terminal stage of each of the paper's 11 artefacts
+EXPERIMENTS = {
+    "table1": "table.table1", "table2": "table.table2",
+    "table3": "table.table3", "table4": "table.table4",
+    "fig2": "fig.fig2", "fig6": "fig.fig6", "fig7": "fig.fig7",
+    "activation": "ablation.activation", "interpolation": "ablation.interpolation",
+    "capacity": "ablation.capacity", "allreduce": "ablation.allreduce",
+}
+
+
+def everything_config(**kwargs) -> PipelineConfig:
+    """Every table, figure and ablation enabled, one epoch at the micro scale."""
+    return micro_config(
+        scale_overrides={**MICRO_OVERRIDES, "epochs": 1},
+        table1_gammas=(0.0, 0.0125),
+        tables=dict.fromkeys(["table1", "table2", "table3", "table4"], True),
+        figures=dict.fromkeys(["fig2", "fig6", "fig7"], True),
+        ablations=dict.fromkeys(["activation", "interpolation", "capacity", "allreduce"], True),
+        **kwargs)
+
+
+class TestEveryExperiment:
+    """Each ``build_standard_pipeline`` branch executed, in memory, in one run."""
+
+    @pytest.fixture(scope="class")
+    def pipe(self):
+        return build_standard_pipeline(everything_config())
+
+    @pytest.fixture(scope="class")
+    def run(self, pipe):
+        return run_pipeline(pipe, store=None, jobs=1)
+
+    @pytest.mark.parametrize("key", EXPERIMENTS)
+    def test_experiment_runs_through_the_pipeline(self, pipe, run, key):
+        assert run.ok
+        for name in pipe.upstream_closure([EXPERIMENTS[key]]):
+            assert run.results[name].status == "computed", name
+        assert key in run.values[EXPERIMENTS[key]]["experiment"]
+
+    def test_table_row_labels(self, run):
+        rows = {key: list(run.values[EXPERIMENTS[key]]["reports"])
+                for key in ("table1", "table2", "table3", "table4")}
+        assert rows == {
+            "table1": ["gamma=0", "gamma=0.0125"],
+            "table2": ["baseline_I_trilinear", "baseline_II_unet",
+                       "mfn_gamma=0", "mfn_gamma=gamma*"],
+            "table3": ["1_dataset", "3_datasets"],
+            "table4": ["Ra=1e+04", "Ra=1e+05", "Ra=5e+06"],
+        }
+        for key in rows:
+            assert all(len(r.nmae) == 9 for r in run.values[EXPERIMENTS[key]]["reports"].values())
+
+    def test_table2_shares_table1_rows(self, run):
+        """The shared stages are one computation, not two that happen to agree."""
+        table1 = run.values["table.table1"]["reports"]
+        table2 = run.values["table.table2"]["reports"]
+        assert table2["mfn_gamma=0"] is table1["gamma=0"]
+        assert table2["mfn_gamma=gamma*"] is table1["gamma=0.0125"]
+        assert table2["mfn_gamma=0"].nmae == table1["gamma=0"].nmae
+
+    def test_fig2_payload(self, run):
+        out = run.values["fig.fig2"]
+        assert set(out["fields"]) == {"p", "T", "u", "w"}
+        assert out["fields"]["T"].shape == (8, 32)
+        assert np.isfinite(out["turbulence_summary"]["Etot"])
+
+    def test_fig6_payload(self, run):
+        out = run.values["fig.fig6"]
+        assert out["gamma"] == 0.0125 and out["channels"] == ("p", "T", "u", "w")
+        assert out["prediction"]["T"].shape == out["ground_truth"]["T"].shape
+        assert out["lowres"]["T"].size < out["ground_truth"]["T"].size
+        assert np.isfinite(out["errors"]["prediction_mae"])
+
+    def test_fig7_payload(self, run):
+        out = run.values["fig.fig7"]
+        assert out["efficiency_at_max"] == pytest.approx(0.968, abs=0.02)
+        assert set(out["throughput"]) == {1, 2, 16, 128}
+        assert list(out["loss_curves"]) == [1, 2]  # int world sizes
+        for curve in out["loss_curves"].values():
+            assert len(curve["loss"]) == 1  # one loss per epoch
+            assert curve["wall_time"][0] > 0
+
+    def test_fig7_without_training_curves(self):
+        cfg = everything_config(fig7_curve_world_sizes=())
+        report = run_pipeline(build_standard_pipeline(cfg), store=None, until="fig.fig7")
+        assert report.ok and report.counts()["computed"] == 1
+        assert report.values["fig.fig7"]["loss_curves"] == {}
+        assert report.values["fig.fig7"]["efficiency_at_max"] == pytest.approx(0.968, abs=0.02)
+
+    def test_ablation_payloads(self, run):
+        assert list(run.values["ablation.activation"]["reports"]) == \
+            ["activation=softplus", "activation=relu"]
+        assert list(run.values["ablation.interpolation"]["reports"]) == \
+            ["interpolation=trilinear", "interpolation=nearest"]
+        assert list(run.values["ablation.capacity"]["reports"]) == ["latent=2", "latent=6"]
+        assert run.values["train.mfn.g0.latent2"]["num_parameters"] < \
+            run.values["train.mfn.g0.latent6"]["num_parameters"]
+
+    def test_ablation_allreduce(self, run):
+        out = run.values["ablation.allreduce"]
+        eff_no = out["results"]["overlap=0"][128]["efficiency"]
+        eff_yes = out["results"]["overlap=0.9"][128]["efficiency"]
+        assert eff_yes > eff_no
+        assert out["ring_vs_naive_comm_time"]["ring"] < out["ring_vs_naive_comm_time"]["naive"]
 
 
 def _full_report(label: str = "row", r2_etot: float = 0.5):
@@ -353,20 +522,3 @@ table1 = false
         assert cli_main(["run", "--config", config, "--until", "train.mfn.g0"]) == 0
         out = capsys.readouterr().out
         assert "[ skipped] eval.mfn.g0" in out
-
-
-class TestLegacyWrapperEquivalence:
-    def test_wrapper_matches_pipeline_numbers(self, tmp_path):
-        """The legacy runner and the cached pipeline produce identical rows."""
-        from repro.experiments import run_table1_gamma_sweep
-
-        cfg = micro_config(table1_gammas=(0.0,),
-                           figures={"fig2": False, "fig6": False, "fig7": False})
-        scale = cfg.resolved_scale()
-        legacy = run_table1_gamma_sweep(scale, gammas=(0.0,))
-        piped = run_pipeline(build_standard_pipeline(cfg),
-                             store=ArtifactStore(tmp_path / "s"), jobs=1)
-        pipeline_report = piped.values["table.table1"]["reports"]["gamma=0"]
-        legacy_report = legacy["reports"]["gamma=0"]
-        assert legacy_report.nmae == pipeline_report.nmae
-        assert legacy_report.r2 == pipeline_report.r2

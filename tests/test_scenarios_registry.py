@@ -179,7 +179,7 @@ class TestWiring:
         assert engine.tile_shape == (2, 4, 4)
 
     def test_experiment_scale_scenario(self):
-        from repro.experiments.common import ExperimentScale, build_model, simulate
+        from repro.pipeline import ExperimentScale, build_model, simulate
 
         scale = ExperimentScale(scenario="decaying_turbulence", hr_shape=(4, 8, 8))
         result = simulate(scale)
@@ -187,7 +187,7 @@ class TestWiring:
         assert build_model(scale).config.field_names == ("omega", "u", "w")
 
     def test_experiment_scale_default_unchanged(self):
-        from repro.experiments.common import ExperimentScale
+        from repro.pipeline import ExperimentScale
 
         scale = ExperimentScale()
         assert scale.scenario == "rayleigh_benard"
