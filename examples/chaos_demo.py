@@ -111,7 +111,7 @@ def recovered_training(epochs: int) -> None:
             model, dataset,
             config=TrainerConfig(epochs=epochs, batch_size=1, world_size=4,
                                  gamma=0.0, steps_per_epoch=2,
-                                 learning_rate=1e-2, fault_recovery=True))
+                                 learning_rate=1e-2, max_epoch_retries=2))
         if plan is None:
             trainer.train()
         else:

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..faults import plan as _faults
-from .allreduce import AllReduceStats, naive_allreduce, ring_allreduce
+from .allreduce import naive_allreduce, ring_allreduce
 
 __all__ = ["SimulatedCommunicator"]
 
@@ -25,8 +25,7 @@ class SimulatedCommunicator:
     Every primitive declares a fault-injection site (``comm.allreduce``,
     ``comm.broadcast``, ``comm.barrier``, ``comm.send``, ``comm.recv``) at
     entry — *before* any counter is advanced, so an injected comm fault
-    leaves the statistics exactly as they were (the property the trainer's
-    recovery boundary relies on for bit-identical re-runs).
+    leaves the statistics exactly as they were.
     """
 
     def __init__(self, world_size: int, algorithm: str = "ring"):
@@ -38,7 +37,6 @@ class SimulatedCommunicator:
         self.algorithm = algorithm
         self.total_bytes = 0
         self.num_collectives = 0
-        self.history: list[AllReduceStats] = []
         self._mailboxes: dict = {}  # (src, dst, tag) -> deque of arrays
 
     # ------------------------------------------------------------ collectives
@@ -53,7 +51,6 @@ class SimulatedCommunicator:
         results, stats = fn(buffers, average=average)
         self.total_bytes += stats.total_bytes
         self.num_collectives += 1
-        self.history.append(stats)
         return results
 
     def broadcast(self, buffer: np.ndarray, root: int = 0) -> list[np.ndarray]:
@@ -104,7 +101,6 @@ class SimulatedCommunicator:
     def reset_stats(self) -> None:
         self.total_bytes = 0
         self.num_collectives = 0
-        self.history.clear()
         self._mailboxes.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -32,6 +32,7 @@ stage name.
 from __future__ import annotations
 
 import fnmatch
+import logging
 from dataclasses import asdict, replace
 from typing import Mapping, Optional, Sequence
 
@@ -45,8 +46,7 @@ from ..metrics import turbulence_summary
 from ..metrics.report import format_table
 from ..pde import RayleighBenard2D
 from ..scenarios import get_scenario
-from ..training import DistributedTrainer, Trainer, evaluate_model
-from ..training.checkpoint import CheckpointFingerprintError, verify_checkpoint_fingerprint
+from ..training import DistributedTrainer, Trainer, TrainState, evaluate_model
 from .config import PipelineConfig
 from .graph import Pipeline
 from .scale import ExperimentScale, build_dataset, build_model, simulate
@@ -59,6 +59,8 @@ __all__ = [
     "fig2_stage", "fig6_stage", "fig7_stage", "allreduce_stage",
     "validate_stage",
 ]
+
+logger = logging.getLogger("repro.pipeline")
 
 
 # --------------------------------------------------------------------------
@@ -127,12 +129,17 @@ def _run_train(ctx: StageContext):
     total_epochs = trainer.config.epochs
     ckpt = ctx.scratch / "train.npz" if ctx.scratch is not None else None
     if ckpt is not None and ckpt.exists():
+        # Only resume state written for exactly this artifact fingerprint —
+        # anything else (a stale config, a torn or unreadable file) is
+        # deleted and training restarts cleanly.
         try:
-            # Only resume state written for exactly this artifact fingerprint
-            # — anything else (stale config, corrupt file) restarts cleanly.
-            verify_checkpoint_fingerprint(ckpt, ctx.fingerprint)
-            trainer.resume(ckpt)
-        except (CheckpointFingerprintError, ValueError, OSError, KeyError):
+            state, meta = TrainState.load(ckpt)
+            if meta.get("artifact_fingerprint") != ctx.fingerprint:
+                raise ValueError(f"{ckpt} was written for another artifact")
+            trainer.restore(state)
+        except Exception as exc:
+            logger.warning("discarding scratch checkpoint %s (%s: %s); training restarts",
+                           ckpt, type(exc).__name__, exc)
             ckpt.unlink(missing_ok=True)
     while trainer.epochs_completed < total_epochs:
         trainer.train(epochs=1)  # checkpoint after every epoch

@@ -1,9 +1,20 @@
-"""Model / optimizer / scheduler checkpointing to ``.npz`` archives."""
+"""Training state and its checkpoints: ``.npz`` archives with JSON metadata.
+
+:class:`TrainState` is everything a training run continues from; the
+trainers produce it with ``snapshot()`` and apply it with ``restore()``.
+A checkpoint is the same state on disk: ``model/``, ``optimizer/`` and
+``scheduler/`` arrays plus a JSON ``__metadata__`` entry.  Files are
+written to a temporary sibling and renamed into place, so a crash
+mid-write leaves the previous checkpoint intact.
+"""
 
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -11,17 +22,71 @@ from ..nn.module import Module
 from ..optim.optimizers import Optimizer
 from ..optim.schedulers import LRScheduler
 
-__all__ = ["save_checkpoint", "load_checkpoint", "read_metadata",
-           "CheckpointFingerprintError", "verify_checkpoint_fingerprint",
-           "save_fingerprinted_checkpoint", "load_fingerprinted_checkpoint"]
+__all__ = ["TrainState", "save_checkpoint", "load_checkpoint", "read_metadata"]
 
-
-class CheckpointFingerprintError(ValueError):
-    """A checkpoint's recorded artifact fingerprint does not match the expected key."""
+#: Version tag of the trainer checkpoint layout (stored in the metadata).
+CHECKPOINT_FORMAT = 2
 
 
 def _resolve(path) -> Path:
     return Path(path) if str(path).endswith(".npz") else Path(str(path) + ".npz")
+
+
+def _write(path, model_state: dict, optimizer_state: Optional[dict],
+           scheduler_state: dict, metadata: dict) -> None:
+    """Write the three state dicts and ``metadata`` as one ``.npz``, atomically."""
+    arrays = {f"model/{name}": np.asarray(value) for name, value in model_state.items()}
+    if optimizer_state is not None:
+        arrays["optimizer/lr"] = np.asarray(optimizer_state["lr"])
+        arrays["optimizer/step_count"] = np.asarray(optimizer_state["step_count"])
+        for idx, sub in optimizer_state["state"].items():
+            for key, value in sub.items():
+                arrays[f"optimizer/state/{idx}/{key}"] = np.asarray(value)
+    for key, value in scheduler_state.items():
+        arrays[f"scheduler/{key}"] = np.asarray(value)
+    arrays["__metadata__"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+    path = _resolve(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _decode_metadata(data) -> dict:
+    raw = data.get("__metadata__")
+    if raw is None:
+        return {}
+    return json.loads(bytes(raw.tolist()).decode("utf-8"))
+
+
+def _read(path) -> tuple[dict, Optional[dict], dict, dict]:
+    """The model, optimizer (``None`` if absent) and scheduler state dicts and
+    the metadata of a checkpoint; the archive is closed before returning."""
+    model_state: dict = {}
+    optimizer_state: dict = {"lr": None, "step_count": 0, "state": {}}
+    scheduler_state: dict = {}
+    with np.load(_resolve(path)) as data:
+        for key in data.files:
+            if key.startswith("model/"):
+                model_state[key[len("model/"):]] = data[key]
+            elif key == "optimizer/lr":
+                optimizer_state["lr"] = float(data[key])
+            elif key == "optimizer/step_count":
+                optimizer_state["step_count"] = int(data[key])
+            elif key.startswith("optimizer/state/"):
+                _, _, idx, name = key.split("/", 3)
+                optimizer_state["state"].setdefault(int(idx), {})[name] = data[key]
+            elif key.startswith("scheduler/"):
+                value = data[key]
+                scheduler_state[key[len("scheduler/"):]] = value.item() if value.ndim == 0 else value
+        metadata = _decode_metadata(data)
+    if optimizer_state["lr"] is None:
+        optimizer_state = None
+    return model_state, optimizer_state, scheduler_state, metadata
 
 
 def save_checkpoint(path, model: Module, optimizer: Optimizer | None = None,
@@ -33,32 +98,9 @@ def save_checkpoint(path, model: Module, optimizer: Optimizer | None = None,
     without this library.  Arrays keep their exact dtypes, which is what makes
     bit-identical resume possible.
     """
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
-    for name, value in model.state_dict().items():
-        arrays[f"model/{name}"] = np.asarray(value)
-    if optimizer is not None:
-        state = optimizer.state_dict()
-        arrays["optimizer/lr"] = np.asarray(state["lr"])
-        arrays["optimizer/step_count"] = np.asarray(state["step_count"])
-        for idx, sub in state["state"].items():
-            for key, value in sub.items():
-                arrays[f"optimizer/state/{idx}/{key}"] = np.asarray(value)
-    if scheduler is not None:
-        for key, value in scheduler.state_dict().items():
-            arrays[f"scheduler/{key}"] = np.asarray(value)
-    arrays["__metadata__"] = np.frombuffer(
-        json.dumps(metadata or {}).encode("utf-8"), dtype=np.uint8
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
-
-
-def _decode_metadata(data) -> dict:
-    raw = data.get("__metadata__")
-    if raw is None:
-        return {}
-    return json.loads(bytes(raw.tolist()).decode("utf-8"))
+    _write(path, model.state_dict(),
+           optimizer.state_dict() if optimizer is not None else None,
+           scheduler.state_dict() if scheduler is not None else {}, metadata or {})
 
 
 def load_checkpoint(path, model: Module, optimizer: Optimizer | None = None,
@@ -73,31 +115,12 @@ def load_checkpoint(path, model: Module, optimizer: Optimizer | None = None,
     precision the optimizer computes in (see
     :meth:`Optimizer.load_state_dict`).
     """
-    with np.load(_resolve(path)) as data:
-        model_state = {}
-        optimizer_state: dict = {"lr": None, "step_count": 0, "state": {}}
-        scheduler_state: dict = {}
-        for key in data.files:
-            if key.startswith("model/"):
-                model_state[key[len("model/"):]] = data[key]
-            elif key == "optimizer/lr":
-                optimizer_state["lr"] = float(data[key])
-            elif key == "optimizer/step_count":
-                optimizer_state["step_count"] = int(data[key])
-            elif key.startswith("optimizer/state/"):
-                _, _, idx, name = key.split("/", 3)
-                optimizer_state["state"].setdefault(int(idx), {})[name] = data[key]
-            elif key.startswith("scheduler/"):
-                scheduler_state[key[len("scheduler/"):]] = data[key]
-        metadata = _decode_metadata(data)
+    model_state, optimizer_state, scheduler_state, metadata = _read(path)
     model.load_state_dict(model_state, strict_dtype=strict_dtype)
-    if optimizer is not None and optimizer_state["lr"] is not None:
+    if optimizer is not None and optimizer_state is not None:
         optimizer.load_state_dict(optimizer_state)
     if scheduler is not None and scheduler_state:
-        scheduler.load_state_dict({
-            key: value.item() if value.ndim == 0 else value
-            for key, value in scheduler_state.items()
-        })
+        scheduler.load_state_dict(scheduler_state)
     return metadata
 
 
@@ -107,49 +130,47 @@ def read_metadata(path) -> dict:
         return _decode_metadata(data)
 
 
-# ---------------------------------------------------------------------------
-# fingerprint-keyed artifact checkpoints (the pipeline's resumable-train seam)
-# ---------------------------------------------------------------------------
+@dataclass
+class TrainState:
+    """Everything a training run continues from, as deep copies.
 
-def verify_checkpoint_fingerprint(path, fingerprint: str) -> dict:
-    """Check that a checkpoint was written for artifact key ``fingerprint``.
-
-    Returns the metadata on success; raises
-    :class:`CheckpointFingerprintError` when the checkpoint carries no
-    ``artifact_fingerprint`` or a different one.  The experiment pipeline
-    uses this before resuming a mid-train scratch checkpoint, so state
-    written for a stale stage configuration can never leak into a resumed
-    run.
+    ``model`` / ``optimizer`` / ``scheduler`` are the three ``state_dict``s
+    (the optimizer's includes float64 master weights); ``config`` is the
+    JSON form of the ``TrainerConfig``.  ``rng`` holds the data-parallel
+    trainer's per-worker RNG streams and shard cursors.  ``comm`` holds its
+    communicator byte / collective counters and per-epoch marker; it is
+    not written to disk — epoch rollback rewinds the counters, a resumed
+    process counts its own traffic.
     """
-    metadata = read_metadata(path)
-    recorded = metadata.get("artifact_fingerprint")
-    if recorded != fingerprint:
-        raise CheckpointFingerprintError(
-            f"checkpoint {path} was written for artifact "
-            f"{recorded!r}, expected {fingerprint!r}"
-        )
-    return metadata
 
+    model: dict
+    optimizer: Optional[dict]
+    scheduler: dict
+    epoch: int
+    history: dict
+    dtype: Optional[str]
+    config: dict
+    rng: dict = field(default_factory=dict)
+    comm: Optional[tuple] = None
+    format: int = CHECKPOINT_FORMAT
 
-def save_fingerprinted_checkpoint(path, fingerprint: str, model: Module,
-                                  optimizer: Optimizer | None = None,
-                                  scheduler: LRScheduler | None = None,
-                                  metadata: dict | None = None) -> None:
-    """:func:`save_checkpoint` with the artifact key embedded in the metadata."""
-    merged = dict(metadata or {})
-    merged["artifact_fingerprint"] = str(fingerprint)
-    save_checkpoint(path, model, optimizer, scheduler=scheduler, metadata=merged)
+    def save(self, path, extra_metadata: Optional[dict] = None) -> None:
+        """Write this state as a checkpoint; ``extra_metadata`` joins its metadata."""
+        metadata = {"format": self.format, "epoch": self.epoch, "history": self.history,
+                    "dtype": self.dtype, "config": self.config, "rng": self.rng}
+        if extra_metadata:
+            collisions = sorted(set(extra_metadata) & set(metadata))
+            if collisions:
+                raise ValueError(f"extra_metadata keys collide with trainer metadata: {collisions}")
+            metadata.update(extra_metadata)
+        _write(path, self.model, self.optimizer, self.scheduler, metadata)
 
-
-def load_fingerprinted_checkpoint(path, fingerprint: str, model: Module,
-                                  optimizer: Optimizer | None = None,
-                                  scheduler: LRScheduler | None = None,
-                                  strict_dtype: bool = False) -> dict:
-    """:func:`load_checkpoint` that first verifies the artifact fingerprint.
-
-    Raises :class:`CheckpointFingerprintError` *before* any state is
-    mutated when the checkpoint belongs to a different artifact key.
-    """
-    verify_checkpoint_fingerprint(path, fingerprint)
-    return load_checkpoint(path, model, optimizer, scheduler=scheduler,
-                           strict_dtype=strict_dtype)
+    @classmethod
+    def load(cls, path) -> tuple["TrainState", dict]:
+        """Read a checkpoint written by :meth:`save`; returns it and its metadata."""
+        model, optimizer, scheduler, meta = _read(path)
+        state = cls(model=model, optimizer=optimizer, scheduler=scheduler,
+                    epoch=int(meta.get("epoch", 0)), history=meta.get("history", {}),
+                    dtype=meta.get("dtype"), config=meta.get("config", {}),
+                    rng=meta.get("rng") or {}, format=meta.get("format", CHECKPOINT_FORMAT))
+        return state, meta

@@ -6,9 +6,10 @@ protocol, executed in process:
 
 * **Sharding** — every worker (rank) owns a
   :class:`~repro.distributed.DistributedSampler` shard of the epoch and an
-  independent RNG stream that shuffles its local shard order (the
-  per-worker stream state is captured by checkpoints, which is what makes
-  resumed runs bit-identical).
+  independent RNG stream that shuffles its local shard order.  The stream
+  states and shard cursors are part of the trainer's
+  :class:`~repro.training.TrainState` (with the communicator counters),
+  which is what makes resumed and rolled-back runs bit-identical.
 * **Hierarchical gradient reduction** — ranks are grouped onto simulated
   *nodes* (``config.nodes``, default one node per rank).  A node evaluates
   its ranks' micro-batches in **one fused forward/backward pass** — the
@@ -58,6 +59,7 @@ from ..distributed import DistributedSampler, GradientBuckets, SimulatedCommunic
 from ..nn.module import Module
 from ..optim import clip_grad_norm
 from ..pde import PDESystem
+from .checkpoint import TrainState
 from .trainer import Trainer, TrainerConfig
 
 __all__ = ["DistributedTrainer"]
@@ -232,35 +234,19 @@ class DistributedTrainer(Trainer):
             "nodes": self.nodes,
         }
 
-    # -------------------------------------------------------- checkpoint/resume
-    def _validate_checkpoint(self, metadata: dict) -> None:
-        """A checkpoint is only resumable on the worker count it was saved with."""
-        super()._validate_checkpoint(metadata)
-        saved = metadata.get("rng")
-        if saved:
-            workers = saved["workers"] if isinstance(saved, dict) else saved
-            if len(workers) != len(self._worker_rngs):
-                raise ValueError(
-                    f"checkpoint holds {len(workers)} worker RNG streams, "
-                    f"trainer has {len(self._worker_rngs)} workers"
-                )
-
-    def _after_restore(self) -> None:
-        """Rebuild the bucket layout: a dtype-cast resume changes the wire dtype."""
-        if self.buckets.dtype != self.model.dtype:
-            self.buckets = GradientBuckets(self.model.parameters(),
-                                           bucket_bytes=int(self.config.bucket_mb * 2**20))
-
-    def _rng_state(self) -> dict:
-        """Per-worker stream states plus shard cursors (JSON-serializable).
+    # ------------------------------------------------------------------ state
+    def snapshot(self) -> TrainState:
+        """The base snapshot plus worker streams, shard cursors and comm counters.
 
         Capturing the cursors (each rank's current shuffled shard order and
         position within it) and the epoch they were drawn for, as well as
-        the bit-generator states, makes even *mid-epoch* checkpoints —
-        e.g. after direct :meth:`train_step` calls — resume
-        bit-identically, not just epoch-boundary ones.
+        the bit-generator states, makes even *mid-epoch* snapshots — e.g.
+        after direct :meth:`train_step` calls — continue bit-identically.
+        The communicator counters feed the history's per-epoch
+        ``comm_bytes`` / ``collectives``, so a rollback rewinds them too.
         """
-        return {
+        state = super().snapshot()
+        state.rng = {
             "sharded_epoch": self._sharded_epoch,
             "workers": [
                 {"stream": g.bit_generator.state,
@@ -268,45 +254,27 @@ class DistributedTrainer(Trainer):
                 for g, (order, pos) in zip(self._worker_rngs, self._cursors)
             ],
         }
-
-    def _set_rng_state(self, states: dict) -> None:
-        """Restore worker streams and shard cursors saved by :meth:`_rng_state`.
-
-        The worker count was already validated against the checkpoint by
-        :meth:`_validate_checkpoint` before any state was mutated.
-        """
-        workers = states["workers"]
-        sharded = states.get("sharded_epoch")
-        self._sharded_epoch = int(sharded) if sharded is not None else None
-        for rank, (g, state) in enumerate(zip(self._worker_rngs, workers)):
-            g.bit_generator.state = state["stream"]
-            self._cursors[rank] = (np.asarray(state["order"], dtype=np.int64),
-                                   int(state["pos"]))
-
-    # ------------------------------------------------------------ fault recovery
-    def _recovery_extra_state(self) -> dict:
-        """Communicator statistics for the epoch-recovery boundary.
-
-        The byte/collective totals (and the ``_comm_marker`` the per-epoch
-        deltas are computed against) live outside the checkpoint, but the
-        history's ``comm_bytes`` fields are derived from them — a rollback
-        must rewind them too or a recovered run's telemetry would double
-        count the faulted epoch's collectives and break bit-identity with
-        the fault-free run.
-        """
         comm = self.communicator
-        return {
-            "comm_bytes": int(comm.total_bytes),
-            "collectives": int(comm.num_collectives),
-            "history_len": len(comm.history),
-            "marker": [int(v) for v in self._comm_marker],
-        }
+        state.comm = (comm.total_bytes, comm.num_collectives, self._comm_marker)
+        return state
 
-    def _restore_recovery_extra(self, extra: dict) -> None:
-        if not extra:
-            return
-        comm = self.communicator
-        comm.total_bytes = int(extra["comm_bytes"])
-        comm.num_collectives = int(extra["collectives"])
-        del comm.history[int(extra["history_len"]):]
-        self._comm_marker = tuple(int(v) for v in extra["marker"])
+    def restore(self, state: TrainState) -> None:
+        """Apply the base state, then the worker streams and shard cursors.
+
+        A dtype change rebuilds the bucket layout (the wire dtype follows
+        the model).  A checkpoint carries no comm counters: they are
+        rewound only by an in-memory snapshot.
+        """
+        super().restore(state)
+        if self.buckets.dtype != self.model.dtype:
+            self.buckets = GradientBuckets(self.model.parameters(),
+                                           bucket_bytes=int(self.config.bucket_mb * 2**20))
+        if state.rng:
+            self._sharded_epoch = state.rng["sharded_epoch"]
+            for rank, (g, worker) in enumerate(zip(self._worker_rngs, state.rng["workers"])):
+                g.bit_generator.state = worker["stream"]
+                self._cursors[rank] = (np.array(worker["order"], dtype=np.int64),
+                                       int(worker["pos"]))
+        if state.comm is not None:
+            comm = self.communicator
+            comm.total_bytes, comm.num_collectives, self._comm_marker = state.comm

@@ -8,21 +8,23 @@ single-process reference loop (synchronous data-parallel training is
 micro-batches before each update); the genuinely sharded, ring-allreduce
 based subsystem lives in :class:`repro.training.DistributedTrainer`.
 
-Both trainers share first-class checkpoint/resume: :meth:`Trainer.save`
-captures model, optimizer (including mixed-precision master weights),
-scheduler, epoch counter, history, dtype policy and the per-worker RNG
-streams, and :meth:`Trainer.resume` restores them such that a resumed run
-is bit-identical to an uninterrupted one.
+Both trainers keep their state in one place: :meth:`Trainer.snapshot`
+deep-copies model, optimizer (including mixed-precision master weights),
+scheduler, epoch counter, history, dtype policy and config — plus, in the
+data-parallel trainer, the per-worker RNG streams and shard cursors — into
+a :class:`~repro.training.TrainState`, and :meth:`Trainer.restore` applies
+one.  Checkpoints (:meth:`Trainer.save` / :meth:`Trainer.resume`) and
+epoch rollback are both built on that pair, so a resumed or rolled-back
+run is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -36,7 +38,7 @@ from ..nn.module import Module
 from ..optim import Adam, LRScheduler, Optimizer, SGD, build_scheduler, clip_grad_norm
 from ..optim.schedulers import SCHEDULERS
 from ..pde import PDESystem
-from .checkpoint import load_checkpoint, read_metadata, save_checkpoint
+from .checkpoint import CHECKPOINT_FORMAT, TrainState
 from .evaluation import eval_mode, evaluate_model
 from .history import TrainingHistory
 
@@ -44,8 +46,15 @@ __all__ = ["TrainerConfig", "Trainer"]
 
 logger = logging.getLogger("repro.training")
 
-#: Version tag of the trainer checkpoint layout (stored in the metadata).
-CHECKPOINT_FORMAT = 2
+#: Config fields that may differ across a restore: they decide how long
+#: and how (compiled or eager, with how many rollbacks) a run continues,
+#: never its numerics.
+_RUNTIME_KNOBS = ("epochs", "verbose", "compile", "max_epoch_retries")
+
+
+def _as_json(value):
+    """``value`` as it reads back from JSON (lists for tuples, string keys)."""
+    return json.loads(json.dumps(value))
 
 
 @dataclass
@@ -72,8 +81,7 @@ class TrainerConfig:
     steps_per_epoch: Optional[int] = None #: defaults to len(dataset) / global batch
     compile: bool = False                 #: fused compiled training step (repro.compile)
     scenario: Optional[str] = None        #: resolve the PDE system from ``repro.scenarios``
-    fault_recovery: bool = False          #: epoch-level checkpoint/rollback recovery boundary
-    max_epoch_retries: int = 2            #: rollback-and-rerun attempts per epoch before re-raising
+    max_epoch_retries: int = 0            #: epoch rollback-and-rerun attempts before re-raising (0: no rollback)
     seed: int = 0
     verbose: bool = False
 
@@ -135,8 +143,8 @@ class Trainer:
         self.scheduler = self._build_scheduler()
         self.history = TrainingHistory()
         self._epoch = 0
-        #: Epoch rollback-and-rerun events performed by the recovery
-        #: boundary (``config.fault_recovery``) over this trainer's life.
+        #: Epoch rollback-and-rerun events (``config.max_epoch_retries``)
+        #: performed over this trainer's life.
         self.epoch_recoveries = 0
         self._compiled_step = None
         if self.config.compile:
@@ -306,169 +314,135 @@ class Trainer:
         the end of every epoch; the ``lr`` recorded for an epoch is the rate
         that was actually used during that epoch.
 
-        With ``config.fault_recovery`` enabled, every epoch runs inside a
-        recovery boundary: the complete training state is checkpointed at
-        the epoch start, and a fault escaping the epoch (a crashed rank, a
-        failed collective, an injected chaos fault) triggers a rollback to
-        that checkpoint and a re-run of the epoch.  The re-run replays the
-        exact same sampler/RNG state, so a faulted-and-recovered run is
+        With ``config.max_epoch_retries > 0`` every epoch can be rolled
+        back: the trainer takes an in-memory :meth:`snapshot` at the epoch
+        start, and after a fault escaping the epoch (a crashed rank, a
+        failed collective, an injected chaos fault) it :meth:`restore`-s
+        that snapshot and re-runs the epoch.  The re-run replays the exact
+        same sampler/RNG state, so a faulted-and-recovered run is
         bit-identical to a fault-free one (pinned by the chaos suite).  An
-        epoch failing more than ``config.max_epoch_retries`` times
-        re-raises the fault.
+        epoch failing more than ``max_epoch_retries`` times re-raises.
         """
         cfg = self.config
         n_epochs = cfg.epochs if epochs is None else int(epochs)
         steps = self._steps_per_epoch()
         self.model.train()
-        recovery = _EpochRecovery(self) if cfg.fault_recovery else None
-        try:
-            for _ in range(n_epochs):
-                epoch = self._epoch
-                if recovery is not None:
-                    recovery.capture()
-                attempt = 0
-                while True:
-                    try:
-                        # Injection site "training.epoch": an epoch-level
-                        # fault, as opposed to faults surfacing from the
-                        # communicator's comm.* sites inside the steps.
-                        if _faults.ACTIVE is not None:
-                            _faults.ACTIVE.fire("training.epoch")
-                        record = self._run_epoch(epoch, steps)
-                        break
-                    except Exception as exc:
-                        attempt += 1
-                        if recovery is None or attempt > cfg.max_epoch_retries:
-                            raise
-                        recovery.restore(exc, epoch, attempt)
-                self.history.append(**record)
-                self._emit_metrics(record)
-                self._epoch += 1
-                if self.scheduler is not None:
-                    self.scheduler.step()
-                if cfg.verbose:
-                    print(f"[epoch {epoch:3d}] loss={record['loss']:.5f} "
-                          f"(pred={record['prediction_loss']:.5f}, "
-                          f"eq={record['equation_loss']:.5f})")
-        finally:
-            if recovery is not None:
-                recovery.close()
+        for _ in range(n_epochs):
+            epoch = self._epoch
+            start = self.snapshot() if cfg.max_epoch_retries else None
+            attempt = 0
+            while True:
+                try:
+                    # Injection site "training.epoch": an epoch-level fault,
+                    # as opposed to faults surfacing from the communicator's
+                    # comm.* sites inside the steps.
+                    if _faults.ACTIVE is not None:
+                        _faults.ACTIVE.fire("training.epoch")
+                    record = self._run_epoch(epoch, steps)
+                    break
+                except Exception as exc:
+                    attempt += 1
+                    if attempt > cfg.max_epoch_retries:
+                        raise
+                    self._roll_back(start, exc, epoch, attempt)
+            self.history.append(**record)
+            self._emit_metrics(record)
+            self._epoch += 1
+            if self.scheduler is not None:
+                self.scheduler.step()
+            if cfg.verbose:
+                print(f"[epoch {epoch:3d}] loss={record['loss']:.5f} "
+                      f"(pred={record['prediction_loss']:.5f}, "
+                      f"eq={record['equation_loss']:.5f})")
         return self.history
 
-    # -------------------------------------------------------- checkpoint/resume
-    def _rng_state(self):
-        """Serializable per-worker RNG stream state (none for the serial loop)."""
-        return []
+    def _roll_back(self, start: TrainState, exc: Exception, epoch: int, attempt: int) -> None:
+        """Restore the epoch-start snapshot after a fault so the epoch re-runs."""
+        logger.warning(
+            "epoch %d failed (%s: %s); rolling back to the epoch snapshot "
+            "and re-running (attempt %d/%d)", epoch, type(exc).__name__, exc,
+            attempt, self.config.max_epoch_retries)
+        self.restore(start)
+        self.epoch_recoveries += 1
+        from ..obs import runtime as _obs
 
-    def _set_rng_state(self, states) -> None:
-        """Restore per-worker RNG stream state captured by :meth:`_rng_state`."""
+        if _obs.enabled:
+            from ..obs.metrics import REGISTRY
 
-    def _recovery_extra_state(self) -> dict:
-        """Extra JSON-serializable state the recovery boundary must restore.
+            REGISTRY.counter("training.recoveries").inc()
 
-        The base checkpoint already captures everything :meth:`resume`
-        needs; subclasses add state that lives *outside* the checkpoint
-        (the distributed trainer's communicator byte/collective counters,
-        which feed the per-epoch ``comm_bytes`` history fields).
-        """
-        return {}
-
-    def _restore_recovery_extra(self, extra: dict) -> None:
-        """Restore state captured by :meth:`_recovery_extra_state`."""
-
+    # ------------------------------------------------------------------ state
     @property
     def epochs_completed(self) -> int:
         """Number of epochs trained so far (survives checkpoint/resume)."""
         return self._epoch
 
-    def save(self, path, extra_metadata: Optional[dict] = None) -> None:
-        """Checkpoint the complete training state to ``path`` (an ``.npz``).
+    def snapshot(self) -> TrainState:
+        """Deep copy of everything this run continues from (:class:`TrainState`)."""
+        return TrainState(
+            model=self.model.state_dict(), optimizer=self.optimizer.state_dict(),
+            scheduler=self.scheduler.state_dict() if self.scheduler is not None else {},
+            epoch=self._epoch, history=self.history.to_dict(),
+            dtype=self.model.dtype.name, config=_as_json(asdict(self.config)),
+        )
 
-        Captures model parameters/buffers, optimizer state (including
-        float64 master weights), scheduler position, epoch counter, history,
-        the model's dtype policy and the per-worker RNG streams — everything
-        needed for :meth:`resume` to continue bit-identically.
+    def restore(self, state: TrainState) -> None:
+        """Continue from ``state`` (a :meth:`snapshot`, or a loaded checkpoint).
+
+        The state is checked before anything changes.  Bit-identical
+        continuation is impossible when the optimizer update rule, the LR
+        schedule, the data-parallel layout or the sampling recipe differs
+        from the run that produced the state, so every config field except
+        the :data:`_RUNTIME_KNOBS` must match — a mismatch raises instead
+        of silently degrading (e.g. float64 masters being cast down and
+        then ignored, or Adam moments sitting unused in SGD state).  States
+        from a newer format version are rejected.
+
+        The state's dtype policy wins: a trainer holding a float64 model
+        restoring a float32 run casts the model to float32 first (and vice
+        versa), so the continued run reproduces the original precision.
+        """
+        if state.format > CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"checkpoint format {state.format} is newer than this trainer "
+                f"understands (format {CHECKPOINT_FORMAT})"
+            )
+        current = _as_json(asdict(self.config))
+        for key, saved in state.config.items():
+            if key in _RUNTIME_KNOBS or key not in current:
+                continue
+            if saved != current[key]:
+                raise ValueError(
+                    f"checkpoint was trained with {key}={saved!r}, "
+                    f"trainer is configured with {key}={current[key]!r}"
+                )
+        if state.dtype and self.model.dtype != np.dtype(state.dtype):
+            self.model.astype(state.dtype)
+        self.model.load_state_dict(state.model)
+        if state.optimizer is not None:
+            # A copy: the optimizer keeps the arrays it is given and updates
+            # master weights in place, which would corrupt a snapshot that
+            # is restored a second time.
+            self.optimizer.load_state_dict(copy.deepcopy(state.optimizer))
+        if self.scheduler is not None and state.scheduler:
+            self.scheduler.load_state_dict(state.scheduler)
+        self._epoch = state.epoch
+        self.history = TrainingHistory.from_dict(state.history)
+
+    def save(self, path, extra_metadata: Optional[dict] = None) -> None:
+        """Checkpoint :meth:`snapshot` to ``path`` (an ``.npz``).
+
         ``extra_metadata`` entries are merged into the checkpoint metadata
         (the experiment pipeline records its artifact fingerprint this way);
         they must not collide with the trainer's own keys.
         """
-        metadata = {
-            "format": CHECKPOINT_FORMAT,
-            "epoch": self._epoch,
-            "history": self.history.to_dict(),
-            "dtype": self.model.dtype.name,
-            "config": asdict(self.config),
-            "rng": self._rng_state(),
-        }
-        if extra_metadata:
-            collisions = sorted(set(extra_metadata) & set(metadata))
-            if collisions:
-                raise ValueError(f"extra_metadata keys collide with trainer metadata: {collisions}")
-            metadata.update(extra_metadata)
-        save_checkpoint(path, self.model, self.optimizer, scheduler=self.scheduler,
-                        metadata=metadata)
-
-    def _validate_checkpoint(self, metadata: dict) -> None:
-        """Reject an incompatible checkpoint *before* any state is mutated.
-
-        Bit-identical continuation is impossible when the optimizer update
-        rule, the LR schedule, the data-parallel layout or the sampling
-        recipe differs from the run that produced the checkpoint, so every
-        config field except ``epochs`` (training longer or shorter after a
-        resume is legitimate) and ``verbose`` must match — a mismatch
-        raises instead of silently degrading (e.g. float64 masters being
-        cast down and then ignored, or Adam moments sitting unused in SGD
-        state).  Checkpoints from a newer format version are rejected.
-        """
-        fmt = metadata.get("format", CHECKPOINT_FORMAT)
-        if fmt > CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"checkpoint format {fmt} is newer than this trainer "
-                f"understands (format {CHECKPOINT_FORMAT})"
-            )
-        saved_config = metadata.get("config", {})
-        current = asdict(self.config)
-        for key, saved in saved_config.items():
-            # ``compile`` is exempt because compiled and eager execution are
-            # numerically identical — toggling it across a resume is safe,
-            # as is toggling the fault-recovery boundary (it only decides
-            # *whether* epochs are checkpointed, never their numerics).
-            exempt = ("epochs", "verbose", "compile", "fault_recovery", "max_epoch_retries")
-            if key in exempt or key not in current:
-                continue
-            # JSON has no tuples and only string keys; normalise before comparing.
-            expected = json.loads(json.dumps(current[key]))
-            if saved != expected:
-                raise ValueError(
-                    f"checkpoint was trained with {key}={saved!r}, "
-                    f"trainer is configured with {key}={expected!r}"
-                )
-
-    def _after_restore(self) -> None:
-        """Hook run after a checkpoint is fully restored (dtype may have changed)."""
+        self.snapshot().save(path, extra_metadata)
 
     def resume(self, path) -> dict:
-        """Restore a :meth:`save` checkpoint in place; returns its metadata.
-
-        The checkpoint's dtype policy wins: a trainer holding a float64
-        model resuming a float32 run casts the model to float32 first (and
-        vice versa), so the continued run reproduces the original
-        precision exactly.  An incompatible checkpoint (e.g. a different
-        worker count) raises before any trainer state is touched.
-        """
-        meta = read_metadata(path)
-        self._validate_checkpoint(meta)
-        saved_dtype = meta.get("dtype")
-        if saved_dtype and self.model.dtype != np.dtype(saved_dtype):
-            self.model.astype(saved_dtype)
-        meta = load_checkpoint(path, self.model, self.optimizer, scheduler=self.scheduler)
-        self._epoch = int(meta.get("epoch", 0))
-        if "history" in meta:
-            self.history = TrainingHistory.from_dict(meta["history"])
-        if meta.get("rng"):
-            self._set_rng_state(meta["rng"])
-        self._after_restore()
-        return meta
+        """:meth:`restore` a :meth:`save` checkpoint in place; returns its metadata."""
+        state, metadata = TrainState.load(path)
+        self.restore(state)
+        return metadata
 
     # ------------------------------------------------------------- evaluation
     def validation_loss(self, n_batches: int = 2) -> float:
@@ -513,49 +487,3 @@ class Trainer:
         return evaluate_model(self.model, dataset, dataset_index=dataset_index,
                               label=label, chunk_size=chunk_size)
 
-
-class _EpochRecovery:
-    """Checkpoint-based rollback boundary around one training epoch.
-
-    :meth:`capture` snapshots the complete training state (via the
-    trainer's own bit-identical :meth:`Trainer.save`) into a scratch
-    directory at the start of every epoch; :meth:`restore` rolls back to
-    that snapshot after a fault so the epoch re-runs from exactly the
-    state it first started from — same parameters, optimizer moments,
-    scheduler position, sampler shards and RNG streams.
-    """
-
-    def __init__(self, trainer: Trainer):
-        self.trainer = trainer
-        self._dir = tempfile.TemporaryDirectory(prefix="repro-epoch-recovery-")
-        self.path = Path(self._dir.name) / "epoch.npz"
-
-    def capture(self) -> None:
-        trainer = self.trainer
-        trainer.save(self.path, extra_metadata={
-            "recovery_extra": trainer._recovery_extra_state()})
-
-    def restore(self, exc: BaseException, epoch: int, attempt: int) -> None:
-        trainer = self.trainer
-        logger.warning(
-            "epoch %d failed (%s: %s); rolling back to the epoch checkpoint "
-            "and re-running (attempt %d/%d)", epoch, type(exc).__name__, exc,
-            attempt, trainer.config.max_epoch_retries)
-        meta = trainer.resume(self.path)
-        trainer._restore_recovery_extra(meta.get("recovery_extra") or {})
-        trainer.model.train()  # resume leaves mode untouched; the loop trains
-        trainer.epoch_recoveries += 1
-        self._publish()
-
-    def close(self) -> None:
-        self._dir.cleanup()
-
-    @staticmethod
-    def _publish() -> None:
-        from ..obs import runtime as _obs
-
-        if not _obs.enabled:
-            return
-        from ..obs.metrics import REGISTRY
-
-        REGISTRY.counter("training.recoveries").inc()

@@ -290,6 +290,33 @@ class TestStandardPipeline:
         for key in s2:
             np.testing.assert_array_equal(s1[key], s2[key])
 
+    def test_torn_scratch_checkpoint_is_discarded(self, tmp_path):
+        """A truncated checkpoint (the right fingerprint, an unreadable zip)
+        is deleted and training restarts, instead of failing every rerun."""
+        cfg = micro_config(table1_gammas=(0.0,),
+                           figures={"fig2": False, "fig6": False, "fig7": False})
+        pipe = build_standard_pipeline(cfg)
+        fp = pipe.fingerprints()["train.mfn.g0"]
+        store = ArtifactStore(tmp_path / "store")
+
+        scale = cfg.resolved_scale()
+        dataset = build_dataset(scale, results=[simulate(scale, seed=scale.seed)])
+        trainer = Trainer(build_model(scale), dataset, config=scale.trainer_config(0.0))
+        trainer.train(epochs=1)
+        ckpt = store.scratch_dir(fp) / "train.npz"
+        trainer.save(ckpt, extra_metadata={"artifact_fingerprint": fp})
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(ckpt.stat().st_size // 2)
+
+        report = run_pipeline(pipe, store=store, jobs=1)
+        assert report.ok
+        reference = run_pipeline(pipe, store=ArtifactStore(tmp_path / "ref"), jobs=1)
+        s1 = report.values["train.mfn.g0"]["model_state"]
+        s2 = reference.values["train.mfn.g0"]["model_state"]
+        assert sorted(s1) == sorted(s2)
+        for key in s2:
+            np.testing.assert_array_equal(s1[key], s2[key])
+
 
 #: config key -> terminal stage of each of the paper's 11 artefacts
 EXPERIMENTS = {

@@ -273,6 +273,22 @@ class TestBitIdenticalResume:
         assert source.last_step_indices == resumed.last_step_indices
         assert_same_params(source.model, resumed.model)
 
+    def test_mid_epoch_snapshot_restores_bit_identically(self, tiny_dataset):
+        """The in-memory snapshot() -> restore() continues exactly as a file does."""
+        cfg = dist_config(epochs=2)
+        source = DistributedTrainer(make_model(), tiny_dataset, config=cfg)
+        source.train(1)
+        source.train_step(0, source._epoch)  # advance mid-epoch
+        state = source.snapshot()
+
+        resumed = DistributedTrainer(make_model(seed=31), tiny_dataset, config=cfg)
+        resumed.restore(state)
+        source.train_step(1, source._epoch)
+        resumed.train_step(1, resumed._epoch)
+        assert source.last_step_indices == resumed.last_step_indices
+        assert_same_params(source.model, resumed.model)
+        assert_same_history(source.history, resumed.history)
+
     def test_cross_dtype_resume_continues_bit_identically(self, tmp_path, tiny_dataset):
         """Resuming a float32 run in a float64-built trainer must rebuild the
         communication path in float32 and continue bit-identically."""
