@@ -66,8 +66,8 @@ import numpy as np
 from ..autodiff import Tensor, ops
 from ..backend import resolve_dtype
 
-__all__ = ["query_latent_grid", "query_latent_grid_jets", "regular_grid_coordinates",
-           "trilinear_weights_numpy"]
+__all__ = ["check_grid_shape", "query_latent_grid", "query_latent_grid_jets",
+           "regular_grid_coordinates", "trilinear_weights_numpy"]
 
 
 def sum_tangents(a: Optional[Tensor], b: Optional[Tensor]) -> Optional[Tensor]:
@@ -267,16 +267,25 @@ def _blend_corners(grid: Tensor, coords: Tensor, decode, interpolation: str,
     return output, first, second
 
 
+def check_grid_shape(shape: Sequence[int]) -> tuple[int, int, int]:
+    """``shape`` as three ints, each at least 1; ``ValueError`` otherwise."""
+    checked = tuple(int(n) for n in shape)
+    if len(checked) != 3 or min(checked) < 1:
+        raise ValueError(f"output_shape must be 3 positive ints; got {shape}")
+    return checked
+
+
 def regular_grid_coordinates(shape: tuple[int, int, int], dtype=None) -> np.ndarray:
     """Normalised coordinates of a regular (t, z, x) grid, shape ``(nt*nz*nx, 3)``.
 
     Coordinates span ``[0, 1]`` inclusive along each axis (a single point maps
     to 0).  The ordering is C-order over ``(t, z, x)`` so that
-    ``values.reshape(nt, nz, nx)`` recovers the grid layout.
+    ``values.reshape(nt, nz, nx)`` recovers the grid layout.  ``shape`` must
+    hold three positive ints (:func:`check_grid_shape`).
     """
     dtype = resolve_dtype(dtype)
     axes = []
-    for n in shape:
+    for n in check_grid_shape(shape):
         axes.append(np.linspace(0.0, 1.0, n, dtype=dtype) if n > 1 else np.zeros(1, dtype=dtype))
     tt, zz, xx = np.meshgrid(*axes, indexing="ij")
     return np.stack([tt.ravel(), zz.ravel(), xx.ravel()], axis=-1)

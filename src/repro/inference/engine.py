@@ -16,8 +16,11 @@ arbitrarily large domains:
   no padding — under :func:`repro.autodiff.inference_mode`, with smooth
   partition-of-unity blending across tile overlaps;
 * nothing is derived twice: the tile layout and the planner are kept per
-  domain shape, and tiles are cached channel-last, the layout the decode
-  gathers from.
+  domain shape, tiles are cached channel-last, the layout the decode
+  gathers from, and a dense grid's block geometry (rows, blend weights,
+  vertex indices, fractions) is kept per domain shape, grid shape, dtype
+  and batch size within a byte budget, so a repeated grid request only
+  weighs corners, gathers, decodes and blends.
 
 With ``tile_shape=None`` the engine runs in *direct* mode — a single tile
 covering the whole domain — which reproduces the seed path exactly.  In
@@ -35,13 +38,14 @@ import itertools
 import threading
 import warnings
 import weakref
-from typing import Hashable, Optional, Sequence
+from collections import OrderedDict
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..autodiff import Tensor, inference_mode
 from ..backend import canonical_dtype, precision
-from ..core.latent_grid import query_latent_grid, regular_grid_coordinates
+from ..core.latent_grid import check_grid_shape, query_latent_grid, regular_grid_coordinates
 from ..obs.trace import span as _span
 from .cache import LatentTileCache
 from .planner import GridQueryPlanner, QueryPlanner
@@ -59,6 +63,10 @@ _TOKEN_LOCK = threading.Lock()
 #: bounds the planner's transient arrays on extremely large query sets.
 _PLAN_WINDOW = 1 << 20
 
+#: Bytes of block geometry an engine keeps for dense grids (:class:`_GridPlan`),
+#: least recently used evicted first; a grid whose plan alone exceeds it streams.
+_GRID_PLAN_BYTES = 4 << 20
+
 #: A cell's eight corner offsets along ``(t, z, x)``, in :func:`query_latent_grid`'s order.
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 
@@ -67,18 +75,68 @@ _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
 def _cell_constants(tile_shape: tuple, dtype: np.dtype):
     """What the block decode needs of a tile shape, as read-only arrays.
 
-    ``(scale, last_cell, steps)``: cells per unit of tile-local coordinate and
-    the last cell's index along each axis (both in ``dtype``), and the flat
-    index step of one vertex along each axis of a channel-last tile — zero
-    along a one-vertex axis, whose single cell has both its ends on vertex 0.
+    ``(scale, last_cell, steps, corner_steps, corner_offsets)``: cells per
+    unit of tile-local coordinate and the last cell's index along each axis
+    (both in ``dtype``); the flat index step of one vertex along each axis of
+    a channel-last tile — zero along a one-vertex axis, whose single cell has
+    both its ends on vertex 0; and the eight corners' offsets from their
+    cell's first vertex, as flat index steps ``(8, 1)`` and in ``dtype``
+    ``(8, 1, 3)``, in :func:`query_latent_grid`'s corner order.
     """
     sizes = np.array(tile_shape)
     scale = np.maximum(sizes - 1, 1).astype(dtype)
     last_cell = np.maximum(sizes - 2, 0).astype(dtype)
     steps = np.array([tile_shape[1] * tile_shape[2], tile_shape[2], 1]) * (sizes > 1)
-    for array in (scale, last_cell, steps):
+    corner_steps = (_CORNERS @ steps)[:, None]
+    corner_offsets = _CORNERS[:, None, :].astype(dtype)
+    constants = scale, last_cell, steps, corner_steps, corner_offsets
+    for array in constants:
         array.setflags(write=False)
-    return scale, last_cell, steps
+    return constants
+
+
+class _BlockGeometry(NamedTuple):
+    """Everything one block's decode needs that no latent value decides.
+
+    ``pieces`` are ``(tile, n_points)`` in tile-major order; per point,
+    ``rows`` is the output row, ``weights`` the blend weight, ``base`` the
+    flat index of the cell's first vertex in its channel-last tile and
+    ``rel`` the in-cell fraction, from which the corner weights follow.
+    Under ``"nearest"`` interpolation ``base`` / ``rel`` refer to the
+    nearest vertex instead.
+    """
+
+    pieces: tuple
+    rows: np.ndarray
+    weights: np.ndarray
+    base: np.ndarray
+    rel: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self[1:])
+
+
+class _GridPlan:
+    """The block geometries of one dense grid, kept for replay.
+
+    Stored flat — one read-only array per :class:`_BlockGeometry` field,
+    blocks end to end — and handed back block by block as views, so a kept
+    plan costs its arrays and one ``(pieces, start, stop)`` triple per block.
+    """
+
+    def __init__(self, blocks: Sequence[_BlockGeometry]):
+        bounds = np.cumsum([0] + [len(b.rows) for b in blocks]).tolist()
+        self._spans = [(b.pieces, lo, hi) for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:])]
+        self._flat = _BlockGeometry((), *map(np.concatenate, zip(*(b[1:] for b in blocks))))
+        for array in self._flat[1:]:
+            array.setflags(write=False)
+        self.nbytes = self._flat.nbytes
+
+    def __iter__(self):
+        _, rows, weights, base, rel = self._flat
+        for pieces, lo, hi in self._spans:
+            yield _BlockGeometry(pieces, rows[lo:hi], weights[lo:hi], base[lo:hi], rel[lo:hi])
 
 
 @contextlib.contextmanager
@@ -186,6 +244,11 @@ class InferenceEngine:
         #: ``domain shape -> (TileLayout, QueryPlanner)``: both depend only on
         #: that shape and on fields fixed above, so each is built once.
         self._layouts: dict[tuple, tuple[TileLayout, QueryPlanner]] = {}
+        #: ``(domain shape, output shape, dtype name, n_batch) -> _GridPlan``,
+        #: least recently used first, within ``_GRID_PLAN_BYTES`` in total.
+        self._grid_plans: OrderedDict[tuple, _GridPlan] = OrderedDict()
+        self._grid_plan_bytes = 0
+        self._grid_plans_lock = threading.Lock()
         if self.tile_shape is not None and getattr(model.config, "unet_norm", None) == "group":
             warnings.warn(
                 "group normalisation computes statistics over the whole crop, so "
@@ -309,6 +372,23 @@ class InferenceEngine:
                 alive.append((weakref.ref(data), token))
             self._open_domains = alive
             return token
+
+    def _grid_plan(self, key: tuple) -> Optional[_GridPlan]:
+        """The kept plan of a dense grid, marked most recently used, or ``None``."""
+        with self._grid_plans_lock:
+            plan = self._grid_plans.get(key)
+            if plan is not None:
+                self._grid_plans.move_to_end(key)
+            return plan
+
+    def _keep_grid_plan(self, key: tuple, plan: _GridPlan) -> None:
+        """Keep ``plan`` unless one is kept already, then evict LRU down to the budget."""
+        with self._grid_plans_lock:
+            if self._grid_plans.setdefault(key, plan) is not plan:
+                return
+            self._grid_plan_bytes += plan.nbytes
+            while self._grid_plan_bytes > _GRID_PLAN_BYTES:
+                self._grid_plan_bytes -= self._grid_plans.popitem(last=False)[1].nbytes
 
     # ------------------------------------------------------------ high level
     def query_points(self, lowres, coords: np.ndarray) -> np.ndarray:
@@ -439,12 +519,12 @@ class TiledLatentField:
             return out
         for start in range(0, n_points, _PLAN_WINDOW):
             stop = min(start + _PLAN_WINDOW, n_points)
-            groups = self.planner.plan(coords[start:stop])
-            self._decode_tile_major(groups, out[:, start:stop, :])
+            for geometry in self._block_geometries(self.planner.plan(coords[start:stop])):
+                self._decode_block(geometry, out[:, start:stop, :])
         return out
 
-    def _decode_tile_major(self, groups, out_view: np.ndarray) -> None:
-        """Decode tile-major-ordered groups into ``out_view`` in flat blocks.
+    def _block_geometries(self, groups):
+        """Cut tile-major-ordered groups into flat blocks and yield each one's geometry.
 
         Groups are cut, order-preserving, into blocks of at most
         ``chunk_size // (8 * n_batch)`` points, so no decoder call sees more
@@ -461,51 +541,69 @@ class TiledLatentField:
                 room -= stop - start
                 start = stop
                 if room == 0:
-                    self._decode_block(block, out_view)
+                    yield self._block_geometry(block)
                     block, room = [], limit
         if block:
-            self._decode_block(block, out_view)
+            yield self._block_geometry(block)
 
-    def _decode_block(self, block, out_view: np.ndarray) -> None:
-        """Decode one block of group slices in a single decoder call and blend.
+    def _block_geometry(self, block) -> _BlockGeometry:
+        """The geometry half of a block decode: where each point sits, not what it reads.
 
-        The block is flattened first — its pieces' rows, tile-local
-        coordinates and blend weights end to end, in tile-major order — and
-        everything after works on those flat arrays.  Cell index, in-cell
-        fraction, corner weights and the order the eight corner predictions
-        are summed in are those of
-        :func:`~repro.core.latent_grid.query_latent_grid`, computed once in
-        NumPy for the whole block; a corner's latent vector is row
-        ``cell · steps + offset · steps`` of its channel-last tile, so each
-        tile is gathered with one flat index; the decoder gets one row per
-        (sample, corner, point) and no padding.  The weighted values are added
-        into ``out_view`` by one ``np.add.at``, which applies entries in
-        order: a point covered by several tiles has them summed in ascending
-        tile order, whichever other points share the block.
+        The block is flattened — its pieces' rows, tile-local coordinates and
+        blend weights end to end, in tile-major order — and cell index and
+        in-cell fraction (or, under ``"nearest"``, the nearest vertex) are
+        those of :func:`~repro.core.latent_grid.query_latent_grid`, computed
+        once in NumPy for the whole block.  Point queries and dense grids
+        share this one statement of that arithmetic.
         """
         dt = self.dtype
-        n_batch = self.n_batch
-        scale, last_cell, steps = _cell_constants(self.layout.tile_shape, dt)
+        scale, last_cell, steps, _, _ = _cell_constants(self.layout.tile_shape, dt)
         rows = np.concatenate([g.rows[sel] for g, sel in block])
         weights = np.concatenate([g.weights[sel] for g, sel in block]).astype(dt, copy=False)
         local = np.concatenate([g.local_coords[sel] for g, sel in block]).astype(dt, copy=False)
         pos = local * scale
         cell = np.clip(np.floor(pos), 0, last_cell)
         frac = pos - cell
+        base = cell.astype(np.intp) @ steps
+        if self.engine.model.config.interpolation != "trilinear":
+            nearest = (frac >= 0.5).astype(np.intp)
+            base += nearest @ steps
+            frac -= nearest.astype(dt)
+        pieces = tuple((g.tile, sel.stop - sel.start) for g, sel in block)
+        return _BlockGeometry(pieces, rows, weights, base, frac)
+
+    def _decode_block(self, geometry: _BlockGeometry, out_view: np.ndarray) -> None:
+        """The decode half: gather, one decoder call, corner blend, ordered scatter-add.
+
+        A corner's latent vector is row ``base + corner step`` of its
+        channel-last tile, so each tile is gathered with one flat index; the
+        decoder gets one row per (sample, corner, point) and no padding.  The
+        corner weights are ``query_latent_grid``'s products of ``1 - f`` or
+        ``f`` per axis, formed separably; the eight corner predictions are
+        summed in its corner order and the weighted values are added into
+        ``out_view`` by one ``np.add.at``, which applies entries in order: a
+        point covered by several tiles has them summed in ascending tile
+        order, whichever other points share the block.  Reads ``geometry``
+        and never writes it, so a kept grid plan replays through here.
+        """
+        dt = self.dtype
+        n_batch = self.n_batch
+        pieces, rows, weights, base, rel = geometry
+        corner_w = None
         if self.engine.model.config.interpolation == "trilinear":
-            offsets = _CORNERS[:, None, :]
-            axis_w = np.where(offsets == 1, frac, 1 - frac)
-            corner_w = axis_w[..., 0] * axis_w[..., 1] * axis_w[..., 2]
+            _, _, _, corner_steps, corner_offsets = _cell_constants(self.layout.tile_shape, dt)
+            g = np.stack([1 - rel, rel])  # a corner's factor along axis a: g[offset_a, :, a]
+            corner_w = (g[:, None, None, :, 0] * g[None, :, None, :, 1]
+                        * g[None, None, :, :, 2]).reshape(8, -1)
+            vertex, rel = base + corner_steps, rel - corner_offsets
         else:
-            offsets = (frac >= 0.5).astype(np.intp)[None]
-            corner_w = None
-        vertex = cell.astype(np.intp) @ steps + offsets @ steps  # (corners, P)
-        stores = [self._latent_store(g.tile) for g, _ in block]
+            vertex, rel = base[None], rel[None]
+        stores = [self._latent_store(tile) for tile, _ in pieces]
         inputs = np.empty((n_batch, *vertex.shape, 3 + stores[0].shape[-1]), dtype=dt)
-        inputs[..., :3] = frac - offsets.astype(dt)
+        inputs[..., :3] = rel
         lo = 0
-        for store, (_, sel) in zip(stores, block):
-            hi = lo + sel.stop - sel.start
+        for store, (_, n) in zip(stores, pieces):
+            hi = lo + n
             inputs[:, :, lo:hi, 3:] = store.reshape(n_batch, -1, store.shape[-1]).take(
                 vertex[:, lo:hi], axis=1)
             lo = hi
@@ -513,7 +611,7 @@ class TiledLatentField:
         # One "nearest" point alone is decoded twice: a one-row matmul takes BLAS's
         # matrix-vector kernel, whose bits differ from what the row gets in a batch.
         feed = flat if len(flat) > 1 else np.repeat(flat, 2, axis=0)
-        with _span("engine.decode_tile", n_tiles=len(block), n_points=len(rows)), \
+        with _span("engine.decode_tile", n_tiles=len(pieces), n_points=len(rows)), \
                 precision(dt), inference_mode():
             pred = self.engine.decoder(Tensor(feed)).data
         pred = pred[:len(flat)].reshape(*inputs.shape[:3], -1)
@@ -532,18 +630,43 @@ class TiledLatentField:
         :meth:`~repro.core.model.MeshfreeFlowNet.predict_grid`.  In tiled
         mode the regular-grid structure is exploited: the separable
         :class:`~repro.inference.planner.GridQueryPlanner` plans per axis
-        and streams tile-major groups, so planning memory is independent of
-        the output volume.
+        and streams tile-major groups, and the block geometries they cut
+        into depend only on the domain shape, the grid shape, the dtype and
+        the batch size.  So the engine keeps them, flat, per such key
+        (:class:`_GridPlan`, within ``_GRID_PLAN_BYTES`` per engine, least
+        recently used evicted first) and a repeated grid replays them
+        through the same decode half; a grid whose plan alone would exceed
+        the budget streams, with planning memory independent of the output
+        volume.
         """
-        output_shape = tuple(int(v) for v in output_shape)
-        if len(output_shape) != 3:
-            raise ValueError(f"output_shape must be (nt, nz, nx); got {output_shape}")
+        output_shape = check_grid_shape(output_shape)
         if self.layout.is_single_tile:
             out = self.query(regular_grid_coordinates(output_shape, dtype=self.dtype))
         else:
-            n_points = int(np.prod(output_shape))
-            out = np.zeros((self.n_batch, n_points, self.engine.model.config.out_channels),
-                           dtype=self.dtype)
-            self._decode_tile_major(GridQueryPlanner(self.layout).plan(output_shape), out)
+            out = np.zeros((self.n_batch, int(np.prod(output_shape)),
+                            self.engine.model.config.out_channels), dtype=self.dtype)
+            self._decode_grid(output_shape, out)
         out = out.reshape(self.n_batch, *output_shape, -1)
         return np.moveaxis(out, -1, 1)
+
+    def _decode_grid(self, output_shape: tuple, out: np.ndarray) -> None:
+        """Decode a dense grid into ``out``: replay its kept plan, or plan it and keep it."""
+        engine = self.engine
+        key = (self.layout.domain_shape, output_shape, self._dtype_name, self.n_batch)
+        plan = engine._grid_plan(key)
+        if plan is not None:
+            for geometry in plan:
+                self._decode_block(geometry, out)
+            return
+        # Every grid point is planned at least once, so the first block's bytes
+        # per point already tell whether the whole plan can fit the budget.
+        kept, size, n_points = [], 0, out.shape[1]
+        for geometry in self._block_geometries(GridQueryPlanner(self.layout).plan(output_shape)):
+            self._decode_block(geometry, out)
+            if kept is not None:
+                kept.append(geometry)
+                size += geometry.nbytes
+                if max(size, geometry.nbytes * n_points / len(geometry.rows)) > _GRID_PLAN_BYTES:
+                    kept = None
+        if kept is not None:
+            engine._keep_grid_plan(key, _GridPlan(kept))

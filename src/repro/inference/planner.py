@@ -162,7 +162,10 @@ class GridQueryPlanner:
     ``O(nt + nz + nx)`` memory instead of ``O(P)`` — and the 3-D point sets
     are materialised lazily, one tile at a time, in tile-major order.  This
     is what :meth:`repro.inference.engine.TiledLatentField.predict_grid`
-    uses, keeping planning memory independent of the output volume.
+    plans a grid with the first time; the engine then keeps the block
+    geometry cut from these groups within a byte budget, and a grid too
+    large for it streams with planning memory independent of the output
+    volume.
     """
 
     def __init__(self, layout: TileLayout):
@@ -173,8 +176,12 @@ class GridQueryPlanner:
 
         ``output_shape`` is the high-resolution grid shape ``(nt, nz, nx)``;
         row indices refer to C-order raveling over ``(t, z, x)``, matching
-        :func:`repro.core.latent_grid.regular_grid_coordinates`.  Weights of
-        each point across the yielded groups sum to one.
+        :func:`repro.core.latent_grid.regular_grid_coordinates`.  A point's
+        weight in a group is the plain product of its three per-axis ramp
+        weights, which are not renormalised: along each axis a point's two
+        ramp weights sum to one, so its weights across the yielded groups sum
+        to one only up to rounding, and may differ in the last bits from
+        :class:`QueryPlanner`'s, which divides by that sum.
         """
         layout = self.layout
         output_shape = tuple(int(v) for v in output_shape)

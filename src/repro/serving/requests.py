@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend import canonical_dtype
+from ..core.latent_grid import check_grid_shape
 
 __all__ = [
     "QueryRequest",
@@ -97,10 +98,7 @@ class QueryRequest:
             if self.coords.shape[0] == 0:
                 raise ValueError("coords must contain at least one point")
         if self.output_shape is not None:
-            shape = tuple(int(v) for v in self.output_shape)
-            if len(shape) != 3 or any(v < 1 for v in shape):
-                raise ValueError(f"output_shape must be 3 positive ints; got {self.output_shape}")
-            self.output_shape = shape
+            self.output_shape = check_grid_shape(self.output_shape)
 
     # ------------------------------------------------------------ properties
     @property

@@ -33,6 +33,12 @@ class TestRegularGridCoordinates:
         grid = coords[:, 2].reshape(2, 2, 2)
         assert np.allclose(grid[0, 0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (-2, 4, 4), (4, 4), (1, 2, 3, 4)])
+    def test_shape_must_be_three_positive_ints(self, shape):
+        """A zero or negative axis is an error, not one point."""
+        with pytest.raises(ValueError, match="output_shape must be 3 positive ints"):
+            regular_grid_coordinates(shape)
+
 
 class TestTrilinearWeights:
     @settings(max_examples=30, deadline=None)

@@ -699,6 +699,148 @@ class TestEngineKeepsWhatItDerived:
         assert latent.transpose(0, 2, 3, 4, 1).flags.c_contiguous      # which is channel-last
 
 
+def stub_engine(layout: TileLayout, interpolation: str, dtype: str, chunk_size: int = 4096):
+    """A :class:`GridStub` engine that tiles every domain of ``layout``'s shape as ``layout`` does."""
+    engine = InferenceEngine(GridStub(interpolation, dtype), tile_shape=layout.tile_shape,
+                             ramp_width=layout.ramp_width, chunk_size=chunk_size)
+    engine._layouts[layout.domain_shape] = (layout, QueryPlanner(layout))
+    return engine
+
+
+class TestGridPlanReplay:
+    """A dense grid's block geometry is planned once per key and replayed bit for bit."""
+
+    SHAPES = [(1, 24, 40), (4, 1, 9), (5, 17, 33)]
+
+    @pytest.mark.parametrize("n_batch", [1, 2])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+    def test_replay_is_bit_identical(self, interpolation, dtype, n_batch, monkeypatch):
+        """First call, replay, a fresh engine and a streamed decode give the same bits."""
+        from repro.inference import engine as engine_module
+
+        model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny(interpolation=interpolation)).eval()
+        model.astype(dtype)
+        lowres = np.random.default_rng(12).standard_normal((n_batch, 4, 4, 24, 40))
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16))
+        first = {shape: engine.predict_grid(lowres, shape) for shape in self.SHAPES}
+        assert len(engine._grid_plans) == len(self.SHAPES)
+        fresh = InferenceEngine(model, tile_shape=(4, 16, 16))
+        for shape, want in first.items():
+            assert want.dtype == np.dtype(dtype) and want.shape == (n_batch, 4, *shape)
+            assert np.array_equal(engine.predict_grid(lowres, shape), want)  # replay
+            assert np.array_equal(fresh.predict_grid(lowres, shape), want)
+        monkeypatch.setattr(engine_module, "_GRID_PLAN_BYTES", 0)
+        streamed = InferenceEngine(model, tile_shape=(4, 16, 16))
+        for shape, want in first.items():
+            assert np.array_equal(streamed.predict_grid(lowres, shape), want)
+        assert not streamed._grid_plans and streamed._grid_plan_bytes == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=layouts(), shape=st.tuples(*[st.integers(1, 12)] * 3),
+           interpolation=st.sampled_from(["trilinear", "nearest"]),
+           dtype=st.sampled_from(["float64", "float32"]), n_batch=st.sampled_from([1, 2]),
+           chunk_size=st.sampled_from([8, 24, 4096]), seed=st.integers(0, 2 ** 16))
+    def test_replay_is_bit_identical_on_random_layouts(self, layout, shape, interpolation, dtype,
+                                                       n_batch, chunk_size, seed):
+        assume(not layout.is_single_tile)
+        from repro.inference import engine as engine_module
+
+        lowres = np.random.default_rng(seed).standard_normal((n_batch, 2, *layout.domain_shape))
+        engine = stub_engine(layout, interpolation, dtype, chunk_size)
+        first = engine.predict_grid(lowres, shape)
+        assert list(engine._grid_plans) == [(layout.domain_shape, shape, dtype, n_batch)]
+        assert np.array_equal(engine.predict_grid(lowres, shape), first)
+        assert np.array_equal(stub_engine(layout, interpolation, dtype, chunk_size)
+                              .predict_grid(lowres, shape), first)
+        budget = engine_module._GRID_PLAN_BYTES
+        try:
+            engine_module._GRID_PLAN_BYTES = 0
+            streamed = stub_engine(layout, interpolation, dtype, chunk_size)
+            assert np.array_equal(streamed.predict_grid(lowres, shape), first)
+            assert not streamed._grid_plans
+        finally:
+            engine_module._GRID_PLAN_BYTES = budget
+
+    def test_a_new_key_plans_and_a_kept_one_replays(self, model, lowres, monkeypatch):
+        """Domain shape, grid shape and batch size key a plan; the domain's values do not."""
+        other = np.random.default_rng(13).standard_normal(lowres.shape)
+        want = InferenceEngine(model, tile_shape=(4, 16, 16)).predict_grid(other, (4, 24, 40))
+        planned, plan = [], GridQueryPlanner.plan
+        monkeypatch.setattr(GridQueryPlanner, "plan",
+                            lambda self, shape: planned.append(shape) or plan(self, shape))
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16))
+        dt = engine.dtype.name
+        engine.predict_grid(lowres, (4, 24, 40))
+        assert np.array_equal(engine.predict_grid(other, (4, 24, 40)), want)
+        assert planned == [(4, 24, 40)]
+        engine.predict_grid(lowres, (4, 24, 41))
+        engine.predict_grid(np.concatenate([lowres, other]), (4, 24, 40))
+        engine.predict_grid(lowres[..., :24], (4, 24, 40))
+        assert len(planned) == 4
+        assert list(engine._grid_plans) == [
+            ((4, 24, 40), (4, 24, 40), dt, 1), ((4, 24, 40), (4, 24, 41), dt, 1),
+            ((4, 24, 40), (4, 24, 40), dt, 2), ((4, 24, 24), (4, 24, 40), dt, 1)]
+        for kept in engine._grid_plans.values():
+            assert all(not g.rows.flags.writeable and not g.rel.flags.writeable for g in kept)
+
+    def test_float32_and_float64_keep_separate_plans(self, lowres):
+        """Two precisions sharing one tile cache, and one engine whose model is cast in place."""
+        cache = LatentTileCache(capacity=None)
+        nets = {dt: MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval().astype(dt)
+                for dt in ("float64", "float32")}
+        for dt, net in nets.items():
+            engine = InferenceEngine(net, tile_shape=(4, 16, 16), cache=cache)
+            out = engine.predict_grid(lowres, (4, 24, 40))
+            assert out.dtype == np.dtype(dt)
+            assert np.array_equal(engine.predict_grid(lowres, (4, 24, 40)), out)
+            assert np.array_equal(out, InferenceEngine(net, tile_shape=(4, 16, 16))
+                                  .predict_grid(lowres, (4, 24, 40)))
+            (key, kept), = engine._grid_plans.items()
+            assert key[2] == dt and all(g.weights.dtype == np.dtype(dt) for g in kept)
+        net = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny()).eval().astype("float64")
+        engine = InferenceEngine(net, tile_shape=(4, 16, 16), cache=cache)
+        engine.predict_grid(lowres, (4, 24, 40))
+        net.astype("float32")
+        out = engine.predict_grid(lowres, (4, 24, 40))
+        assert [key[2] for key in engine._grid_plans] == ["float64", "float32"]
+        assert np.array_equal(out, InferenceEngine(net, tile_shape=(4, 16, 16))
+                              .predict_grid(lowres, (4, 24, 40)))
+
+    def test_budget_evicts_least_recently_used(self, model, lowres, monkeypatch):
+        from repro.inference import engine as engine_module
+
+        shapes = [(4, 24, 40), (4, 24, 41), (4, 24, 42)]
+        probe = InferenceEngine(model, tile_shape=(4, 16, 16))
+        sizes = {}
+        for shape in shapes:
+            probe.predict_grid(lowres, shape)
+            sizes[shape] = probe._grid_plans[(4, 24, 40), shape, probe.dtype.name, 1].nbytes
+        budget = sizes[shapes[0]] + sizes[shapes[2]]
+        assert budget < sum(sizes.values())
+        monkeypatch.setattr(engine_module, "_GRID_PLAN_BYTES", budget)
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16))
+        for shape in (shapes[0], shapes[1], shapes[0], shapes[2]):  # shapes[1] is least recent
+            engine.predict_grid(lowres, shape)
+            kept = engine._grid_plans.values()
+            assert engine._grid_plan_bytes == sum(p.nbytes for p in kept) <= budget
+        assert [key[1] for key in engine._grid_plans] == [shapes[0], shapes[2]]
+
+    def test_oversize_grid_keeps_no_plan_and_gives_the_same_bits(self, model, lowres, monkeypatch):
+        from repro.inference import engine as engine_module
+
+        engine = InferenceEngine(model, tile_shape=(4, 16, 16))
+        want = engine.predict_grid(lowres, (4, 24, 40))
+        (kept,) = engine._grid_plans.values()
+        monkeypatch.setattr(engine_module, "_GRID_PLAN_BYTES", kept.nbytes - 1)
+        built = []
+        monkeypatch.setattr(engine_module, "_GridPlan", lambda blocks: built.append(blocks))
+        streamed = InferenceEngine(model, tile_shape=(4, 16, 16))
+        assert np.array_equal(streamed.predict_grid(lowres, (4, 24, 40)), want)
+        # Not built and dropped: the blocks were let go as soon as they could not fit.
+        assert built == [] and not streamed._grid_plans and streamed._grid_plan_bytes == 0
+
+
 # --------------------------------------------------------------------------- #
 # Engine API surface                                                          #
 # --------------------------------------------------------------------------- #
@@ -714,6 +856,19 @@ class TestEngineAPI:
             InferenceEngine(model).open(lowres).query(np.zeros((5, 2)))
         with pytest.raises(ValueError):
             InferenceEngine(model).predict_grid(lowres, (4, 16))
+
+    @pytest.mark.parametrize("tile_shape", [None, (4, 16, 16)])
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (-2, 4, 4), (4, 16)])
+    def test_grid_shape_must_be_three_positive_ints(self, model, lowres, tile_shape, shape):
+        """A zero or negative axis is an error in both modes, and no plan is kept for it."""
+        engine = InferenceEngine(model, tile_shape=tile_shape)
+        with pytest.raises(ValueError, match="output_shape must be 3 positive ints"):
+            engine.predict_grid(lowres, shape)
+        with pytest.raises(ValueError, match="output_shape must be 3 positive ints"):
+            engine.super_resolve(lowres, (2, 0, 2))
+        with pytest.raises(ValueError, match="output_shape must be 3 positive ints"):
+            model.super_resolve(Tensor(lowres), (2, 0, 2), tile_shape=tile_shape)
+        assert not engine._grid_plans and engine.cache_stats.misses == 0
 
     @pytest.mark.float64_default
     def test_direct_mode_matches_manual_decode(self, model, lowres):
@@ -833,6 +988,44 @@ class TestConcurrentEngineUse:
         assert cache.invalidate(lambda key: key[0] == "a") == 2
         assert ("a", 0) not in cache and ("b", 0) in cache
         assert cache.stats().current_bytes == np.zeros(2).nbytes
+
+    def test_threaded_grid_plans_stay_within_budget(self, monkeypatch):
+        """Threads planning, replaying and evicting grid plans on one engine lose no bytes."""
+        import sys
+        import threading
+
+        from repro.inference import engine as engine_module
+
+        lowres = np.random.default_rng(14).standard_normal((1, 2, 6, 9, 9))
+        engine = stub_engine(TileLayout((6, 9, 9), (4, 6, 6), halo=(0, 0, 0), divisor=(1, 1, 1),
+                                        ramp_width=1.0), "trilinear", "float64")
+        shapes = [(2, 2, n) for n in range(2, 12)]
+        want = {shape: engine.predict_grid(lowres, shape) for shape in shapes}
+        budget = 2 * max(p.nbytes for p in engine._grid_plans.values())
+        monkeypatch.setattr(engine_module, "_GRID_PLAN_BYTES", budget)
+        engine._grid_plans.clear()
+        engine._grid_plan_bytes = 0
+        errors, interval = [], sys.getswitchinterval()
+
+        def client(k):
+            try:
+                for i in range(100):
+                    shape = shapes[(k + i) % len(shapes)]
+                    assert np.array_equal(engine.predict_grid(lowres, shape), want[shape])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert engine._grid_plan_bytes == sum(p.nbytes for p in engine._grid_plans.values()) <= budget
 
     @pytest.mark.parametrize("tile_shape", [None, (4, 16, 16)])
     def test_threaded_queries_match_single_threaded(self, model, lowres, tile_shape):
