@@ -5,7 +5,13 @@ convolutional-decoder baseline.  The convolution family shares one
 channel-major GEMM layout, ``W(C_out, K) @ cols(N, K, L) -> (N, C_out, L)``
 with ``K = C_in*kd*kh*kw`` and ``L = D_out*H_out*W_out``: the product *is*
 the C-contiguous NCDHW result, so nothing is transposed or copied after the
-GEMM.  Backward rules are themselves *recorded primitives*
+GEMM.  The columns are never materialised whole (27x the input for a 3x3x3
+kernel): :func:`_column_blocks` copies them one L2-sized block of output
+positions at a time into a reused scratch buffer, and ``Conv3d`` /
+``Conv3dGradWeight`` consume each block with its own GEMM before the next
+is copied.  A sample whose columns fit one block is one GEMM, as is every
+pointwise (1x1x1, stride-1, unpadded) convolution, which copies nothing.
+Backward rules are themselves *recorded primitives*
 (``Conv3dGradInput`` / ``Conv3dGradWeight`` and the pooling/upsampling
 adjoints below) whose forwards recompute everything from their live
 operands — no forward-cached arrays — so a :mod:`repro.compile` graph
@@ -37,9 +43,17 @@ def _triple(value) -> tuple[int, int, int]:
     return (int(value),) * 3
 
 
+def _output_shape(x_shape, kernel, stride, padding) -> tuple[int, int, int]:
+    """Output spatial shape of a convolution; raises ``ValueError`` if the kernel outgrows the input."""
+    padded = tuple(size + 2 * p for size, p in zip(x_shape[2:], padding))
+    if any(k > size for k, size in zip(kernel, padded)):
+        raise ValueError(f"kernel {tuple(kernel)} is larger than the padded input spatial shape {padded}")
+    return tuple((size - k) // s + 1 for size, k, s in zip(padded, kernel, stride))
+
+
 def _extract_patches(x: np.ndarray, kernel: tuple[int, int, int], stride: tuple[int, int, int]) -> np.ndarray:
     """Return a read-only strided view of shape (N, C, Do, Ho, Wo, kd, kh, kw)."""
-    out = tuple((size - k) // s + 1 for size, k, s in zip(x.shape[2:], kernel, stride))
+    out = _output_shape(x.shape, kernel, stride, (0, 0, 0))
     strides = (*x.strides[:2], *(step * s for step, s in zip(x.strides[2:], stride)), *x.strides[2:])
     # The windows overlap in memory, so a write through the view would land
     # in several patches at once: hand it out read-only.
@@ -47,30 +61,55 @@ def _extract_patches(x: np.ndarray, kernel: tuple[int, int, int], stride: tuple[
         x, shape=(*x.shape[:2], *out, *kernel), strides=strides, writeable=False)
 
 
+#: Byte budget of one block of im2col columns (:func:`_column_blocks`): small
+#: enough that the GEMM reads the block while it is still in L2.
+_COLS_BLOCK_BYTES = 512 * 1024
+
+
 def _is_pointwise(kernel, stride, padding) -> bool:
     """A 1x1x1, stride-1, unpadded convolution: a plain channel-mixing GEMM."""
     return kernel == (1, 1, 1) and stride == (1, 1, 1) and not any(padding)
 
 
-def _im2col(x: np.ndarray, kernel, stride, padding) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Channel-major columns ``(N, C*kd*kh*kw, L)`` of ``x`` and the output spatial shape.
+def _column_blocks(x: np.ndarray, kernel, stride, padding):
+    """Yield ``((sample, positions), cols)``: the im2col columns of ``x``, one cache-sized block at a time.
 
-    ``L = Do*Ho*Wo`` is the innermost axis, so the one copy this makes moves
-    ``Wo``-long contiguous runs.  A pointwise convolution needs no patches at
-    all: its columns are ``x`` itself with the spatial axes flattened.
+    ``cols`` is channel-major ``(C*kd*kh*kw, n_positions)``; ``positions`` is
+    the slice of the flattened output positions ``L = Do*Ho*Wo`` it covers.
+    A block is whole depth slices, or H-rows inside one depth slice, so its
+    positions are contiguous in ``L`` and each copy moves ``Wo``-long runs.
+    Blocks are sized to :data:`_COLS_BLOCK_BYTES` (but at least one row) and
+    all land in one scratch buffer, so a consumer must be done with a block
+    before asking for the next.  A sample whose columns fit is one block.
+    A pointwise convolution copies nothing: its one block per sample is
+    that sample of ``x`` with the spatial axes flattened.
     """
     n, c = x.shape[:2]
     if _is_pointwise(kernel, stride, padding):
-        return x.reshape(n, c, -1), x.shape[2:]
+        for i in range(n):
+            yield (i, slice(None)), x[i].reshape(c, -1)
+        return
     if any(padding):
         x = np.pad(x, ((0, 0), (0, 0), *((p, p) for p in padding)))
     patches = _extract_patches(x, kernel, stride)
-    spatial = patches.shape[2:5]
-    return patches.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(n, -1, math.prod(spatial)), spatial
+    do, ho, wo = patches.shape[2:5]
+    k = c * math.prod(kernel)
+    rows = max(1, _COLS_BLOCK_BYTES // (k * wo * x.itemsize))
+    depth, height = (min(do, rows // ho), ho) if rows >= ho else (1, rows)
+    scratch = np.empty(k * depth * height * wo, dtype=x.dtype)
+    for i in range(n):
+        sample = patches[i].transpose(0, 4, 5, 6, 1, 2, 3)  # (C, kd, kh, kw, Do, Ho, Wo)
+        for d in range(0, do, depth):
+            for h in range(0, ho, height):
+                block = sample[..., d : d + depth, h : h + height, :]
+                cols = scratch[: block.size].reshape(block.shape)
+                np.copyto(cols, block)
+                start = (d * ho + h) * wo
+                yield (i, slice(start, start + block.size // k)), cols.reshape(k, -1)
 
 
 class Conv3d(Op):
-    """3D cross-correlation as one channel-major GEMM per sample.
+    """3D cross-correlation as one channel-major GEMM per column block.
 
     Input ``(N, C_in, D, H, W)``; weight ``(C_out, C_in, kd, kh, kw)``;
     output ``(N, C_out, D_out, H_out, W_out)``, written by the GEMM straight
@@ -91,9 +130,12 @@ class Conv3d(Op):
         c_out, c_in_w = weight.shape[:2]
         if c_in != c_in_w:
             raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
-        cols, spatial = _im2col(x, weight.shape[2:], self.stride, self.padding)
+        kernel = weight.shape[2:]
+        spatial = _output_shape(x.shape, kernel, self.stride, self.padding)
         out = np.empty((n, c_out, *spatial), dtype=np.result_type(x, weight))
-        np.matmul(weight.reshape(c_out, -1), cols, out=out.reshape(n, c_out, -1))
+        w, dst = weight.reshape(c_out, -1), out.reshape(n, c_out, -1)
+        for (i, positions), cols in _column_blocks(x, kernel, self.stride, self.padding):
+            np.matmul(w, cols, out=dst[i, :, positions])
         return out
 
     def backward(self, grad):
@@ -148,8 +190,11 @@ class Conv3dGradWeight(Op):
     """VJP of :class:`Conv3d` with respect to its weight: ``sum_n g(C_out, L) @ cols(K, L)^T``.
 
     Recomputes the input columns from the live ``x`` operand (the forward's
-    :func:`_im2col`) instead of reusing the forward pass's cache, for the
-    same replayability reason as :class:`Conv3dGradInput`.  First-order only.
+    :func:`_column_blocks`) instead of reusing the forward pass's cache, for
+    the same replayability reason as :class:`Conv3dGradInput`, and adds the
+    per-block products in block order (samples in order, so with one block
+    per sample this is the per-sample GEMMs summed over ``N``).  First-order
+    only.
     """
 
     def __init__(self, stride, padding, kernel):
@@ -159,8 +204,14 @@ class Conv3dGradWeight(Op):
 
     def forward(self, g, x):
         n, c_out = g.shape[:2]
-        cols, _ = _im2col(x, self.kernel, self.stride, self.padding)
-        grad_w = np.matmul(g.reshape(n, c_out, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        g = g.reshape(n, c_out, -1)
+        grad_w = None
+        for (i, positions), cols in _column_blocks(x, self.kernel, self.stride, self.padding):
+            part = np.matmul(g[i, :, positions], cols.T)
+            if grad_w is None:
+                grad_w = part
+            else:
+                grad_w += part
         return grad_w.reshape(c_out, x.shape[1], *self.kernel)
 
     def backward(self, grad):  # pragma: no cover - never on a differentiated path

@@ -11,10 +11,19 @@ seam to plug into: a subclass overriding the kernel methods (and
 
 Only the NumPy backend ships today; the registry exists so an alternative
 can be registered and selected without touching call sites.
+
+Importing this module also pins glibc's allocator thresholds
+(:func:`_pin_malloc_thresholds`): NumPy takes every array from ``malloc``,
+so whether a few-hundred-KiB activation is a reused heap block or a fresh,
+page-faulting ``mmap`` is part of the hot paths' cost, and it is decided
+here once instead of by whichever large array a process happened to free
+first.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 from typing import Callable, Optional
 
@@ -23,6 +32,49 @@ import numpy as np
 from .policy import resolve_dtype
 
 __all__ = ["ArrayBackend", "NumpyBackend", "get_backend", "register_backend", "available_backends"]
+
+# glibc's <malloc.h> parameter numbers for mallopt().
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit: the value its dynamic
+#: threshold rises to once the process frees a block that large.
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+#: Twice the mmap threshold, as glibc's dynamic rule sets it.
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap / trim thresholds at 32 / 64 MiB; return whether they were set.
+
+    glibc serves a request above its mmap threshold (128 KiB at start-up)
+    with a fresh ``mmap``: every page of it faults on first touch, and
+    ``free`` unmaps it again.  Its *dynamic* rule raises the threshold to
+    the size of the largest mapped block freed so far, so how fast a
+    process runs used to depend on which large transient it had freed: the
+    decoder's 512 KiB activations page-faulted thousands of times per grid
+    request unless something bigger had gone first.  Pinning the thresholds
+    at the dynamic rule's own ceiling gives every process that state from
+    the start.  Nothing is changed when the C library is not glibc, and
+    nothing overrides a user's own ``MALLOC_MMAP_THRESHOLD_`` /
+    ``MALLOC_TRIM_THRESHOLD_`` or ``glibc.malloc.*`` tunable.
+    """
+    user_set = "MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
+    if user_set or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    pinned = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    return bool(pinned and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+
+
+#: Whether this process runs with the pinned thresholds.
+_MALLOC_PINNED = _pin_malloc_thresholds()
 
 
 class ArrayBackend:

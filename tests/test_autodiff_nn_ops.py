@@ -1,10 +1,14 @@
 """Tests for the first-order NN primitives: conv3d, pooling, upsampling."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
 from repro.autodiff import Tensor, avg_pool3d, conv3d, gradcheck, max_pool3d, nn_ops, ops, upsample_nearest3d
 
 
@@ -51,6 +55,24 @@ class TestConv3d:
         w = t(rng.standard_normal((2, 4, 3, 3, 3)))
         with pytest.raises(ValueError):
             conv3d(x, w)
+
+    @pytest.mark.parametrize("x_shape,padding,padded", [
+        ((1, 1, 2, 2, 2), 0, (2, 2, 2)),
+        ((1, 1, 1, 4, 4), 0, (1, 4, 4)),   # one axis of 1: used to be a negative-dimension error
+        ((2, 1, 4, 0, 4), 1, (6, 2, 6)),
+    ])
+    def test_kernel_larger_than_padded_input_raises(self, x_shape, padding, padded):
+        message = re.escape(f"kernel (3, 3, 3) is larger than the padded input spatial shape {padded}")
+        with pytest.raises(ValueError, match=message):
+            nn_ops.Conv3d(1, padding).forward(np.ones(x_shape), np.ones((1, 1, 3, 3, 3)))
+        layer = nn.Conv3d(1, 2, kernel_size=3, padding=padding, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            layer(Tensor(np.ones(x_shape)))
+
+    def test_kernel_equal_to_padded_input_is_one_voxel(self, rng):
+        x, w = rng.standard_normal((1, 2, 1, 3, 3)), rng.standard_normal((1, 2, 3, 3, 3))
+        out = nn_ops.Conv3d(1, (1, 0, 0)).forward(x, w)
+        np.testing.assert_allclose(out.ravel(), [np.sum(x * w[:, :, 1:2])])
 
     def test_gradcheck(self, rng):
         x = t(rng.standard_normal((2, 2, 3, 4, 4)) * 0.5)
@@ -167,24 +189,100 @@ def conv_cases(draw):
     return x, w, stride, padding, rng
 
 
+def _assert_family_matches_loops(x, w, stride, padding, rng):
+    tol = dict(rtol=1e-4, atol=1e-4) if x.dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
+    out = nn_ops.Conv3d(stride, padding).forward(x, w)
+    assert out.dtype == x.dtype
+    np.testing.assert_allclose(out, naive_conv3d(x, w, stride, padding), **tol)
+
+    g = rng.standard_normal(out.shape).astype(x.dtype)
+    grad_x = nn_ops.Conv3dGradInput(stride, padding, x.shape).forward(g, w)
+    grad_w = nn_ops.Conv3dGradWeight(stride, padding, w.shape[2:]).forward(g, x)
+    ref_x, ref_w = naive_conv3d_grads(g, x, w, stride, padding)
+    assert grad_x.shape == x.shape and grad_x.dtype == x.dtype
+    assert grad_w.shape == w.shape and grad_w.dtype == x.dtype
+    np.testing.assert_allclose(grad_x, ref_x, **tol)
+    np.testing.assert_allclose(grad_w, ref_w, **tol)
+
+
+def reference_columns(x, kernel, stride, padding):
+    """Whole-matrix channel-major im2col ``(N, C*kd*kh*kw, L)``, built independently of ``nn_ops``."""
+    xp = np.pad(x, ((0, 0), (0, 0), *((p, p) for p in padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
+    windows = windows[:, :, :: stride[0], :: stride[1], :: stride[2]]  # (N, C, Do, Ho, Wo, kd, kh, kw)
+    return windows.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(x.shape[0], -1, np.prod(windows.shape[2:5]))
+
+
+def _row_bytes(x, kernel, stride, padding):
+    """Bytes of one H-row of output positions' columns, the smallest column block."""
+    w_out = (x.shape[4] + 2 * padding[2] - kernel[2]) // stride[2] + 1
+    return x.shape[1] * int(np.prod(kernel)) * w_out * x.itemsize
+
+
 class TestConv3dFamily:
     @settings(max_examples=60, deadline=None)
     @given(conv_cases())
     def test_matches_direct_loops(self, case):
-        x, w, stride, padding, rng = case
-        tol = dict(rtol=1e-4, atol=1e-4) if x.dtype == np.float32 else dict(rtol=1e-10, atol=1e-10)
-        out = nn_ops.Conv3d(stride, padding).forward(x, w)
-        assert out.dtype == x.dtype
-        np.testing.assert_allclose(out, naive_conv3d(x, w, stride, padding), **tol)
+        _assert_family_matches_loops(*case)
 
-        g = rng.standard_normal(out.shape).astype(x.dtype)
-        grad_x = nn_ops.Conv3dGradInput(stride, padding, x.shape).forward(g, w)
-        grad_w = nn_ops.Conv3dGradWeight(stride, padding, w.shape[2:]).forward(g, x)
-        ref_x, ref_w = naive_conv3d_grads(g, x, w, stride, padding)
-        assert grad_x.shape == x.shape and grad_x.dtype == x.dtype
-        assert grad_w.shape == w.shape and grad_w.dtype == x.dtype
-        np.testing.assert_allclose(grad_x, ref_x, **tol)
-        np.testing.assert_allclose(grad_w, ref_w, **tol)
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases())
+    def test_matches_direct_loops_across_blocks(self, rows_per_block, case):
+        # A budget of one (or three) H-rows splits every depth slice into
+        # row blocks (or, where H_out is small, packs whole slices per block):
+        # forward and grad-weight then cross blocks, depth slices and samples.
+        x, w, stride, padding, _ = case
+        budget = rows_per_block * _row_bytes(x, w.shape[2:], stride, padding)
+        with mock.patch.object(nn_ops, "_COLS_BLOCK_BYTES", budget):
+            _assert_family_matches_loops(*case)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((3, 3, 3), (2, 2, 2), (1, 1, 1)),
+        ((1, 3, 3), (1, 1, 1), (0, 0, 0)),
+        ((1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    ])
+    def test_one_block_is_the_whole_matrix_gemm(self, rng, dtype, kernel, stride, padding):
+        # A sample whose columns fit one block is bit for bit one GEMM on the
+        # whole column matrix, and grad-weight is the per-sample GEMMs summed
+        # over N in sample order (a reordered sum changes the last bits).
+        x = rng.standard_normal((3, 4, 4, 6, 8)).astype(dtype)
+        w = rng.standard_normal((5, 4, *kernel)).astype(dtype)
+        cols = reference_columns(x, kernel, stride, padding)
+        assert cols[0].nbytes <= nn_ops._COLS_BLOCK_BYTES
+        out = nn_ops.Conv3d(stride, padding).forward(x, w)
+        assert np.array_equal(out.reshape(3, 5, -1), np.matmul(w.reshape(5, -1), cols))
+
+        g = rng.standard_normal(out.shape).astype(dtype)
+        grad_w = nn_ops.Conv3dGradWeight(stride, padding, kernel).forward(g, x)
+        ref = np.matmul(g.reshape(3, 5, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        assert np.array_equal(grad_w.reshape(5, -1), ref)
+
+    @pytest.mark.parametrize("x_shape,kernel,stride,padding,budget", [
+        ((1, 4, 8, 48, 48), (3, 3, 3), (1, 1, 1), (1, 1, 1), None),  # a `small` tile's first conv
+        ((1, 16, 4, 12, 12), (3, 3, 3), (1, 1, 1), (1, 1, 1), None),
+        ((2, 3, 5, 7, 9), (3, 3, 3), (2, 2, 2), (1, 1, 1), 8000),    # 2 of 4 rows per block
+        ((2, 3, 5, 7, 9), (1, 3, 3), (1, 1, 1), (0, 0, 0), 5000),    # 3 of 5 rows per block
+        ((2, 3, 5, 7, 9), (1, 3, 3), (1, 1, 1), (0, 0, 0), 16000),   # 2 of 5 depth slices per block
+    ])
+    def test_blocks_tile_the_output_in_one_buffer(self, rng, x_shape, kernel, stride, padding, budget):
+        x = rng.standard_normal(x_shape)
+        budget = budget or nn_ops._COLS_BLOCK_BYTES
+        assert _row_bytes(x, kernel, stride, padding) <= budget
+        cols = reference_columns(x, kernel, stride, padding)
+        assert cols[0].nbytes > budget  # the case really is split
+        next_start, scratch = dict.fromkeys(range(x_shape[0]), 0), set()
+        with mock.patch.object(nn_ops, "_COLS_BLOCK_BYTES", budget):
+            for (i, positions), block in nn_ops._column_blocks(x, kernel, stride, padding):
+                assert positions.start == next_start[i]  # in order, no gap, no overlap
+                next_start[i] = positions.stop
+                np.testing.assert_array_equal(block, cols[i][:, positions])
+                assert block.base.nbytes <= budget
+                scratch.add(id(block.base))
+        assert list(next_start.values()) == [cols.shape[2]] * x_shape[0]
+        assert len(scratch) == 1  # every block reuses one buffer
 
     @pytest.mark.parametrize("kernel,padding", [((1, 1, 1), 0), ((3, 3, 3), 1), ((1, 3, 3), 0)])
     @pytest.mark.parametrize("sliced", [False, True])
