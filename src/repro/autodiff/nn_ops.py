@@ -5,12 +5,24 @@ convolutional-decoder baseline.  The convolution family shares one
 channel-major GEMM layout, ``W(C_out, K) @ cols(N, K, L) -> (N, C_out, L)``
 with ``K = C_in*kd*kh*kw`` and ``L = D_out*H_out*W_out``: the product *is*
 the C-contiguous NCDHW result, so nothing is transposed or copied after the
-GEMM.  The columns are never materialised whole (27x the input for a 3x3x3
-kernel): :func:`_column_blocks` copies them one L2-sized block of output
-positions at a time into a reused scratch buffer, and ``Conv3d`` /
-``Conv3dGradWeight`` consume each block with its own GEMM before the next
-is copied.  A sample whose columns fit one block is one GEMM, as is every
-pointwise (1x1x1, stride-1, unpadded) convolution, which copies nothing.
+GEMM.  How the columns are built depends on one test, whether a sample's
+columns fit :data:`_COLS_BLOCK_BYTES`:
+
+* a sample that fits (the small tiles a training step convolves) takes the
+  **index-map path**: :func:`_sample_columns` gathers every sample's
+  columns with one ``take`` through a map cached per geometry
+  (:func:`_index_maps`), and ``Conv3d`` / ``Conv3dGradWeight`` run one
+  batched GEMM over the samples; ``Conv3dGradInput``'s col2im is one
+  ``take`` through the inverse map and one sequential ``np.add.reduce``
+  that adds the kernel offsets in the same order as the strided adds;
+* a larger sample takes the **block path**: :func:`_column_blocks` copies
+  its columns one L2-sized block of output positions at a time into a
+  reused scratch buffer (the columns of a 3x3x3 kernel are 27x the input),
+  and each block is consumed by its own GEMM before the next is copied.
+
+A pointwise (1x1x1, stride-1, unpadded) convolution copies nothing: its
+columns are ``x`` with the spatial axes flattened, one batched GEMM.  Both
+paths compute the same bits.
 Backward rules are themselves *recorded primitives*
 (``Conv3dGradInput`` / ``Conv3dGradWeight`` and the pooling/upsampling
 adjoints below) whose forwards recompute everything from their live
@@ -25,6 +37,7 @@ input, so the encoder only ever sees first-order gradients).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -62,13 +75,79 @@ def _extract_patches(x: np.ndarray, kernel: tuple[int, int, int], stride: tuple[
 
 
 #: Byte budget of one block of im2col columns (:func:`_column_blocks`): small
-#: enough that the GEMM reads the block while it is still in L2.
+#: enough that the GEMM reads the block while it is still in L2.  A sample
+#: whose columns fit takes the index-map path instead (:func:`_fits_one_block`).
 _COLS_BLOCK_BYTES = 512 * 1024
 
 
 def _is_pointwise(kernel, stride, padding) -> bool:
     """A 1x1x1, stride-1, unpadded convolution: a plain channel-mixing GEMM."""
     return kernel == (1, 1, 1) and stride == (1, 1, 1) and not any(padding)
+
+
+def _fits_one_block(x_shape, kernel, stride, padding, itemsize) -> bool:
+    """Whether a sample's whole columns are one block: the index-map path.
+
+    Pointwise convolutions always are, since their columns are ``x`` itself.
+    """
+    if _is_pointwise(kernel, stride, padding):
+        return True
+    k = x_shape[1] * math.prod(kernel)
+    return k * math.prod(_output_shape(x_shape, kernel, stride, padding)) * itemsize <= _COLS_BLOCK_BYTES
+
+
+@functools.lru_cache(maxsize=16)
+def _index_maps(c, spatial, kernel, stride, padding) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``(cols_index, col2im_index)`` pair of one convolution geometry.
+
+    Both index one sample flattened and extended by a trailing zero slot.
+    ``cols_index`` ``(K, L)`` is the im2col of the input's own flat indices,
+    so it sends each column entry to the input element it copies, and
+    padding taps to the zero slot after the ``C*D*H*W`` inputs.  Row
+    ``k + 1`` of ``col2im_index`` ``(1 + kd*kh*kw, C*D*H*W)`` records where
+    the strided add of kernel offset ``k`` would add each column entry: the
+    entry that lands on each input element, or the zero slot after the
+    ``K*L`` entries where none does.  Row 0 is all zero slot, so a reduction
+    over the rows starts from ``+0.0``.  The cache is bounded because
+    serving workers encode many tile shapes.
+    """
+    out = _output_shape((1, c, *spatial), kernel, stride, padding)
+    n_inputs, n_entries = c * math.prod(spatial), c * math.prod(kernel) * math.prod(out)
+    pads = ((0, 0), *((p, p) for p in padding))
+    inputs = np.pad(np.arange(n_inputs).reshape(c, *spatial), pads, constant_values=n_inputs)
+    patches = _extract_patches(inputs[None], kernel, stride)[0]  # (C, Do, Ho, Wo, kd, kh, kw)
+    cols_index = patches.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * math.prod(kernel), -1)
+
+    entries = np.arange(n_entries).reshape(c, *kernel, *out)
+    interior = (slice(None), *(slice(p, p + size) for p, size in zip(padding, spatial)))
+    rows = [np.full(n_inputs, n_entries)]
+    for offset in itertools.product(*map(range, kernel)):
+        landing = np.full(inputs.shape, n_entries)
+        window = tuple(slice(o, o + s * m, s) for o, s, m in zip(offset, stride, out))
+        landing[(slice(None), *window)] = entries[(slice(None), *offset)]
+        rows.append(landing[interior].ravel())
+    col2im_index = np.stack(rows)
+
+    for index in (cols_index, col2im_index):
+        index.flags.writeable = False
+    return cols_index, col2im_index
+
+
+def _sample_columns(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
+    """Every sample's whole channel-major columns ``(N, K, L)``, for samples that fit one block.
+
+    One ``take`` through the geometry's cached ``cols_index`` (a pointwise
+    convolution's columns are ``x`` itself, reshaped).
+    """
+    n, c = x.shape[:2]
+    if _is_pointwise(kernel, stride, padding):
+        return x.reshape(n, c, -1)
+    cols_index, _ = _index_maps(c, x.shape[2:], kernel, stride, padding)
+    size = math.prod(x.shape[1:])
+    extended = np.empty((n, size + 1), dtype=x.dtype)
+    extended[:, size] = 0.0
+    np.copyto(extended[:, :size].reshape(x.shape), x)
+    return extended.take(cols_index, axis=1)
 
 
 def _column_blocks(x: np.ndarray, kernel, stride, padding):
@@ -80,15 +159,10 @@ def _column_blocks(x: np.ndarray, kernel, stride, padding):
     positions are contiguous in ``L`` and each copy moves ``Wo``-long runs.
     Blocks are sized to :data:`_COLS_BLOCK_BYTES` (but at least one row) and
     all land in one scratch buffer, so a consumer must be done with a block
-    before asking for the next.  A sample whose columns fit is one block.
-    A pointwise convolution copies nothing: its one block per sample is
-    that sample of ``x`` with the spatial axes flattened.
+    before asking for the next.  The convolutions only come here for samples
+    that do not fit one block (see :func:`_fits_one_block`).
     """
     n, c = x.shape[:2]
-    if _is_pointwise(kernel, stride, padding):
-        for i in range(n):
-            yield (i, slice(None)), x[i].reshape(c, -1)
-        return
     if any(padding):
         x = np.pad(x, ((0, 0), (0, 0), *((p, p) for p in padding)))
     patches = _extract_patches(x, kernel, stride)
@@ -109,7 +183,7 @@ def _column_blocks(x: np.ndarray, kernel, stride, padding):
 
 
 class Conv3d(Op):
-    """3D cross-correlation as one channel-major GEMM per column block.
+    """3D cross-correlation as one batched channel-major GEMM, or one GEMM per column block.
 
     Input ``(N, C_in, D, H, W)``; weight ``(C_out, C_in, kd, kh, kw)``;
     output ``(N, C_out, D_out, H_out, W_out)``, written by the GEMM straight
@@ -134,6 +208,9 @@ class Conv3d(Op):
         spatial = _output_shape(x.shape, kernel, self.stride, self.padding)
         out = np.empty((n, c_out, *spatial), dtype=np.result_type(x, weight))
         w, dst = weight.reshape(c_out, -1), out.reshape(n, c_out, -1)
+        if _fits_one_block(x.shape, kernel, self.stride, self.padding, x.itemsize):
+            np.matmul(w, _sample_columns(x, kernel, self.stride, self.padding), out=dst)
+            return out
         for (i, positions), cols in _column_blocks(x, kernel, self.stride, self.padding):
             np.matmul(w, cols, out=dst[i, :, positions])
         return out
@@ -155,8 +232,11 @@ class Conv3dGradInput(Op):
     A recorded primitive: the column expansion ``W^T(K, C_out) @ g(N, C_out, L)``
     is recomputed from the live ``grad`` / ``weight`` operands each run, so a
     captured plan replays the convolution backward on new batches.  The
-    columns are channel-major like the forward's, so each of the ``kd*kh*kw``
-    scatter-adds reads contiguous rows.  First-order only.
+    col2im adds each input element's contributions in kernel-offset order,
+    starting from ``+0.0``: for samples that fit one block as one ``take``
+    through the geometry's ``col2im_index`` and one reduction over its rows,
+    otherwise as ``kd*kh*kw`` strided adds of contiguous column rows into a
+    padded buffer.  First-order only.
     """
 
     def __init__(self, stride, padding, x_shape):
@@ -167,10 +247,19 @@ class Conv3dGradInput(Op):
     def forward(self, g, weight):
         n, c_out, do, ho, wo = g.shape
         _, c_in, kd, kh, kw = weight.shape
-        gcols = np.matmul(weight.reshape(c_out, -1).T, g.reshape(n, c_out, -1))  # (N, K, L)
-        if _is_pointwise((kd, kh, kw), self.stride, self.padding):
-            return gcols.reshape(self.x_shape)
-        gcols = gcols.reshape(n, c_in, kd, kh, kw, do, ho, wo)
+        kernel, w_t, g = (kd, kh, kw), weight.reshape(c_out, -1).T, g.reshape(n, c_out, -1)
+        if _is_pointwise(kernel, self.stride, self.padding):
+            return np.matmul(w_t, g).reshape(self.x_shape)
+        dtype = np.result_type(w_t, g)
+        if _fits_one_block(self.x_shape, kernel, self.stride, self.padding, dtype.itemsize):
+            _, col2im_index = _index_maps(c_in, self.x_shape[2:], kernel, self.stride, self.padding)
+            size = w_t.shape[0] * g.shape[2]
+            gcols = np.empty((n, size + 1), dtype=dtype)
+            gcols[:, size] = 0.0
+            np.matmul(w_t, g, out=gcols[:, :size].reshape(n, -1, g.shape[2]))
+            # Sequential over the rows: +0.0, then the offsets in order.
+            return np.add.reduce(gcols.take(col2im_index, axis=1), axis=1).reshape(self.x_shape)
+        gcols = np.matmul(w_t, g).reshape(n, c_in, kd, kh, kw, do, ho, wo)
 
         pd, ph, pw = self.padding
         d, h, w = self.x_shape[2:]
@@ -190,11 +279,11 @@ class Conv3dGradWeight(Op):
     """VJP of :class:`Conv3d` with respect to its weight: ``sum_n g(C_out, L) @ cols(K, L)^T``.
 
     Recomputes the input columns from the live ``x`` operand (the forward's
-    :func:`_column_blocks`) instead of reusing the forward pass's cache, for
-    the same replayability reason as :class:`Conv3dGradInput`, and adds the
-    per-block products in block order (samples in order, so with one block
-    per sample this is the per-sample GEMMs summed over ``N``).  First-order
-    only.
+    :func:`_sample_columns` or :func:`_column_blocks`) instead of reusing the
+    forward pass's cache, for the same replayability reason as
+    :class:`Conv3dGradInput`, and adds the per-block products in block order
+    (samples in order, so with one block per sample this is the per-sample
+    GEMMs summed over ``N``).  First-order only.
     """
 
     def __init__(self, stride, padding, kernel):
@@ -205,6 +294,11 @@ class Conv3dGradWeight(Op):
     def forward(self, g, x):
         n, c_out = g.shape[:2]
         g = g.reshape(n, c_out, -1)
+        if _fits_one_block(x.shape, self.kernel, self.stride, self.padding, x.itemsize):
+            cols = _sample_columns(x, self.kernel, self.stride, self.padding)
+            # Summed over N in sample order, like the per-block ``+=`` below.
+            grad_w = np.add.reduce(np.matmul(g, cols.transpose(0, 2, 1)), axis=0)
+            return grad_w.reshape(c_out, x.shape[1], *self.kernel)
         grad_w = None
         for (i, positions), cols in _column_blocks(x, self.kernel, self.stride, self.padding):
             part = np.matmul(g[i, :, positions], cols.T)

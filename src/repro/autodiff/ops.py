@@ -550,8 +550,8 @@ class GatherVertices(Op):
     def forward(self, grid, it, iz, ix):
         self._grid_shape = grid.shape
         batch = np.arange(grid.shape[0])[:, None]
-        out = grid[batch, it.astype(np.int64), iz.astype(np.int64), ix.astype(np.int64)]
-        return np.array(out, copy=True)
+        # Advanced indexing already returns a fresh C-contiguous array.
+        return grid[batch, it.astype(np.int64), iz.astype(np.int64), ix.astype(np.int64)]
 
     def backward(self, grad):
         _, it, iz, ix = self.inputs

@@ -15,11 +15,15 @@ assigns each node's storage and emits its code in the same step:
   through one buffer with zero transient arrays;
 * each maximal run of consecutive region-eligible (elementwise) nodes —
   of any length — becomes one generated function; matmuls, reductions,
-  concatenations, pads and scatters get a function each, and views and
-  fallbacks end a run because they rebind ``env`` slots generated code
-  must observe;
+  concatenations, pads and scatters get a function each, and per-run
+  views and fallbacks end a run because they rebind ``env`` slots
+  generated code must observe;
 * view ops (reshape / transpose / basic slicing) run as NumPy views and
-  charge their liveness to the storage root;
+  charge their liveness to the storage root.  A view of an array that
+  never moves — an arena buffer, a constant, or such a view — is
+  **bound once** at compile time: it is no step at all and ends no run.
+  Only views of plan inputs and fallback outputs (fresh arrays every
+  run) rebind per run;
 * ops with no table entry (or with data-dependent fancy indexing) fall
   back to the recorded op's eager ``forward`` — counted in
   ``runtime_allocs`` so the allocation-regression test can pin hot plans
@@ -107,6 +111,23 @@ class _Arena:
 
     def release(self, buf: np.ndarray) -> None:
         self._free.setdefault((buf.shape, buf.dtype.str), []).append(buf)
+
+
+def _bind_view(node: Node, env) -> bool:
+    """Bind ``env[out]`` once if the view's operand never moves; whether it did.
+
+    The operand is fixed at compile time when its slot is already filled
+    (an arena buffer, a constant, or a view bound here).  A "view" that
+    copies — a scalar from an all-integer index — must stay per run.
+    """
+    source = env[node.in_ids[0]]
+    if source is None:
+        return False
+    _view_step(node)(env)
+    if np.may_share_memory(env[node.out_id], source):
+        return True
+    env[node.out_id] = None
+    return False
 
 
 def _view_step(node: Node) -> Callable:
@@ -278,10 +299,12 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
         lowering = lowering_of(node.op)
         buf = None
         if is_view_node(node):
-            close()
             kind = "view"
-            steps.append(_view_step(node))
             stats.n_views += 1
+            if not _bind_view(node, env):
+                close()
+                steps.append(_view_step(node))
+                step_names.append(f"view:{type(node.op).__name__}")
         elif lowering is None:
             # No table entry lowers it: run the recorded op eagerly (fresh
             # output array each run) and count the allocation.
@@ -294,6 +317,7 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
                 alloc_cell[0] += 1
 
             steps.append(step)
+            step_names.append(f"fallback:{type(node.op).__name__}")
             stats.n_fallback += 1
         else:
             kind = "kernel"
@@ -321,8 +345,6 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
             # node's output is assigned (see repro.compile.codegen).
             fn.add(node, lowering)
             stats.n_codegen_ops += lowering.region
-        if kind != "kernel":
-            step_names.append(f"{kind}:{type(node.op).__name__}")
         layout.append({
             "index": j,
             "op": node.op_name,

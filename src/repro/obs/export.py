@@ -7,7 +7,8 @@ Three consumers, three formats:
 - :func:`metrics_jsonl_line` / :func:`append_metrics_jsonl` — one registry
   snapshot per line, for offline dashboards and CI artifacts.
 - :func:`prometheus_text` — the text exposition served by the gateway's
-  ``GET /metrics`` endpoint (counters, gauges, histogram quantiles).
+  ``GET /metrics`` endpoint (counters, gauges, histogram quantiles with
+  their ``_sum`` / ``_count``).
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def prometheus_text(*registries: MetricsRegistry) -> str:
     """Prometheus text exposition of one or more registries.
 
     Counters and gauges expose their value; histograms expose rolling
-    quantiles as ``<name>{quantile="0.5"}`` series plus ``<name>_count``.
+    quantiles as ``<name>{quantile="0.5"}`` series plus the lifetime
+    ``<name>_sum`` and ``<name>_count``, like any Prometheus summary.
     With no arguments, exposes the global registry.
     """
     regs = registries or (REGISTRY,)
@@ -126,5 +128,6 @@ def prometheus_text(*registries: MetricsRegistry) -> str:
                     lines.append(
                         f"{name}{_prom_labels(h.labels, {'quantile': repr(q)})} "
                         f"{_prom_value(val)}")
+            lines.append(f"{name}_sum{_prom_labels(h.labels)} {_prom_value(summ['total'])}")
             lines.append(f"{name}_count{_prom_labels(h.labels)} {summ['count']}")
     return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ class Histogram:
     """Rolling-window distribution built on :class:`~repro.utils.timing.LatencyWindow`.
 
     Observations (typically seconds) land in a bounded window; summaries
-    quote the rolling p50/p95/p99 plus lifetime count.  An empty histogram
+    quote the rolling p50/p95/p99 plus lifetime count and total.  An empty histogram
     summarises to ``NaN`` quantiles (see :meth:`LatencyWindow.summary`).
     """
 
@@ -117,7 +117,7 @@ class Histogram:
         return self.window.count
 
     def summary(self, ps=(50, 95, 99)) -> Mapping[str, float]:
-        """Rolling summary (count/mean/max + percentiles; NaNs when empty)."""
+        """Lifetime count/total, rolling mean/max + percentiles (NaNs when empty)."""
         return self.window.summary(ps)
 
 

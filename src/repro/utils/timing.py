@@ -84,9 +84,10 @@ def percentiles(values: Iterable[float],
 class LatencyWindow:
     """Thread-safe rolling window of latency samples with percentile summaries.
 
-    Keeps the most recent ``maxlen`` samples (seconds) plus a lifetime count;
-    percentiles are computed over the retained window, which is the standard
-    "rolling p99" a serving dashboard quotes.
+    Keeps the most recent ``maxlen`` samples (seconds) plus a lifetime count
+    and total; percentiles are computed over the retained window, which is
+    the standard "rolling p99" a serving dashboard quotes, while the total
+    gives a time budget over every sample ever recorded.
     """
 
     def __init__(self, maxlen: int = 2048):
@@ -121,20 +122,21 @@ class LatencyWindow:
         return percentile(data, p)
 
     def summary(self, ps: Sequence[float] = (50, 95, 99)) -> "Mapping[str, float]":
-        """Rolling summary: count, mean, max and the requested percentiles.
+        """Rolling summary: lifetime count and total, windowed mean, max and the requested percentiles.
 
-        An empty window reports ``count`` 0 and **NaN** for every statistic
-        (rather than raising like :func:`percentile` does): a dashboard that
-        has served nothing yet must show "no data", never a fake latency of
-        zero.  Check ``count`` (or ``math.isnan``) before comparing values.
+        An empty window reports ``count`` 0, ``total`` 0.0 and **NaN** for
+        every windowed statistic (rather than raising like
+        :func:`percentile` does): a dashboard that has served nothing yet
+        must show "no data", never a fake latency of zero.  Check ``count``
+        (or ``math.isnan``) before comparing values.
         """
         with self._lock:
             data = list(self._samples)
-            count = self._count
+            count, total = self._count, self._total
         if not data:
-            out = {"count": 0, "mean": float("nan"), "max": float("nan")}
+            out = {"count": 0, "total": 0.0, "mean": float("nan"), "max": float("nan")}
             out.update({f"p{p:g}": float("nan") for p in ps})
             return out
-        out = {"count": count, "mean": float(np.mean(data)), "max": float(np.max(data))}
+        out = {"count": count, "total": total, "mean": float(np.mean(data)), "max": float(np.max(data))}
         out.update({f"p{p:g}": percentile(data, p) for p in ps})
         return out

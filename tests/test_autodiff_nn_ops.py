@@ -219,11 +219,33 @@ def _row_bytes(x, kernel, stride, padding):
     return x.shape[1] * int(np.prod(kernel)) * w_out * x.itemsize
 
 
+def strided_add_col2im(gcols, x_shape, kernel, stride, padding):
+    """col2im of ``(N, K, L)`` columns as ``+0.0`` plus one strided add per kernel offset, in C order."""
+    n, c = x_shape[:2]
+    out = tuple((size + 2 * p - k) // s + 1 for size, k, s, p in zip(x_shape[2:], kernel, stride, padding))
+    gcols = gcols.reshape(n, c, *kernel, *out)
+    padded = np.zeros((n, c, *(size + 2 * p for size, p in zip(x_shape[2:], padding))), dtype=gcols.dtype)
+    for offset in np.ndindex(*kernel):
+        window = tuple(slice(o, o + s * m, s) for o, s, m in zip(offset, stride, out))
+        padded[(..., *window)] += gcols[(slice(None), slice(None), *offset)]
+    return padded[(..., *(slice(p, p + size) for p, size in zip(padding, x_shape[2:])))]
+
+
+def _same_bytes(a, b) -> bool:
+    """Equal shape, dtype and bytes (so ``-0.0`` differs from ``0.0``)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 class TestConv3dFamily:
     @settings(max_examples=60, deadline=None)
     @given(conv_cases())
     def test_matches_direct_loops(self, case):
-        _assert_family_matches_loops(*case)
+        # Every drawn sample fits one block at the default budget: the index
+        # maps serve it and the block iterator is never asked.
+        with mock.patch.object(nn_ops, "_column_blocks", wraps=nn_ops._column_blocks) as blocks:
+            _assert_family_matches_loops(*case)
+        assert not blocks.called
 
     @pytest.mark.parametrize("rows_per_block", [1, 3])
     @settings(max_examples=60, deadline=None)
@@ -233,9 +255,79 @@ class TestConv3dFamily:
         # row blocks (or, where H_out is small, packs whole slices per block):
         # forward and grad-weight then cross blocks, depth slices and samples.
         x, w, stride, padding, _ = case
-        budget = rows_per_block * _row_bytes(x, w.shape[2:], stride, padding)
-        with mock.patch.object(nn_ops, "_COLS_BLOCK_BYTES", budget):
+        kernel = w.shape[2:]
+        budget = rows_per_block * _row_bytes(x, kernel, stride, padding)
+        with mock.patch.object(nn_ops, "_COLS_BLOCK_BYTES", budget), \
+                mock.patch.object(nn_ops, "_column_blocks", wraps=nn_ops._column_blocks) as blocks:
             _assert_family_matches_loops(*case)
+        fits = (nn_ops._is_pointwise(kernel, stride, padding)
+                or reference_columns(x, kernel, stride, padding)[0].nbytes <= budget)
+        assert blocks.called != fits
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (1, 1, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("n,cropped", [(1, False), (2, True), (3, False), (3, True)])
+    def test_index_maps_are_the_per_sample_gemm(self, rng, dtype, kernel, stride, padding, n, cropped):
+        # The map path is bit for bit the per-sample GEMM on the whole column
+        # matrix, and grad-weight those GEMMs added in sample order.
+        stride, padding = (stride,) * 3, (padding,) * 3
+        shape = (n, 3, 4, 5, 6)
+        if cropped:  # a non-contiguous crop, like the engine's tile slices
+            x = rng.standard_normal((n, 3, 6, 7, 8)).astype(dtype)[:, :, 1:-1, 1:-1, 1:-1]
+            assert not x.flags.c_contiguous
+        else:
+            x = rng.standard_normal(shape).astype(dtype)
+        w = rng.standard_normal((5, 3, *kernel)).astype(dtype)
+        cols = reference_columns(x, kernel, stride, padding)
+        assert cols[0].nbytes <= nn_ops._COLS_BLOCK_BYTES
+        with mock.patch.object(nn_ops, "_column_blocks", side_effect=AssertionError("block path")):
+            out = nn_ops.Conv3d(stride, padding).forward(x, w)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            grad_w = nn_ops.Conv3dGradWeight(stride, padding, kernel).forward(g, x)
+        w2, g2 = w.reshape(5, -1), g.reshape(n, 5, -1)
+        for i in range(n):
+            assert _same_bytes(out[i].reshape(5, -1), np.matmul(w2, cols[i]))
+        ref = np.matmul(g2[0], cols[0].T)
+        for i in range(1, n):
+            ref += np.matmul(g2[i], cols[i].T)
+        assert _same_bytes(grad_w.reshape(5, -1), ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((3, 3, 3), 1, 1), ((3, 3, 3), 2, 1), ((3, 3, 3), 1, 0), ((1, 3, 3), 2, 0), ((2, 2, 2), 2, 0),
+    ])
+    @pytest.mark.parametrize("values", ["normal", "cancelling"])
+    def test_col2im_is_the_strided_adds(self, rng, dtype, kernel, stride, padding, values):
+        # The gather-reduce col2im adds in the strided adds' order, from +0.0.
+        # Small integer operands make contributions cancel exactly (and give
+        # -0.0 products), so the right answer holds zeros of both origins.
+        stride, padding, x_shape = (stride,) * 3, (padding,) * 3, (2, 3, 5, 6, 7)
+        draw = ((lambda shape: rng.integers(-1, 2, shape).astype(dtype)) if values == "cancelling"
+                else (lambda shape: rng.standard_normal(shape).astype(dtype)))
+        w = draw((4, 3, *kernel))
+        out = nn_ops._output_shape(x_shape, kernel, stride, padding)
+        g = draw((2, 4, *out))
+        assert nn_ops._fits_one_block(x_shape, kernel, stride, padding, np.dtype(dtype).itemsize)
+        grad_x = nn_ops.Conv3dGradInput(stride, padding, x_shape).forward(g, w)
+        gcols = np.matmul(w.reshape(4, -1).T, g.reshape(2, 4, -1))
+        ref = strided_add_col2im(gcols, x_shape, kernel, stride, padding)
+        assert _same_bytes(grad_x, ref)
+        if values == "cancelling" and any(k > s for k, s in zip(kernel, stride)):  # windows overlap
+            touched = strided_add_col2im(np.abs(gcols), x_shape, kernel, stride, padding) > 0
+            assert np.any(touched & (ref == 0))
+
+    def test_index_map_cache_is_bounded_and_read_only(self):
+        maxsize = nn_ops._index_maps.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+        for index in nn_ops._index_maps(2, (3, 4, 5), (3, 3, 3), (1, 1, 1), (1, 1, 1)):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[...] = 0
+        for width in range(3, 3 + maxsize + 4):
+            nn_ops._index_maps(1, (3, 3, width), (3, 3, 3), (1, 1, 1), (1, 1, 1))
+        assert nn_ops._index_maps.cache_info().currsize <= maxsize
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kernel,stride,padding", [

@@ -282,6 +282,23 @@ class TestReductionsAndShape:
         assert ops.l1_loss(t(p), t(y)).data == pytest.approx(np.abs(p - y).mean())
         assert ops.mse_loss(t(p), t(y)).data == pytest.approx(((p - y) ** 2).mean())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("channel_last_view", [False, True])
+    def test_gather_vertices_returns_its_own_rows(self, rng, dtype, channel_last_view):
+        # The gathered rows are one fresh C-contiguous array, never a view of
+        # the grid, and exactly the advanced-indexing rows.
+        shape = (2, 3, 4, 5, 6)
+        if channel_last_view:  # the latent-tile cache's (N, C, ...) -> (N, ..., C) view
+            grid = rng.standard_normal((2, 6, 3, 4, 5)).astype(dtype).transpose(0, 2, 3, 4, 1)
+        else:
+            grid = rng.standard_normal(shape).astype(dtype)
+        it, iz, ix = (np.floor(rng.uniform(0, n, (2, 7))).astype(dtype) for n in shape[1:4])
+        out = ops.GatherVertices().forward(grid, it, iz, ix)
+        assert out.flags.owndata and out.flags.c_contiguous
+        assert not np.shares_memory(out, grid)
+        ref = np.stack([grid[b][it[b].astype(int), iz[b].astype(int), ix[b].astype(int)] for b in range(2)])
+        assert out.dtype == dtype and out.shape == (2, 7, 6)
+        assert np.array_equal(out.view(np.uint8), ref.view(np.uint8))
 
 # --------------------------------------------------------------------------- higher order
 class TestHigherOrder:

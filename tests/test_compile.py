@@ -29,6 +29,7 @@ The contract under test (ISSUE 5 acceptance criteria):
   steady-state zero-allocation pin (ISSUE 8, ISSUE 14).
 """
 
+import collections
 import tracemalloc
 import warnings
 
@@ -38,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import compile as rc
-from repro import nn
+from repro import nn, obs
 from repro.autodiff import Tensor, grad, inference_mode, no_grad, ops
 from repro.autodiff.tensor import Op
 from repro.backend import precision
@@ -937,6 +938,73 @@ class TestFusionTier:
         assert plan.runtime_allocs == before
         assert peak < TestAllocationRegression.STEADY_STATE_BUDGET, \
             f"fused-region replay allocated {peak} bytes"
+
+
+class _Doubled(Op):
+    """No lowering-table entry: the plan runs it as an eager fallback step."""
+
+    def forward(self, a):
+        return a * 2.0
+
+
+class TestBoundViews:
+    """A view of an arena buffer or a constant is bound once at compile time;
+    a view of a plan input or of a fallback output (a fresh array each run)
+    is rebound by a step on every replay."""
+
+    @staticmethod
+    def _program(x, c):
+        per_run_input = ops.reshape(x, (6, 4))             # view of a plan input
+        bound_arena = ops.transpose(ops.mul(x, 3.0))       # view of an arena buffer
+        bound_constant = ops.reshape(c, (6, 4))            # view of a constant
+        per_run_fallback = ops.reshape(_Doubled.apply(x), (6, 4))  # view of a fallback output
+        return ops.add(ops.add(per_run_input, ops.reshape(bound_arena, (6, 4))),
+                       ops.mul(bound_constant, per_run_fallback))
+
+    def test_per_run_views_rebind_on_every_replay(self):
+        c = nn.Parameter(np.random.default_rng(1).standard_normal((4, 6)))  # live: never folded
+        cf = rc.compile_fn(lambda x: self._program(x, c), copy_outputs=True)
+        xs = [Tensor(np.random.default_rng(seed).standard_normal((4, 6))) for seed in (2, 3, 4)]
+        with no_grad():
+            for x in xs:
+                assert np.array_equal(cf(x).data, self._program(x, c).data)
+            for x in reversed(xs):  # replays on earlier data see that data, not the last run's
+                assert np.array_equal(cf(x).data, self._program(x, c).data)
+            c.data *= -0.5  # an in-place update shows through the bound view
+            assert np.array_equal(cf(xs[0]).data, self._program(xs[0], c).data)
+        plan = cf.plans[0]
+        assert plan.stats.n_views == 5 and plan.stats.n_fallback == 1
+        # Only the two views over fresh arrays are steps.
+        assert [n for n in plan.step_names if n.startswith("view:")] == ["view:Reshape"] * 2
+
+    def test_bound_views_do_not_end_a_fused_run(self):
+        def f(x):
+            y = ops.reshape(ops.exp(x), (6, 4))  # a bound view between two elementwise ops
+            return ops.sin(ops.mul(y, 2.0))
+
+        cf = rc.compile_fn(f, copy_outputs=True)
+        x = Tensor(np.random.default_rng(5).standard_normal((4, 6)))
+        with no_grad():
+            cf(x)
+            assert np.array_equal(cf(x).data, f(x).data)
+        plan = cf.plans[0]
+        assert plan.step_names == ["fused[3]"]
+        assert plan.stats.n_codegen_regions == 1 and plan.runtime_allocs == 0
+
+    def test_step_names_match_steps_under_profiling(self):
+        c = nn.Parameter(np.random.default_rng(1).standard_normal((4, 6)))
+        cf = rc.compile_fn(lambda x: self._program(x, c), copy_outputs=True)
+        x = Tensor(np.random.default_rng(6).standard_normal((4, 6)))
+        with no_grad():
+            cf(x)  # served by the trace
+            plan = cf.plans[0]
+            assert len(plan.step_names) == len(plan._steps)
+            with obs.observed(trace=False, profile_kernels=True):
+                cf(x)
+                counts = {name: h.count for name, h in plan._kernel_hists.items()}
+                cf(x)
+        deltas = {name: h.count - counts[name] for name, h in plan._kernel_hists.items()}
+        assert deltas == collections.Counter(plan.step_names)
 
 
 class TestDump:

@@ -363,6 +363,7 @@ class TestExporters:
         assert "serving_completed 5.0" in text
         assert 'queue_depth{worker="0"} 2.0' in text
         assert 'serving_latency_seconds{quantile="0.5"} 0.25' in text
+        assert "serving_latency_seconds_sum 0.25" in text
         assert "serving_latency_seconds_count 1" in text
 
     def test_prometheus_text_renders_nan_histograms(self):
@@ -370,4 +371,5 @@ class TestExporters:
         reg.histogram("empty.hist")
         text = obs.prometheus_text(reg)
         assert 'empty_hist{quantile="0.5"} NaN' in text
+        assert "empty_hist_sum 0.0" in text
         assert "empty_hist_count 0" in text

@@ -105,8 +105,9 @@ class TestLatencyWindow:
         assert len(window) == 4 and window.count == 5
         summary = window.summary()
         assert summary["count"] == 5
+        assert summary["total"] == 15.0  # lifetime, like count
         assert summary["max"] == 5.0
-        assert summary["p50"] == pytest.approx(3.5)
+        assert summary["p50"] == pytest.approx(3.5)  # windowed: 1.0 is gone
         assert window.percentile(50) == pytest.approx(3.5)
 
     def test_empty_summary_is_nans(self):
@@ -115,7 +116,7 @@ class TestLatencyWindow:
         import math
 
         summary = LatencyWindow().summary()
-        assert summary["count"] == 0
+        assert summary["count"] == 0 and summary["total"] == 0.0
         for key in ("mean", "max", "p50", "p95", "p99"):
             assert math.isnan(summary[key])
 
