@@ -402,14 +402,15 @@ class MatMul(Op):
 
 # --------------------------------------------------------------------------- reductions & shape
 class Sum(Op):
-    """Reduction by summation over the given axes."""
-    def __init__(self, axis=None, keepdims: bool = False):
+    """Reduction by summation over the given axes, onto ``initial``."""
+    def __init__(self, axis=None, keepdims: bool = False, initial: float = 0.0):
         self.axis = axis
         self.keepdims = keepdims
+        self.initial = initial
 
     def forward(self, a):
         self._in_shape = a.shape
-        return _B.sum(a, axis=self.axis, keepdims=self.keepdims)
+        return _B.sum(a, axis=self.axis, keepdims=self.keepdims, initial=self.initial)
 
     def backward(self, grad):
         if self.axis is None:
@@ -783,9 +784,15 @@ def outer(a, b) -> Tensor:
     return matmul(reshape(a, (-1, 1)), reshape(b, (1, -1)))
 
 
-def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    """Sum of elements over the given axes (all axes by default)."""
-    return Sum.apply(a, axis=axis, keepdims=keepdims)
+def sum(a, axis=None, keepdims: bool = False, initial: float = 0.0) -> Tensor:  # noqa: A001
+    """Sum of elements over the given axes (all axes by default).
+
+    The sum starts from ``initial``: NumPy's ``0.0`` by default, which turns
+    a sum of negative zeros into ``+0.0``.  ``-0.0`` is IEEE addition's exact
+    identity, so with it a reduction over a non-innermost axis is bit for
+    bit the running sum ``((x_0 + x_1) + x_2) + ...``, signed zeros included.
+    """
+    return Sum.apply(a, axis=axis, keepdims=keepdims, initial=initial)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:

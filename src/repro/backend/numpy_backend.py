@@ -207,9 +207,10 @@ class ArrayBackend:
         """Batched matrix product over the trailing two axes."""
         return self.xp.matmul(a, b, out=out)
 
-    def sum(self, a, axis=None, keepdims=False, out=None):
-        """Summation over ``axis``: ``add.reduce``, the same bits as ``sum`` without its Python wrapper."""
-        return self.xp.add.reduce(a, axis=axis, keepdims=keepdims, out=out)
+    def sum(self, a, axis=None, keepdims=False, out=None, initial=0.0):
+        """Summation over ``axis`` onto ``initial`` (``add.reduce``'s own default,
+        its identity): the same bits as ``sum`` without its Python wrapper."""
+        return self.xp.add.reduce(a, axis=axis, keepdims=keepdims, out=out, initial=initial)
 
     def greater(self, a, b, out=None):
         """Elementwise ``a > b`` (boolean, or ``out``'s dtype with ``out=``)."""

@@ -225,7 +225,8 @@ def _softplus(fn, node, out, a):
 
 
 def _sum(fn, node, out, a):
-    return [fn.call("sum", a, axis=node.op.axis, keepdims=node.op.keepdims, out=out)]
+    return [fn.call("sum", a, axis=node.op.axis, keepdims=node.op.keepdims,
+                    initial=node.op.initial, out=out)]
 
 
 def _concatenate(fn, node, out, *operands):

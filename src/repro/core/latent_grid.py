@@ -11,6 +11,15 @@ derivatives of the blended output — needed by the PDE equation loss — are
 exact derivatives of the full interpolated model, not of a single-vertex
 approximation.
 
+The eight corners are one axis: every query point contributes eight decoder
+rows, corner-major in ``itertools.product((0, 1), repeat=3)`` order (x
+fastest), so one vertex gather and **one decoder pass** over ``(N, 8·P)``
+rows serve all corners.  Weights and decoder outputs are viewed as
+``(N, 8, P, ·)`` and every blended output is one ``sum`` over the corner
+axis, started at ``-0.0``; a reduction over a non-innermost axis adds
+corners 0..7 in order onto it, the running sum a per-corner loop builds, so
+the blend keeps that loop's bits, signed zeros included.
+
 Derivatives ride forward
 ------------------------
 
@@ -58,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -143,22 +151,15 @@ def query_latent_grid_jets(
             {pair: dense(d) for pair, d in second.items()})
 
 
-def _weight_slope(factors: Sequence[Tensor], slopes: Sequence[float], *along: int) -> Tensor:
-    """``∂w/∂coord_a``, or ``∂²w/∂coord_a∂coord_b`` for distinct axes, of the
-    corner weight ``w = Π_c factors[c]`` whose factors are linear with the
-    given ``slopes``; shape ``(N, P, 1)``."""
-    rest = functools.reduce(ops.mul, (factors[c] for c in range(3) if c not in along))
-    return ops.expand_dims(ops.mul(rest, math.prod(slopes[a] for a in along)), -1)
-
-
 def _blend_corners(grid: Tensor, coords: Tensor, decode, interpolation: str,
                    axes: Sequence[int] = (), pairs: Sequence[tuple[int, int]] = ()):
-    """The one cell / fraction / corner-weight loop behind both queries.
+    """The one cell / fraction / corner-weight blend behind both queries.
 
     ``decode(x, scales)`` returns the decoder's ``(value, first, second)`` at
-    the assembled input ``x``, whose column ``a`` moves at ``scales[a]`` per
-    unit of query coordinate ``a``.  With no ``axes`` and no ``pairs`` the
-    loop records exactly the value's operations and nothing else.
+    the assembled input ``x`` (every corner's rows at once), whose column
+    ``a`` moves at ``scales[a]`` per unit of query coordinate ``a``.  With no
+    ``axes`` and no ``pairs`` it records exactly the value's operations and
+    nothing else.
     """
     if grid.ndim != 5:
         raise ValueError(f"latent grid must be 5-D (N, C, nt, nz, nx); got {grid.shape}")
@@ -177,7 +178,7 @@ def _blend_corners(grid: Tensor, coords: Tensor, decode, interpolation: str,
     # grid+coords pair decodes end-to-end in float32.
     dt = np.promote_types(grid.dtype, coords.dtype)
 
-    # (N, nt, nz, nx, C) layout so that gathering vertices yields (N, P, C).
+    # (N, nt, nz, nx, C) layout so that gathering vertices yields (N, rows, C).
     grid_last = ops.transpose(grid, (0, 2, 3, 4, 1))
 
     # Cell indices are held as exact integers in *floating* tensors computed
@@ -218,52 +219,74 @@ def _blend_corners(grid: Tensor, coords: Tensor, decode, interpolation: str,
         rel = ops.stack([ops.sub(frac[a], offsets[a]) for a in range(3)], axis=-1)
         return decode(ops.concatenate([rel, latent], axis=-1), scales)
 
-    # Per-axis clamped vertex indices for offsets 0 and 1, hoisted out of
-    # the 8-corner loop (the cell index is already within [0, n-2], so the
-    # offset-0 vertex is the cell index itself).
-    vertex01 = [
-        (cell_index[axis],
-         ops.clip_by_value(ops.add(cell_index[axis], 1.0), 0.0, float(sizes[axis] - 1)))
-        for axis in range(3)
+    # The eight corners are one axis.  Along query axis ``a`` the weight
+    # factor ``g_a = [1 - f_a, f_a]``, the slope ``±s_a``, the relative
+    # coordinate ``[f_a, f_a - 1]`` and the vertex pair ``[cell_a, cell_a + 1]``
+    # (clamped) sit on axis ``1 + a`` of an ``(N, 2, 2, 2, P)`` offset block,
+    # whose C order is ``itertools.product((0, 1), repeat=3)`` (x fastest).
+    # Each weight is ``(g_t·g_z)·g_x``, the per-corner product order, and
+    # ``f - 0.0 == f``, so every corner's operands keep their bits.
+    block = (n_batch, 2, 2, 2, n_points)
+
+    def on_axis(pair, axis: int):
+        """``(N, 2, P)`` stacked offsets 0 and 1, broadcastable over ``block``."""
+        shape = [n_batch, 1, 1, 1, n_points]
+        shape[1 + axis] = 2
+        return ops.reshape(ops.stack(pair, axis=1), shape)
+
+    def rows(t: Tensor) -> Tensor:
+        """A block-broadcastable tensor as ``(N, 8·P)`` corner-major rows."""
+        return ops.reshape(ops.broadcast_to(t, block), (n_batch, 8 * n_points))
+
+    vertex_index = [
+        rows(on_axis([cell_index[a], ops.clip_by_value(ops.add(cell_index[a], 1.0), 0.0,
+                                                       float(sizes[a] - 1))], a))
+        for a in range(3)
     ]
+    rel = ops.stack([rows(on_axis([frac[a], ops.sub(frac[a], 1.0)], a)) for a in range(3)],
+                    axis=-1)  # (N, 8P, 3)
+    latent = ops.gather_vertices(grid_last, *vertex_index)  # (N, 8P, C)
+    decoded, d_first, d_second = decode(ops.concatenate([rel, latent], axis=-1), scales)
 
-    output: Tensor | None = None
-    first: dict = dict.fromkeys(axes)
-    second: dict = dict.fromkeys(pairs)
-    for offsets in itertools.product((0, 1), repeat=3):
-        weight: Tensor | None = None
-        factors: list[Tensor] = []   # g_a: the weight's factor along each axis
-        slopes: list[float] = []     # ∂g_a/∂coord_a
-        rel_components: list[Tensor] = []
-        vertex_index: list[Tensor] = []
-        for axis, offset in enumerate(offsets):
-            f = frac[axis]
-            w_axis = f if offset == 1 else ops.sub(1.0, f)
-            weight = w_axis if weight is None else ops.mul(weight, w_axis)
-            factors.append(w_axis)
-            slopes.append(steps[axis] if offset == 1 else -steps[axis])
-            rel_components.append(ops.sub(f, float(offset)))
-            vertex_index.append(vertex01[axis][offset])
-        latent = ops.gather_vertices(grid_last, *vertex_index)  # (N, P, C)
-        rel = ops.stack(rel_components, axis=-1)  # (N, P, 3)
-        decoded, d_first, d_second = decode(ops.concatenate([rel, latent], axis=-1), scales)
-        w = ops.expand_dims(weight, -1)
-        output = sum_tangents(output, ops.mul(w, decoded))  # (N, P, m)
+    corner_shape = (n_batch, 8, n_points, decoded.shape[-1])
 
-        w_dot = {a: _weight_slope(factors, slopes, a) for a in axes}
-        for a in axes:
-            first[a] = sum_tangents(first[a], ops.add(ops.mul(w_dot[a], decoded),
-                                                     ops.mul(w, d_first[a])))
-        for a, b in pairs:
-            if a == b:  # the weight is linear along each axis: no curvature term
-                term = ops.mul(ops.mul(w_dot[a], d_first[a]), 2.0)
-            else:
-                term = ops.add(ops.add(ops.mul(w_dot[a], d_first[b]),
-                                       ops.mul(w_dot[b], d_first[a])),
-                               ops.mul(_weight_slope(factors, slopes, a, b), decoded))
-            if d_second[a, b] is not None:
-                term = ops.add(term, ops.mul(w, d_second[a, b]))
-            second[a, b] = sum_tangents(second[a, b], term)
+    def per_corner(t: Tensor) -> Tensor:
+        """Decoder rows as ``(N, 8, P, m)``; a broadcast weight row is expanded first."""
+        if t.shape != decoded.shape:
+            t = ops.broadcast_to(t, decoded.shape)
+        return ops.reshape(t, corner_shape)
+
+    factors = [on_axis([ops.sub(1.0, frac[a]), frac[a]], a) for a in range(3)]
+    slopes = [np.array([-steps[a], steps[a]], dtype=dt).reshape(
+        [1] * (1 + a) + [2] + [1] * (3 - a)) for a in range(3)]
+
+    def weight_slope(*along: int) -> Tensor:
+        """``∂w/∂coord_a`` (or ``∂²w/∂coord_a∂coord_b``, distinct axes) per corner."""
+        rest = functools.reduce(ops.mul, (factors[c] for c in range(3) if c not in along))
+        slope = functools.reduce(np.multiply, (slopes[a] for a in along))
+        return ops.reshape(ops.mul(rest, Tensor(slope)), (n_batch, 8, n_points, 1))
+
+    def blend(term: Tensor) -> Tensor:
+        """Corners 0..7 added in order: the running sum a per-corner loop builds."""
+        return ops.sum(term, axis=1, initial=-0.0)
+
+    w = ops.reshape(functools.reduce(ops.mul, factors), (n_batch, 8, n_points, 1))
+    phi = per_corner(decoded)
+    phi_dot = {a: per_corner(d_first[a]) for a in axes}
+    w_dot = {a: weight_slope(a) for a in axes}
+    output = blend(ops.mul(w, phi))  # (N, P, m)
+    first = {a: blend(ops.add(ops.mul(w_dot[a], phi), ops.mul(w, phi_dot[a]))) for a in axes}
+    second: dict = {}
+    for a, b in pairs:
+        if a == b:  # the weight is linear along each axis: no curvature term
+            term = ops.mul(ops.mul(w_dot[a], phi_dot[a]), 2.0)
+        else:
+            term = ops.add(ops.add(ops.mul(w_dot[a], phi_dot[b]),
+                                   ops.mul(w_dot[b], phi_dot[a])),
+                           ops.mul(weight_slope(a, b), phi))
+        if d_second[a, b] is not None:
+            term = ops.add(term, ops.mul(w, per_corner(d_second[a, b])))
+        second[a, b] = blend(term)
     return output, first, second
 
 

@@ -7,8 +7,6 @@ trilinear-upsampling Baseline (I).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 __all__ = ["interpolate_grid", "upsample_trilinear"]
@@ -38,29 +36,29 @@ def interpolate_grid(field: np.ndarray, coords: np.ndarray) -> np.ndarray:
         raise ValueError(f"coords must have shape (P, 3); got {coords.shape}")
 
     sizes = field.shape[1:]
-    idx0 = []
-    frac = []
+    n_points = coords.shape[0]
+    # The eight corners are one leading axis: along query axis ``a`` the
+    # weight factor ``[1 - f, f]`` and the vertex pair ``[i0, i0 + 1]``
+    # (clamped) sit on axis ``a`` of a ``(2, 2, 2, P)`` block, whose C order
+    # is ``itertools.product((0, 1), repeat=3)``.
+    factors, vertices = [], []
     for axis in range(3):
         n = sizes[axis]
         pos = np.clip(coords[:, axis], 0.0, 1.0) * max(n - 1, 1)
         if n == 1:
-            i0 = np.zeros(coords.shape[0], dtype=np.int64)
+            i0 = np.zeros(n_points, dtype=np.int64)
         else:
             i0 = np.clip(np.floor(pos).astype(np.int64), 0, n - 2)
-        idx0.append(i0)
-        frac.append(pos - i0)
-
-    out = np.zeros((coords.shape[0], field.shape[0]))
-    for offsets in itertools.product((0, 1), repeat=3):
-        weight = np.ones(coords.shape[0])
-        index = []
-        for axis, offset in enumerate(offsets):
-            f = frac[axis]
-            weight = weight * (f if offset == 1 else (1.0 - f))
-            index.append(np.minimum(idx0[axis] + offset, sizes[axis] - 1))
-        vertex_values = field[:, index[0], index[1], index[2]]  # (C, P)
-        out += weight[:, None] * vertex_values.T
-    return out
+        f = pos - i0
+        shape = [1, 1, 1, n_points]
+        shape[axis] = 2
+        factors.append(np.stack([1.0 - f, f]).reshape(shape))
+        vertices.append(np.stack([i0, np.minimum(i0 + 1, n - 1)]).reshape(shape))
+    weight = (factors[0] * factors[1]) * factors[2]  # a corner's product order
+    vertex_values = np.moveaxis(field, 0, -1)[tuple(vertices)]  # (2, 2, 2, P, C)
+    terms = weight.reshape(8, n_points, 1) * vertex_values.reshape(8, n_points, field.shape[0])
+    # Corners added in order onto zeros, as a running ``out += term`` would.
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def upsample_trilinear(field: np.ndarray, output_shape: tuple[int, int, int]) -> np.ndarray:

@@ -173,13 +173,12 @@ class InferenceEngine:
         Width (in low-resolution vertex units) of the smooth blending ramp
         inside each tile overlap.
     chunk_size:
-        Upper bound on rows per decoder call, which bounds decode memory.
-        Tiled mode cuts a plan into blocks of ``chunk_size // (8 * N)`` points
-        and decodes a block in one call (per point and sample eight rows
-        under trilinear interpolation, one under nearest); direct mode hands
-        ``query_latent_grid`` that many *points* at a time.  Past ~15000 rows
-        BLAS changes kernel and a coalesced request stops being bit-identical
-        to the same request alone.
+        Upper bound on rows per decoder call in either mode, which bounds
+        decode memory; a point decodes as eight rows per sample under
+        trilinear interpolation (one per cell corner) and one under nearest,
+        and a call takes at least one point.  Past ~15000 rows BLAS changes
+        kernel and a coalesced request stops being bit-identical to the
+        same request alone.
     cache_tiles:
         LRU capacity of the latent-tile cache, in tiles (``None`` for
         unbounded).  Queries are decoded in tile-major order, so even
@@ -504,10 +503,11 @@ class TiledLatentField:
         n_points = coords.shape[0]
         out_channels = model.config.out_channels
         out = np.zeros((n_batch, n_points, out_channels), dtype=self.dtype)
-        chunk = engine.chunk_size
         if self.layout.is_single_tile:
             grid = Tensor(self.latent_tile(0))
             decoder = engine.decoder
+            rows_per_point = 8 * n_batch if model.config.interpolation == "trilinear" else n_batch
+            chunk = max(1, engine.chunk_size // rows_per_point)
             with precision(self.dtype), inference_mode():
                 for start in range(0, n_points, chunk):
                     stop = min(start + chunk, n_points)

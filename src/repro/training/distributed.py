@@ -180,16 +180,7 @@ class DistributedTrainer(Trainer):
                     drawn = self._draw_indices(rank, cfg.batch_size)
                     self.last_step_indices.append((node, acc, rank, drawn))
                     indices.extend(drawn)
-                batch = self.dataset.sample_batch(indices, epoch=epoch)
-                if self._compiled_step is not None:
-                    # Fused replay: loss, (pre-scaled) VJP and buffer
-                    # effects in one plan, bit-identical to the eager path.
-                    breakdown = self._compiled_step(batch)
-                else:
-                    total, breakdown = self._loss_for_batch(batch)
-                    if cfg.accumulate_steps > 1:
-                        total = total * (1.0 / cfg.accumulate_steps)
-                    total.backward()
+                breakdown = self._micro_step(self.dataset.sample_batch(indices, epoch=epoch))
                 losses.append(breakdown.total)
                 pred_losses.append(breakdown.prediction)
                 eq_losses.append(breakdown.equation)

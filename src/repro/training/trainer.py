@@ -31,7 +31,7 @@ import numpy as np
 
 from ..autodiff import Tensor, no_grad
 from ..faults import plan as _faults
-from ..core.losses import LossWeights, compute_losses
+from ..core.losses import LossBreakdown, LossWeights, compute_losses
 from ..data.dataset import Batch, SuperResolutionDataset
 from ..metrics.report import MetricReport
 from ..nn.module import Module
@@ -188,8 +188,9 @@ class Trainer:
         global_batch = self.config.batch_size * self.config.world_size
         return max(1, len(self.dataset) // global_batch)
 
-    def _loss_scale(self) -> float:
-        """Loss pre-scaling of one micro-batch backward (gradient averaging)."""
+    def _loss_scale(self) -> Optional[float]:
+        """Loss pre-scaling of one micro-batch backward: ``1/world_size``, so
+        the accumulated gradient is the average over workers."""
         return 1.0 / self.config.world_size
 
     def _loss_for_batch(self, batch: Batch):
@@ -208,6 +209,24 @@ class Trainer:
             self.pde_system, self.weights, coord_scales=batch.coord_scales,
         )
 
+    def _micro_step(self, batch: Batch) -> LossBreakdown:
+        """Loss and backward of one micro-batch, its gradients added to ``.grad``.
+
+        Compiled, one plan replay: loss, scaled VJP and buffer effects in a
+        single fused program, bit-identical to the eager sequence.  Eager,
+        the loss is scaled by :meth:`_loss_scale` (``None``: not at all) and
+        backpropagated.  Either way the micro-batch's graph dies with this
+        call, before the next micro-batch's forward allocates its own.
+        """
+        if self._compiled_step is not None:
+            return self._compiled_step(batch)
+        total, breakdown = self._loss_for_batch(batch)
+        scale = self._loss_scale()
+        if scale is not None:
+            total = total * scale
+        total.backward()
+        return breakdown
+
     def train_step(self, step_index: int, epoch: int) -> dict:
         """One synchronous optimizer step over ``world_size`` micro-batches."""
         cfg = self.config
@@ -217,19 +236,7 @@ class Trainer:
         base = step_index * global_batch
         for rank in range(cfg.world_size):
             indices = [base + rank * cfg.batch_size + i for i in range(cfg.batch_size)]
-            batch = self.dataset.sample_batch(indices, epoch=epoch)
-            if self._compiled_step is not None:
-                # One plan replay per micro-batch: loss, scaled VJP and
-                # buffer effects in a single fused program (bit-identical
-                # to the eager sequence below).
-                breakdown = self._compiled_step(batch)
-            else:
-                total, breakdown = self._loss_for_batch(batch)
-                # Average gradients across workers: scale each worker's loss by
-                # 1/world_size before backward so the accumulated gradient
-                # equals the DDP average.
-                scaled = total * (1.0 / cfg.world_size)
-                scaled.backward()
+            breakdown = self._micro_step(self.dataset.sample_batch(indices, epoch=epoch))
             losses.append(breakdown.total)
             pred_losses.append(breakdown.prediction)
             eq_losses.append(breakdown.equation)

@@ -162,8 +162,11 @@ class TestForwardEquivalence:
         eager = InferenceEngine(model)
         compiled = InferenceEngine(model, compile=True)
         out_e = eager.predict_grid(lowres, (4, 16, 16))
-        out_c = compiled.predict_grid(lowres, (4, 16, 16))
-        assert np.array_equal(out_e, out_c)
+        # Direct mode makes one decoder call per chunk: the first grid
+        # traces, the second replays.
+        for _ in range(2):
+            out_c = compiled.predict_grid(lowres, (4, 16, 16))
+            assert np.array_equal(out_e, out_c)
         stats = compiled.compile_stats
         assert stats["plan_hits"] > 0 and stats["runtime_allocs"] == 0
 
@@ -311,7 +314,8 @@ LOWERING_CASES = {
     ops.MatMul: [_case(ops.matmul, (3, 4), (4, 5)), _case(ops.matmul, (2, 3, 4), (4, 4))],
     ops.Sum: [_case(ops.sum),
               _case(lambda a: ops.sum(a, axis=1)),
-              _case(lambda a: ops.sum(a, axis=(0, 2), keepdims=True))],
+              _case(lambda a: ops.sum(a, axis=(0, 2), keepdims=True)),
+              _case(lambda a: ops.sum(a, axis=1, initial=-0.0))],
     ops.Concatenate: [_case(lambda a, b: ops.concatenate([a, b], axis=1), _S, (3, 2, 5)),
                       _case(lambda a, b: ops.concatenate([a, b], axis=-1), _S, _S)],
     ops.Pad: [_case(lambda a: ops.pad(a, ((1, 2), (0, 0), (0, 1))))],
@@ -474,8 +478,9 @@ class TestValueNumbering:
         (lambda a: a[0:2], lambda a: a[0:2:1]),
         (lambda a: ops.transpose(a, (0, 1)), lambda a: ops.transpose(a, (1, 0))),
         (lambda a: ops.leaky_relu(a, 0.0), lambda a: ops.leaky_relu(a, -0.0)),
+        (lambda a: ops.sum(a, axis=0), lambda a: ops.sum(a, axis=0, initial=-0.0)),
     ], ids=["sum-axis", "sum-keepdims", "pow", "getindex", "list-vs-tuple-index",
-            "slice-step", "transpose", "signed-zero-slope"])
+            "slice-step", "transpose", "signed-zero-slope", "sum-signed-zero-start"])
     def test_static_arguments_are_part_of_the_value_number(self, first, second):
         a = np.random.default_rng(1).standard_normal((4, 4))
         a[0, 0] = -1.0  # -1 * 0.0 and -1 * -0.0 differ in the sign bit
@@ -1159,14 +1164,16 @@ class TestCompiledTrainingStep:
         assert step.stats() == {**step.stats(), "n_plans": 1, "plan_hits": 2, "fallbacks": {}}
         plan = step.plans[0]
         names = [node.op_name for node in plan.program.nodes]
-        once_each = 8 * len(m_comp.config.imnet_hidden)  # corners x hidden layers
+        # The eight corners go through the decoder in one pass.
+        once_each = len(m_comp.config.imnet_hidden)  # one per hidden layer
         assert names.count("Sigmoid") == names.count("Softplus") == once_each
         s = plan.stats
         assert s.n_ops == len(names) == s.n_traced_ops - s.n_folded - s.n_dead - s.n_merged
         # One forward pass and one backward: the nested-grad step this
-        # replaced traced 25 969 ops and replayed 10 420 at these shapes.
-        assert s.n_traced_ops <= 5000 and s.n_ops <= 3200
-        assert names.count("MatMul") <= 320
+        # replaced traced 25 969 ops and replayed 10 420 at these shapes,
+        # and a decoder pass per corner traced 3 291 and replayed 2 886.
+        assert s.n_traced_ops <= 1500 and s.n_ops <= 1300
+        assert names.count("MatMul") <= 48
 
     def test_equation_loss_step_is_one_plan_reaching_the_encoder(self):
         """With the equation loss on, the residuals' coordinate derivatives

@@ -1,5 +1,7 @@
 """Data pipeline: downsampling, interpolation, normalisation, datasets, loaders."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,44 @@ class TestInterpolation:
         field = np.full((1, 3, 4, 5), value)
         coords = np.random.default_rng(0).random((10, 3))
         assert np.allclose(interpolate_grid(field, coords), value)
+
+    @staticmethod
+    def corner_loop(field, coords):
+        """Reference: one gather and one ``out +=`` per corner, in corner order."""
+        sizes = field.shape[1:]
+        idx0, frac = [], []
+        for axis in range(3):
+            n = sizes[axis]
+            pos = np.clip(coords[:, axis], 0.0, 1.0) * max(n - 1, 1)
+            i0 = (np.zeros(len(coords), dtype=np.int64) if n == 1
+                  else np.clip(np.floor(pos).astype(np.int64), 0, n - 2))
+            idx0.append(i0)
+            frac.append(pos - i0)
+        out = np.zeros((len(coords), field.shape[0]))
+        for offsets in itertools.product((0, 1), repeat=3):
+            weight = np.ones(len(coords))
+            index = []
+            for axis, offset in enumerate(offsets):
+                weight = weight * (frac[axis] if offset == 1 else (1.0 - frac[axis]))
+                index.append(np.minimum(idx0[axis] + offset, sizes[axis] - 1))
+            out += weight[:, None] * field[:, index[0], index[1], index[2]].T
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.integers(1, 5)] * 4), st.integers(0, 300), st.integers(0, 2**16),
+           st.sampled_from([0.2, 1.0]))
+    def test_corner_axis_is_the_corner_loop_byte_for_byte(self, shape, n_points, seed, zeros):
+        """The eight corners as one axis add in the loop's order, onto the
+        loop's zeros: the same bytes, signed zeros and clamped points included
+        (an all ``-0.0`` field interpolates to ``+0.0``, as ``0.0 + -0.0`` does)."""
+        rng = np.random.default_rng(seed)
+        field = rng.standard_normal(shape)
+        field[rng.random(shape) < zeros] = -0.0
+        coords = rng.uniform(-0.3, 1.3, (n_points, 3))
+        coords[rng.random(coords.shape) < 0.2] = 1.0
+        got, want = interpolate_grid(field, coords), self.corner_loop(field, coords)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestNormalizer:

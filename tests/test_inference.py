@@ -1,5 +1,6 @@
 """Tiled batched inference engine: equivalence, caching, planning, inference mode."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -845,6 +846,31 @@ class TestGridPlanReplay:
 # Engine API surface                                                          #
 # --------------------------------------------------------------------------- #
 class TestEngineAPI:
+    @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+    @pytest.mark.parametrize("chunk_size", [48, 130, 4096])
+    def test_direct_mode_bounds_decoder_rows(self, interpolation, chunk_size, monkeypatch):
+        """Direct mode cuts a query so no decoder call sees more than
+        ``chunk_size`` rows (eight per point and sample under trilinear
+        interpolation, one under nearest), and the cut moves no bits: the
+        result is one whole-query ``query_latent_grid`` call, byte for byte."""
+        config = dataclasses.replace(MeshfreeFlowNetConfig.tiny(), interpolation=interpolation)
+        model = MeshfreeFlowNet(config).eval()
+        rng = np.random.default_rng(5)
+        domain = rng.standard_normal((2, 4, 2, 8, 8))
+        points = rng.random((302, 3))
+        engine = InferenceEngine(model, chunk_size=chunk_size)
+        with precision(model.dtype), inference_mode():
+            whole = query_latent_grid(
+                Tensor(engine.open(domain).latent_tile(0)),
+                Tensor(np.broadcast_to(points.astype(model.dtype), (2, *points.shape)).copy()),
+                model.imnet, interpolation=interpolation).data
+        rows, forward = [], model.imnet.forward
+        monkeypatch.setattr(model.imnet, "forward",
+                            lambda x: rows.append(x.shape[0] * x.shape[1]) or forward(x))
+        out = engine.query_points(domain, points)
+        assert rows and max(rows) <= chunk_size
+        assert out.shape == whole.shape and np.array_equal(out.view(np.uint8), whole.view(np.uint8))
+
     def test_invalid_arguments(self, model, lowres):
         with pytest.raises(ValueError):
             InferenceEngine(model, chunk_size=0)

@@ -7,6 +7,8 @@ history to an uninterrupted run — in the float64 policy, the float32
 policy, and the float32-with-float64-master-weights mixed-precision mode.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,33 @@ class TestStepSemantics:
         assert np.array_equal(model.unused_head.data, np.zeros(3))  # no decay applied
         live_grads = [p for p in model.parameters() if p.grad is not None]
         assert len(live_grads) == len(model.parameters()) - 1
+
+
+class TestMicroBatchLifetime:
+    @pytest.mark.parametrize("kind", ["distributed", "serial"])
+    def test_graph_dies_before_the_next_forward(self, tiny_dataset, kind):
+        """A micro-batch's graph is freed once its backward has run: when the
+        next micro-batch's forward starts, no earlier loss is alive.  A
+        ``Tensor`` takes no weak reference, so the test watches the op that
+        produced the loss: it holds the whole graph, and only the loss holds it."""
+        if kind == "distributed":  # eager, two ranks fused per node
+            trainer = DistributedTrainer(make_model(), tiny_dataset,
+                                         config=dist_config(world_size=4, nodes=2))
+        else:  # the serial loop over world_size micro-batches
+            trainer = Trainer(make_model(), tiny_dataset, config=dist_config(world_size=2))
+        losses, alive = [], []
+        loss_for_batch = trainer._loss_for_batch
+
+        def recording(batch):
+            alive.append(sum(ref() is not None for ref in losses))
+            total, breakdown = loss_for_batch(batch)
+            losses.append(weakref.ref(total._op))
+            return total, breakdown
+
+        trainer._loss_for_batch = recording
+        for step in range(3):
+            trainer.train_step(step, 0)
+        assert len(losses) == 6 and alive == [0] * 6
 
 
 class TestMixedPrecision:
