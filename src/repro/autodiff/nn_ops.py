@@ -43,6 +43,7 @@ import math
 
 import numpy as np
 
+from ..backend import get_backend
 from .tensor import Op, Tensor  # noqa: F401 - Tensor re-exported for callers
 
 __all__ = ["conv3d", "max_pool3d", "avg_pool3d", "upsample_nearest3d"]
@@ -78,6 +79,8 @@ def _extract_patches(x: np.ndarray, kernel: tuple[int, int, int], stride: tuple[
 #: enough that the GEMM reads the block while it is still in L2.  A sample
 #: whose columns fit takes the index-map path instead (:func:`_fits_one_block`).
 _COLS_BLOCK_BYTES = 512 * 1024
+
+_B = get_backend()
 
 
 def _is_pointwise(kernel, stride, padding) -> bool:
@@ -258,7 +261,7 @@ class Conv3dGradInput(Op):
             gcols[:, size] = 0.0
             np.matmul(w_t, g, out=gcols[:, :size].reshape(n, -1, g.shape[2]))
             # Sequential over the rows: +0.0, then the offsets in order.
-            return np.add.reduce(gcols.take(col2im_index, axis=1), axis=1).reshape(self.x_shape)
+            return _B.sum(gcols.take(col2im_index, axis=1), axis=1).reshape(self.x_shape)
         gcols = np.matmul(w_t, g).reshape(n, c_in, kd, kh, kw, do, ho, wo)
 
         pd, ph, pw = self.padding
@@ -297,7 +300,7 @@ class Conv3dGradWeight(Op):
         if _fits_one_block(x.shape, self.kernel, self.stride, self.padding, x.itemsize):
             cols = _sample_columns(x, self.kernel, self.stride, self.padding)
             # Summed over N in sample order, like the per-block ``+=`` below.
-            grad_w = np.add.reduce(np.matmul(g, cols.transpose(0, 2, 1)), axis=0)
+            grad_w = _B.sum(np.matmul(g, cols.transpose(0, 2, 1)), axis=0)
             return grad_w.reshape(c_out, x.shape[1], *self.kernel)
         grad_w = None
         for (i, positions), cols in _column_blocks(x, self.kernel, self.stride, self.padding):

@@ -23,6 +23,7 @@ first.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from typing import Callable, Optional
@@ -209,7 +210,19 @@ class ArrayBackend:
 
     def sum(self, a, axis=None, keepdims=False, out=None, initial=0.0):
         """Summation over ``axis`` onto ``initial`` (``add.reduce``'s own default,
-        its identity): the same bits as ``sum`` without its Python wrapper."""
+        its identity): the same bits as ``sum`` without its Python wrapper.
+
+        One ``int`` axis that is not the last is added in index order onto
+        ``initial``, ``((initial + a[0]) + a[1]) + ...``, whatever follows it.
+        ``add.reduce`` does so unless every later extent is 1, where NumPy sums
+        the axis pairwise; that case takes ``add.accumulate``'s running sum.
+        """
+        if type(axis) is int and -a.ndim <= axis < a.ndim:
+            axis %= a.ndim
+            if axis < a.ndim - 1 and a.shape[axis] > 1 and math.prod(a.shape[axis + 1 :]) == 1:
+                start = self.xp.full(a.shape[:axis] + (1,) + a.shape[axis + 1 :], initial, a.dtype)
+                running = self.xp.add.accumulate(self.xp.concatenate([start, a], axis=axis), axis=axis)
+                return self.xp.take(running, [-1] if keepdims else -1, axis=axis, out=out)
         return self.xp.add.reduce(a, axis=axis, keepdims=keepdims, out=out, initial=initial)
 
     def greater(self, a, b, out=None):

@@ -16,9 +16,11 @@ rows, corner-major in ``itertools.product((0, 1), repeat=3)`` order (x
 fastest), so one vertex gather and **one decoder pass** over ``(N, 8·P)``
 rows serve all corners.  Weights and decoder outputs are viewed as
 ``(N, 8, P, ·)`` and every blended output is one ``sum`` over the corner
-axis, started at ``-0.0``; a reduction over a non-innermost axis adds
-corners 0..7 in order onto it, the running sum a per-corner loop builds, so
-the blend keeps that loop's bits, signed zeros included.
+axis, started at ``-0.0``.  The backend's ``sum`` adds a non-last axis in
+index order whatever the extents after it, so corners 0..7 land on the
+running sum a per-corner loop builds, and the blend keeps that loop's bits,
+signed zeros included, down to one point of one output channel.  Without a
+tape, :func:`cell_stencil` and :func:`corner_weights` state the same arithmetic.
 
 Derivatives ride forward
 ------------------------
@@ -74,8 +76,9 @@ import numpy as np
 from ..autodiff import Tensor, ops
 from ..backend import resolve_dtype
 
-__all__ = ["check_grid_shape", "query_latent_grid", "query_latent_grid_jets",
-           "regular_grid_coordinates", "trilinear_weights_numpy"]
+__all__ = ["CORNERS", "cell_stencil", "check_grid_shape", "corner_steps", "corner_weights",
+           "query_latent_grid", "query_latent_grid_jets", "regular_grid_coordinates",
+           "trilinear_weights_numpy"]
 
 
 def sum_tangents(a: Optional[Tensor], b: Optional[Tensor]) -> Optional[Tensor]:
@@ -312,6 +315,43 @@ def regular_grid_coordinates(shape: tuple[int, int, int], dtype=None) -> np.ndar
         axes.append(np.linspace(0.0, 1.0, n, dtype=dtype) if n > 1 else np.zeros(1, dtype=dtype))
     tt, zz, xx = np.meshgrid(*axes, indexing="ij")
     return np.stack([tt.ravel(), zz.ravel(), xx.ravel()], axis=-1)
+
+
+#: A cell's eight corners as vertex offsets along ``(t, z, x)``, in
+#: ``itertools.product((0, 1), repeat=3)`` order (x fastest): the corner axis.
+CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+CORNERS.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=64)
+def corner_steps(sizes: tuple) -> np.ndarray:
+    """The corners' flat index steps from their cell's first vertex on a C-order ``sizes`` grid,
+    ``(8, 1)`` read-only; 0 along a one-vertex axis, whose one cell has both ends on vertex 0."""
+    steps = CORNERS @ (np.array([sizes[1] * sizes[2], sizes[2], 1]) * (np.array(sizes) > 1))
+    steps.setflags(write=False)
+    return steps[:, None]
+
+
+def cell_stencil(pos: np.ndarray, sizes: tuple) -> tuple:
+    """Each point's Eqn. 6 cell on a C-order vertex grid of shape ``sizes``.
+
+    ``pos`` ``(P, 3)`` is in vertex units, ``coord·max(n - 1, 1)``.  Returns
+    ``(base, corner_steps(sizes), frac)``: the flat index of each cell's first
+    vertex ``(P,)`` (``base + corner_steps`` are the ``(8, P)`` corners) and
+    the in-cell fraction ``(P, 3)`` in ``pos``'s dtype.  Cells are clamped to
+    the grid, so beyond it ``frac`` leaves ``[0, 1]``: the boundary cell extrapolates.
+    """
+    steps = corner_steps(sizes)
+    cell = np.floor(pos)
+    np.clip(cell, 0, np.maximum(np.subtract(sizes, 2), 0), out=cell)
+    # Corners 4, 2 and 1 are one vertex along t, z and x.
+    return cell.astype(np.intp) @ steps[[4, 2, 1], 0], steps, pos - cell
+
+
+def corner_weights(frac: np.ndarray) -> np.ndarray:
+    """Eqn. 6's weights ``(8, P)`` of fractions ``(P, 3)``: per corner ``(g_t·g_z)·g_x``, ``g = 1 - f`` or ``f``."""
+    g = np.stack([1 - frac, frac])  # a corner's factor along axis a: g[offset_a, :, a]
+    return (g[:, None, None, :, 0] * g[None, :, None, :, 1] * g[None, None, :, :, 2]).reshape(8, -1)
 
 
 def trilinear_weights_numpy(frac: np.ndarray) -> np.ndarray:

@@ -69,11 +69,10 @@ class MeshfreeFlowNet(nn.Module):
         """Super-resolve onto a regular high-resolution grid.
 
         Routed through :class:`repro.inference.InferenceEngine`.  By default
-        the engine runs in *direct* mode (one full-domain encode followed by
-        chunked decoding — the original behaviour); passing ``tile_shape``
-        switches to tiled mode, which bounds peak memory on large domains by
-        encoding overlapping crops independently and blending them with a
-        smooth partition of unity.
+        the engine uses one tile (one full-domain encode, then decoding in
+        bounded blocks); passing ``tile_shape`` splits the domain into tiles,
+        which bounds peak memory on large domains by encoding overlapping
+        crops independently and blending them with a smooth partition of unity.
 
         Parameters
         ----------
@@ -82,10 +81,11 @@ class MeshfreeFlowNet(nn.Module):
         output_shape:
             Target high-resolution grid shape ``(nt_hr, nz_hr, nx_hr)``.
         chunk_size:
-            Number of query points decoded per batch to bound memory use.
+            Rows per decoder call (eight per point and sample under
+            trilinear interpolation), bounding decode memory.
         tile_shape:
             Optional low-resolution tile shape ``(t, z, x)`` enabling tiled
-            encoding; tiled output matches direct decoding to round-off.
+            encoding; tiled output matches single-tile decoding to round-off.
         engine:
             Optional pre-built :class:`~repro.inference.InferenceEngine`
             (e.g. to reuse its latent-tile cache across calls); overrides

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backend import get_backend
+from ..core.latent_grid import cell_stencil, corner_weights
+
 __all__ = ["interpolate_grid", "upsample_trilinear"]
+
+_B = get_backend()
 
 
 def interpolate_grid(field: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -36,29 +41,13 @@ def interpolate_grid(field: np.ndarray, coords: np.ndarray) -> np.ndarray:
         raise ValueError(f"coords must have shape (P, 3); got {coords.shape}")
 
     sizes = field.shape[1:]
-    n_points = coords.shape[0]
-    # The eight corners are one leading axis: along query axis ``a`` the
-    # weight factor ``[1 - f, f]`` and the vertex pair ``[i0, i0 + 1]``
-    # (clamped) sit on axis ``a`` of a ``(2, 2, 2, P)`` block, whose C order
-    # is ``itertools.product((0, 1), repeat=3)``.
-    factors, vertices = [], []
-    for axis in range(3):
-        n = sizes[axis]
-        pos = np.clip(coords[:, axis], 0.0, 1.0) * max(n - 1, 1)
-        if n == 1:
-            i0 = np.zeros(n_points, dtype=np.int64)
-        else:
-            i0 = np.clip(np.floor(pos).astype(np.int64), 0, n - 2)
-        f = pos - i0
-        shape = [1, 1, 1, n_points]
-        shape[axis] = 2
-        factors.append(np.stack([1.0 - f, f]).reshape(shape))
-        vertices.append(np.stack([i0, np.minimum(i0 + 1, n - 1)]).reshape(shape))
-    weight = (factors[0] * factors[1]) * factors[2]  # a corner's product order
-    vertex_values = np.moveaxis(field, 0, -1)[tuple(vertices)]  # (2, 2, 2, P, C)
-    terms = weight.reshape(8, n_points, 1) * vertex_values.reshape(8, n_points, field.shape[0])
+    pos = np.clip(coords, 0.0, 1.0) * np.maximum(np.subtract(sizes, 1), 1)
+    base, corner_steps, frac = cell_stencil(pos, sizes)
+    # Channel-last, so a vertex's channels are one row of a flat take: (8, P, C).
+    values = np.moveaxis(field, 0, -1).reshape(-1, field.shape[0]).take(base + corner_steps, axis=0)
+    terms = corner_weights(frac)[:, :, None] * values
     # Corners added in order onto zeros, as a running ``out += term`` would.
-    return np.add.reduce(terms, axis=0, initial=0.0)
+    return _B.sum(terms, axis=0, initial=0.0)
 
 
 def upsample_trilinear(field: np.ndarray, output_shape: tuple[int, int, int]) -> np.ndarray:

@@ -22,10 +22,10 @@ arbitrarily large domains:
   and batch size within a byte budget, so a repeated grid request only
   weighs corners, gathers, decodes and blends.
 
-With ``tile_shape=None`` the engine runs in *direct* mode — a single tile
-covering the whole domain — which reproduces the seed path exactly.  In
-tiled mode the model is temporarily switched to eval mode around every tile
-encode (and restored afterwards): batch-norm batch statistics would differ
+With ``tile_shape=None`` one tile covers the whole domain and is encoded in
+the model's current mode, as the seed path did; it is planned, decoded and
+replayed like any other layout.  Several tiles are encoded with the model in
+eval mode (restored afterwards): batch-norm batch statistics would differ
 between crops and make tiling ill-defined, whereas eval-mode running
 statistics are crop-independent.
 """
@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import threading
 import warnings
 import weakref
@@ -44,8 +45,8 @@ from typing import Hashable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..autodiff import Tensor, inference_mode
-from ..backend import canonical_dtype, precision
-from ..core.latent_grid import check_grid_shape, query_latent_grid, regular_grid_coordinates
+from ..backend import canonical_dtype, get_backend, precision
+from ..core.latent_grid import CORNERS, cell_stencil, check_grid_shape, corner_steps, corner_weights
 from ..obs.trace import span as _span
 from .cache import LatentTileCache
 from .planner import GridQueryPlanner, QueryPlanner
@@ -59,6 +60,8 @@ __all__ = ["InferenceEngine", "TiledLatentField"]
 _TOKEN_COUNTER = itertools.count()
 _TOKEN_LOCK = threading.Lock()
 
+_B = get_backend()
+
 #: Query points planned per planning window of :meth:`TiledLatentField.query`;
 #: bounds the planner's transient arrays on extremely large query sets.
 _PLAN_WINDOW = 1 << 20
@@ -67,29 +70,15 @@ _PLAN_WINDOW = 1 << 20
 #: least recently used evicted first; a grid whose plan alone exceeds it streams.
 _GRID_PLAN_BYTES = 4 << 20
 
-#: A cell's eight corner offsets along ``(t, z, x)``, in :func:`query_latent_grid`'s order.
-_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+#: A corner's index in :data:`~repro.core.latent_grid.CORNERS` from its offsets along ``(t, z, x)``.
+_CORNER_BITS = np.array([4, 2, 1])
 
 
 @functools.lru_cache(maxsize=64)
-def _cell_constants(tile_shape: tuple, dtype: np.dtype):
-    """What the block decode needs of a tile shape, as read-only arrays.
-
-    ``(scale, last_cell, steps, corner_steps, corner_offsets)``: cells per
-    unit of tile-local coordinate and the last cell's index along each axis
-    (both in ``dtype``); the flat index step of one vertex along each axis of
-    a channel-last tile — zero along a one-vertex axis, whose single cell has
-    both its ends on vertex 0; and the eight corners' offsets from their
-    cell's first vertex, as flat index steps ``(8, 1)`` and in ``dtype``
-    ``(8, 1, 3)``, in :func:`query_latent_grid`'s corner order.
-    """
-    sizes = np.array(tile_shape)
-    scale = np.maximum(sizes - 1, 1).astype(dtype)
-    last_cell = np.maximum(sizes - 2, 0).astype(dtype)
-    steps = np.array([tile_shape[1] * tile_shape[2], tile_shape[2], 1]) * (sizes > 1)
-    corner_steps = (_CORNERS @ steps)[:, None]
-    corner_offsets = _CORNERS[:, None, :].astype(dtype)
-    constants = scale, last_cell, steps, corner_steps, corner_offsets
+def _tile_constants(tile_shape: tuple, dtype: np.dtype) -> tuple:
+    """``(scale, corner_offsets)`` of a tile shape in ``dtype``, read-only: cells per
+    unit of tile-local coordinate ``(3,)`` and the corners' vertex offsets ``(8, 1, 3)``."""
+    constants = np.maximum(np.subtract(tile_shape, 1), 1).astype(dtype), CORNERS[:, None, :].astype(dtype)
     for array in constants:
         array.setflags(write=False)
     return constants
@@ -98,7 +87,7 @@ def _cell_constants(tile_shape: tuple, dtype: np.dtype):
 class _BlockGeometry(NamedTuple):
     """Everything one block's decode needs that no latent value decides.
 
-    ``pieces`` are ``(tile, n_points)`` in tile-major order; per point,
+    ``pieces`` are ``(tile, n_points)``, one per tile, tile-major; per point,
     ``rows`` is the output row, ``weights`` the blend weight, ``base`` the
     flat index of the cell's first vertex in its channel-last tile and
     ``rel`` the in-cell fraction, from which the corner weights follow.
@@ -117,26 +106,16 @@ class _BlockGeometry(NamedTuple):
         return sum(array.nbytes for array in self[1:])
 
 
-class _GridPlan:
-    """The block geometries of one dense grid, kept for replay.
+class _GridPlan(tuple):
+    """The block geometries of one dense grid, read-only, kept for replay; ``nbytes`` is their size."""
 
-    Stored flat — one read-only array per :class:`_BlockGeometry` field,
-    blocks end to end — and handed back block by block as views, so a kept
-    plan costs its arrays and one ``(pieces, start, stop)`` triple per block.
-    """
-
-    def __init__(self, blocks: Sequence[_BlockGeometry]):
-        bounds = np.cumsum([0] + [len(b.rows) for b in blocks]).tolist()
-        self._spans = [(b.pieces, lo, hi) for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:])]
-        self._flat = _BlockGeometry((), *map(np.concatenate, zip(*(b[1:] for b in blocks))))
-        for array in self._flat[1:]:
-            array.setflags(write=False)
-        self.nbytes = self._flat.nbytes
-
-    def __iter__(self):
-        _, rows, weights, base, rel = self._flat
-        for pieces, lo, hi in self._spans:
-            yield _BlockGeometry(pieces, rows[lo:hi], weights[lo:hi], base[lo:hi], rel[lo:hi])
+    def __new__(cls, blocks: Sequence[_BlockGeometry]):
+        for block in blocks:
+            for array in block[1:]:
+                array.setflags(write=False)
+        plan = super().__new__(cls, blocks)
+        plan.nbytes = sum(block.nbytes for block in blocks)
+        return plan
 
 
 @contextlib.contextmanager
@@ -162,8 +141,8 @@ class InferenceEngine:
         ``config``, ``unet``, ``imnet`` and ``latent_grid``).
     tile_shape:
         Low-resolution tile vertex counts ``(t, z, x)``.  ``None`` selects
-        direct mode: one tile spanning the whole domain, numerically
-        identical to the seed ``predict_grid`` path.
+        one tile spanning the whole domain, encoded in the model's current
+        mode like the seed ``predict_grid`` path.
     halo:
         Per-axis encoder receptive-field half-width used to size tile
         overlaps.  Defaults to the exact bound
@@ -173,10 +152,10 @@ class InferenceEngine:
         Width (in low-resolution vertex units) of the smooth blending ramp
         inside each tile overlap.
     chunk_size:
-        Upper bound on rows per decoder call in either mode, which bounds
-        decode memory; a point decodes as eight rows per sample under
-        trilinear interpolation (one per cell corner) and one under nearest,
-        and a call takes at least one point.  Past ~15000 rows BLAS changes
+        Upper bound on rows per decoder call, which bounds decode memory; a
+        point decodes as eight rows per sample under trilinear interpolation
+        (one per cell corner) and one under nearest, and a call takes at
+        least one point.  Past ~15000 rows BLAS changes
         kernel and a coalesced request stops being bit-identical to the
         same request alone.
     cache_tiles:
@@ -287,10 +266,10 @@ class InferenceEngine:
 
     @property
     def is_exact(self) -> bool:
-        """Whether tiled output provably matches direct decoding to round-off.
+        """Whether tiled output provably matches one-tile decoding to round-off.
 
         Requires every encoder layer to be spatially local with crop-
-        independent statistics: true in direct mode and for ``batch`` (eval
+        independent statistics: true for a single tile and for ``batch`` (eval
         mode) or ``none`` normalisation; false for ``group`` normalisation,
         whose statistics span the whole crop.
         """
@@ -470,8 +449,8 @@ class TiledLatentField:
         slices = self.layout.tile_slices(tile)
         crop = np.ascontiguousarray(
             self.lowres[(slice(None), slice(None), *slices)], dtype=self.dtype)
-        # Direct mode mirrors the seed path bit-for-bit, including its use of
-        # the model's current training/eval mode; tiles are encoded in eval mode.
+        # One tile is the seed's full-domain encode, in the model's current
+        # training/eval mode; several tiles are encoded in eval mode.
         mode = contextlib.nullcontext() if self.layout.is_single_tile else _eval_mode(model.unet)
         with _span("engine.encode_tile", tile=tile, shape=str(crop.shape)), mode, \
                 precision(self.dtype), inference_mode():
@@ -482,10 +461,10 @@ class TiledLatentField:
     def query(self, coords: np.ndarray) -> np.ndarray:
         """Decode values at global query coordinates ``(P, 3)`` → ``(N, P, C_out)``.
 
-        Coordinates are defined on ``[0, 1]`` per axis; in tiled mode
-        out-of-range coordinates are clamped to the domain (the direct path
-        inherits the seed behaviour of linearly extrapolating the boundary
-        cell instead).
+        Coordinates are defined on ``[0, 1]`` per axis; out-of-range
+        coordinates are clamped to the domain in every layout, one tile
+        included (the tape's ``query_latent_grid`` and
+        ``MeshfreeFlowNet.forward`` extrapolate the boundary cell instead).
 
         Points are planned per window of ``_PLAN_WINDOW``; a window's plan
         is tile-major, so each latent tile is fetched (and, on a miss,
@@ -497,26 +476,9 @@ class TiledLatentField:
         coords = np.asarray(coords, dtype=self.dtype)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError(f"coords must have shape (P, 3); got {coords.shape}")
-        engine = self.engine
-        model = engine.model
-        n_batch = self.n_batch
         n_points = coords.shape[0]
-        out_channels = model.config.out_channels
-        out = np.zeros((n_batch, n_points, out_channels), dtype=self.dtype)
-        if self.layout.is_single_tile:
-            grid = Tensor(self.latent_tile(0))
-            decoder = engine.decoder
-            rows_per_point = 8 * n_batch if model.config.interpolation == "trilinear" else n_batch
-            chunk = max(1, engine.chunk_size // rows_per_point)
-            with precision(self.dtype), inference_mode():
-                for start in range(0, n_points, chunk):
-                    stop = min(start + chunk, n_points)
-                    block = np.broadcast_to(coords[start:stop], (n_batch, stop - start, 3)).copy()
-                    with _span("engine.decode_tile", tile=0, n_points=stop - start):
-                        pred = query_latent_grid(grid, Tensor(block), decoder,
-                                                 interpolation=model.config.interpolation)
-                    out[:, start:stop, :] = pred.data
-            return out
+        out = np.zeros((self.n_batch, n_points, self.engine.model.config.out_channels),
+                       dtype=self.dtype)
         for start in range(0, n_points, _PLAN_WINDOW):
             stop = min(start + _PLAN_WINDOW, n_points)
             for geometry in self._block_geometries(self.planner.plan(coords[start:stop])):
@@ -527,11 +489,13 @@ class TiledLatentField:
         """Cut tile-major-ordered groups into flat blocks and yield each one's geometry.
 
         Groups are cut, order-preserving, into blocks of at most
-        ``chunk_size // (8 * n_batch)`` points, so no decoder call sees more
-        than ``engine.chunk_size`` rows; tile-major order means each latent
-        tile is encoded once and then retired.
+        ``chunk_size // (8 * n_batch)`` points (``chunk_size // n_batch``
+        under nearest interpolation), so no decoder call sees more than
+        ``engine.chunk_size`` rows; tile-major order means each latent tile
+        is encoded once and then retired.
         """
-        limit = max(1, self.engine.chunk_size // (8 * self.n_batch))
+        corners = 8 if self.engine.model.config.interpolation == "trilinear" else 1
+        limit = max(1, self.engine.chunk_size // (corners * self.n_batch))
         block, room = [], limit  # (group, slice of it) pairs; points still free
         for group in groups:
             n, start = group.n, 0
@@ -550,27 +514,28 @@ class TiledLatentField:
         """The geometry half of a block decode: where each point sits, not what it reads.
 
         The block is flattened — its pieces' rows, tile-local coordinates and
-        blend weights end to end, in tile-major order — and cell index and
-        in-cell fraction (or, under ``"nearest"``, the nearest vertex) are
-        those of :func:`~repro.core.latent_grid.query_latent_grid`, computed
-        once in NumPy for the whole block.  Point queries and dense grids
-        share this one statement of that arithmetic.
+        blend weights end to end, in tile-major order — and each point's cell
+        and in-cell fraction (or, under ``"nearest"``, the cell's nearest
+        corner) come from :func:`~repro.core.latent_grid.cell_stencil`, once
+        for the whole block.  Point queries and dense grids share this half.
         """
         dt = self.dtype
-        scale, last_cell, steps, _, _ = _cell_constants(self.layout.tile_shape, dt)
+        tile_shape = self.layout.tile_shape
         rows = np.concatenate([g.rows[sel] for g, sel in block])
         weights = np.concatenate([g.weights[sel] for g, sel in block]).astype(dt, copy=False)
         local = np.concatenate([g.local_coords[sel] for g, sel in block]).astype(dt, copy=False)
-        pos = local * scale
-        cell = np.clip(np.floor(pos), 0, last_cell)
-        frac = pos - cell
-        base = cell.astype(np.intp) @ steps
+        base, steps, frac = cell_stencil(local * _tile_constants(tile_shape, dt)[0], tile_shape)
         if self.engine.model.config.interpolation != "trilinear":
-            nearest = (frac >= 0.5).astype(np.intp)
-            base += nearest @ steps
-            frac -= nearest.astype(dt)
-        pieces = tuple((g.tile, sel.stop - sel.start) for g, sel in block)
-        return _BlockGeometry(pieces, rows, weights, base, frac)
+            nearest = frac >= 0.5  # the nearest corner's offsets
+            base += steps[nearest @ _CORNER_BITS, 0]
+            frac -= nearest
+        pieces = []  # one per tile: a grid plans a tile as one group per time slice
+        for g, sel in block:
+            n = sel.stop - sel.start
+            if pieces and pieces[-1][0] == g.tile:
+                n += pieces.pop()[1]
+            pieces.append((g.tile, n))
+        return _BlockGeometry(tuple(pieces), rows, weights, base, frac)
 
     def _decode_block(self, geometry: _BlockGeometry, out_view: np.ndarray) -> None:
         """The decode half: gather, one decoder call, corner blend, ordered scatter-add.
@@ -578,9 +543,9 @@ class TiledLatentField:
         A corner's latent vector is row ``base + corner step`` of its
         channel-last tile, so each tile is gathered with one flat index; the
         decoder gets one row per (sample, corner, point) and no padding.  The
-        corner weights are ``query_latent_grid``'s products of ``1 - f`` or
-        ``f`` per axis, formed separably; the eight corner predictions are
-        summed in its corner order and the weighted values are added into
+        corner weights are :func:`~repro.core.latent_grid.corner_weights`;
+        the eight weighted corner predictions are added in corner order by
+        the backend's ``sum`` and the blended values are added into
         ``out_view`` by one ``np.add.at``, which applies entries in order: a
         point covered by several tiles has them summed in ascending tile
         order, whichever other points share the block.  Reads ``geometry``
@@ -591,11 +556,9 @@ class TiledLatentField:
         pieces, rows, weights, base, rel = geometry
         corner_w = None
         if self.engine.model.config.interpolation == "trilinear":
-            _, _, _, corner_steps, corner_offsets = _cell_constants(self.layout.tile_shape, dt)
-            g = np.stack([1 - rel, rel])  # a corner's factor along axis a: g[offset_a, :, a]
-            corner_w = (g[:, None, None, :, 0] * g[None, :, None, :, 1]
-                        * g[None, None, :, :, 2]).reshape(8, -1)
-            vertex, rel = base + corner_steps, rel - corner_offsets
+            corner_w = corner_weights(rel)
+            vertex = base + corner_steps(self.layout.tile_shape)
+            rel = rel - _tile_constants(self.layout.tile_shape, dt)[1]
         else:
             vertex, rel = base[None], rel[None]
         stores = [self._latent_store(tile) for tile, _ in pieces]
@@ -615,10 +578,8 @@ class TiledLatentField:
                 precision(dt), inference_mode():
             pred = self.engine.decoder(Tensor(feed)).data
         pred = pred[:len(flat)].reshape(*inputs.shape[:3], -1)
-        if corner_w is not None:
-            pred = pred * corner_w[None, :, :, None]
-            for k in range(1, len(corner_w)):
-                pred[:, 0] += pred[:, k]
+        if corner_w is not None:  # Eqn. 6: corners 0..7 added in order, as on the tape
+            pred = _B.sum(pred * corner_w[None, :, :, None], axis=1, keepdims=True, initial=-0.0)
         np.add.at(out_view, (slice(None), rows), pred[:, 0] * weights[None, :, None])
 
     # ------------------------------------------------------------ dense grid
@@ -627,12 +588,12 @@ class TiledLatentField:
 
         Returns an array of shape ``(N, C_out, nt_hr, nz_hr, nx_hr)``, in
         the same layout as the seed
-        :meth:`~repro.core.model.MeshfreeFlowNet.predict_grid`.  In tiled
-        mode the regular-grid structure is exploited: the separable
+        :meth:`~repro.core.model.MeshfreeFlowNet.predict_grid`.  The
+        regular-grid structure is exploited: the separable
         :class:`~repro.inference.planner.GridQueryPlanner` plans per axis
         and streams tile-major groups, and the block geometries they cut
         into depend only on the domain shape, the grid shape, the dtype and
-        the batch size.  So the engine keeps them, flat, per such key
+        the batch size.  So the engine keeps them per such key
         (:class:`_GridPlan`, within ``_GRID_PLAN_BYTES`` per engine, least
         recently used evicted first) and a repeated grid replays them
         through the same decode half; a grid whose plan alone would exceed
@@ -640,12 +601,9 @@ class TiledLatentField:
         volume.
         """
         output_shape = check_grid_shape(output_shape)
-        if self.layout.is_single_tile:
-            out = self.query(regular_grid_coordinates(output_shape, dtype=self.dtype))
-        else:
-            out = np.zeros((self.n_batch, int(np.prod(output_shape)),
-                            self.engine.model.config.out_channels), dtype=self.dtype)
-            self._decode_grid(output_shape, out)
+        out = np.zeros((self.n_batch, int(np.prod(output_shape)),
+                        self.engine.model.config.out_channels), dtype=self.dtype)
+        self._decode_grid(output_shape, out)
         out = out.reshape(self.n_batch, *output_shape, -1)
         return np.moveaxis(out, -1, 1)
 
@@ -661,9 +619,13 @@ class TiledLatentField:
         # Every grid point is planned at least once, so the first block's bytes
         # per point already tell whether the whole plan can fit the budget.
         kept, size, n_points = [], 0, out.shape[1]
+        # A kept plan's indices are int32 where they fit: they do not shrink with the dtype.
+        index = np.int32 if max(n_points, math.prod(self.layout.tile_shape)) < 2 ** 31 else np.intp
         for geometry in self._block_geometries(GridQueryPlanner(self.layout).plan(output_shape)):
             self._decode_block(geometry, out)
             if kept is not None:
+                geometry = geometry._replace(rows=geometry.rows.astype(index),
+                                             base=geometry.base.astype(index))
                 kept.append(geometry)
                 size += geometry.nbytes
                 if max(size, geometry.nbytes * n_points / len(geometry.rows)) > _GRID_PLAN_BYTES:

@@ -160,7 +160,8 @@ class GridQueryPlanner:
     coordinates along ``t``, ``z`` and ``x`` are each functions of a single
     axis, so they are planned on the three 1-D coordinate arrays —
     ``O(nt + nz + nx)`` memory instead of ``O(P)`` — and the 3-D point sets
-    are materialised lazily, one tile at a time, in tile-major order.  This
+    are materialised lazily, one high-resolution time slice of one tile at a
+    time, in tile-major order.  This
     is what :meth:`repro.inference.engine.TiledLatentField.predict_grid`
     plans a grid with the first time; the engine then keeps the block
     geometry cut from these groups within a byte budget, and a grid too
@@ -207,38 +208,25 @@ class GridQueryPlanner:
 
         strides = (output_shape[1] * output_shape[2], output_shape[2], 1)
         for linear in range(layout.n_tiles):
-            tile_idx = layout.tile_index(linear)
-            per_axis_rows = []
-            per_axis_w = []
-            per_axis_local = []
-            empty = False
-            for axis, i in enumerate(tile_idx):
-                rows, w, local = axis_plan[axis][i]
-                if rows.size == 0:
-                    empty = True
-                    break
-                per_axis_rows.append(rows)
-                per_axis_w.append(w)
-                per_axis_local.append(local)
-            if empty:
+            per_axis = [axis_plan[axis][i] for axis, i in enumerate(layout.tile_index(linear))]
+            if any(rows.size == 0 for rows, _, _ in per_axis):
                 continue
-            rt, rz, rx = per_axis_rows
-            rows3d = (rt[:, None, None] * strides[0]
-                      + rz[None, :, None] * strides[1]
-                      + rx[None, None, :] * strides[2]).ravel()
-            w3d = (per_axis_w[0][:, None, None]
-                   * per_axis_w[1][None, :, None]
-                   * per_axis_w[2][None, None, :]).ravel()
-            shape3d = (rt.size, rz.size, rx.size)
-            local3d = np.empty((rows3d.size, 3))
-            local3d[:, 0] = np.broadcast_to(per_axis_local[0][:, None, None], shape3d).ravel()
-            local3d[:, 1] = np.broadcast_to(per_axis_local[1][None, :, None], shape3d).ravel()
-            local3d[:, 2] = np.broadcast_to(per_axis_local[2][None, None, :], shape3d).ravel()
-            keep = w3d > 0.0
-            if not np.all(keep):
-                rows3d, w3d, local3d = rows3d[keep], w3d[keep], local3d[keep]
-            if rows3d.size:
-                yield TileGroup(tile=linear, rows=rows3d, local_coords=local3d, weights=w3d)
+            (rt, wt, lt), (rz, wz, lz), (rx, wx, lx) = per_axis
+            # One high-resolution time slice of the tile per group: planning
+            # memory is one slice, however much of the grid one tile covers.
+            slice_rows = (rz[:, None] * strides[1] + rx[None, :] * strides[2]).ravel()
+            slice_local = np.broadcast_to(lz[:, None], (rz.size, rx.size)).ravel(), np.tile(lx, rz.size)
+            for t in range(rt.size):
+                rows3d = rt[t] * strides[0] + slice_rows
+                w3d = (wt[t] * wz[:, None] * wx[None, :]).ravel()
+                local3d = np.empty((rows3d.size, 3))
+                local3d[:, 0] = lt[t]
+                local3d[:, 1], local3d[:, 2] = slice_local
+                keep = w3d > 0.0
+                if not np.all(keep):
+                    rows3d, w3d, local3d = rows3d[keep], w3d[keep], local3d[keep]
+                if rows3d.size:
+                    yield TileGroup(tile=linear, rows=rows3d, local_coords=local3d, weights=w3d)
 
 
 def pack_groups(groups, budget: int):

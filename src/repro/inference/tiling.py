@@ -226,7 +226,7 @@ class TileLayout:
     # ------------------------------------------------------------------ info
     @property
     def is_single_tile(self) -> bool:
-        """True when one tile covers the whole domain (direct mode)."""
+        """True when one tile covers the whole domain (``tile_shape=None``)."""
         return self.n_tiles == 1
 
     # --------------------------------------------------------------- queries

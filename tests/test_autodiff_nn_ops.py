@@ -295,26 +295,46 @@ class TestConv3dFamily:
         assert _same_bytes(grad_w.reshape(5, -1), ref)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("kernel,stride,padding", [
-        ((3, 3, 3), 1, 1), ((3, 3, 3), 2, 1), ((3, 3, 3), 1, 0), ((1, 3, 3), 2, 0), ((2, 2, 2), 2, 0),
+    def test_grad_weight_adds_samples_in_order_when_nothing_follows_them(self, rng, dtype):
+        # One output channel of a one-channel pointwise kernel: each sample's
+        # product is one number, and nine of them must still add in sample
+        # order (NumPy alone would sum a lone axis pairwise).
+        x = rng.standard_normal((9, 1, 2, 3, 4)).astype(dtype)
+        g = rng.standard_normal((9, 1, 2, 3, 4)).astype(dtype)
+        grad_w = nn_ops.Conv3dGradWeight((1, 1, 1), (0, 0, 0), (1, 1, 1)).forward(g, x)
+        products = np.matmul(g.reshape(9, 1, -1), x.reshape(9, 1, -1).transpose(0, 2, 1))
+        ref = np.zeros_like(products[0])
+        for product in products:
+            ref += product
+        assert _same_bytes(grad_w.reshape(1, 1), ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape,kernel,stride,padding", [
+        *(((2, 3, 5, 6, 7), *geometry) for geometry in [
+            ((3, 3, 3), 1, 1), ((3, 3, 3), 2, 1), ((3, 3, 3), 1, 0), ((1, 3, 3), 2, 0),
+            ((2, 2, 2), 2, 0)]),
+        # One channel of one voxel: nothing follows the offset axis of the reduction.
+        ((2, 1, 1, 1, 1), (2, 2, 2), 1, 1),
     ])
     @pytest.mark.parametrize("values", ["normal", "cancelling"])
-    def test_col2im_is_the_strided_adds(self, rng, dtype, kernel, stride, padding, values):
+    def test_col2im_is_the_strided_adds(self, rng, dtype, x_shape, kernel, stride, padding, values):
         # The gather-reduce col2im adds in the strided adds' order, from +0.0.
         # Small integer operands make contributions cancel exactly (and give
         # -0.0 products), so the right answer holds zeros of both origins.
-        stride, padding, x_shape = (stride,) * 3, (padding,) * 3, (2, 3, 5, 6, 7)
+        stride, padding = (stride,) * 3, (padding,) * 3
+        n, c = x_shape[:2]
         draw = ((lambda shape: rng.integers(-1, 2, shape).astype(dtype)) if values == "cancelling"
                 else (lambda shape: rng.standard_normal(shape).astype(dtype)))
-        w = draw((4, 3, *kernel))
+        w = draw((4, c, *kernel))
         out = nn_ops._output_shape(x_shape, kernel, stride, padding)
-        g = draw((2, 4, *out))
+        g = draw((n, 4, *out))
         assert nn_ops._fits_one_block(x_shape, kernel, stride, padding, np.dtype(dtype).itemsize)
         grad_x = nn_ops.Conv3dGradInput(stride, padding, x_shape).forward(g, w)
-        gcols = np.matmul(w.reshape(4, -1).T, g.reshape(2, 4, -1))
+        gcols = np.matmul(w.reshape(4, -1).T, g.reshape(n, 4, -1))
         ref = strided_add_col2im(gcols, x_shape, kernel, stride, padding)
         assert _same_bytes(grad_x, ref)
-        if values == "cancelling" and any(k > s for k, s in zip(kernel, stride)):  # windows overlap
+        overlap = any(k > s for k, s in zip(kernel, stride)) and min(x_shape[2:]) > 1
+        if values == "cancelling" and overlap:  # windows overlap: some sums cancel
             touched = strided_add_col2im(np.abs(gcols), x_shape, kernel, stride, padding) > 0
             assert np.any(touched & (ref == 0))
 

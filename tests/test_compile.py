@@ -162,8 +162,8 @@ class TestForwardEquivalence:
         eager = InferenceEngine(model)
         compiled = InferenceEngine(model, compile=True)
         out_e = eager.predict_grid(lowres, (4, 16, 16))
-        # Direct mode makes one decoder call per chunk: the first grid
-        # traces, the second replays.
+        # One tile decodes its grid in blocks of the same shape, one decoder
+        # call each: the first grid traces, the second replays.
         for _ in range(2):
             out_c = compiled.predict_grid(lowres, (4, 16, 16))
             assert np.array_equal(out_e, out_c)

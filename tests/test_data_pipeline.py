@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
@@ -127,12 +127,16 @@ class TestInterpolation:
         return out
 
     @settings(max_examples=40, deadline=None)
-    @given(st.tuples(*[st.integers(1, 5)] * 4), st.integers(0, 300), st.integers(0, 2**16),
-           st.sampled_from([0.2, 1.0]))
+    @given(st.tuples(*[st.integers(1, 5)] * 4), st.integers(0, 2) | st.integers(0, 300),
+           st.integers(0, 2**16), st.sampled_from([0.2, 1.0]))
+    @example(shape=(1, 3, 4, 5), n_points=1, seed=0, zeros=0.2)
+    @example(shape=(1, 1, 1, 1), n_points=1, seed=6, zeros=0.2)
     def test_corner_axis_is_the_corner_loop_byte_for_byte(self, shape, n_points, seed, zeros):
         """The eight corners as one axis add in the loop's order, onto the
         loop's zeros: the same bytes, signed zeros and clamped points included
-        (an all ``-0.0`` field interpolates to ``+0.0``, as ``0.0 + -0.0`` does)."""
+        (an all ``-0.0`` field interpolates to ``+0.0``, as ``0.0 + -0.0`` does),
+        and down to one point of a one-channel field, where nothing follows
+        the corner axis."""
         rng = np.random.default_rng(seed)
         field = rng.standard_normal(shape)
         field[rng.random(shape) < zeros] = -0.0

@@ -335,7 +335,7 @@ class TestTiledDirectEquivalence:
         with pytest.warns(UserWarning, match="group normalisation"):
             engine = InferenceEngine(gmodel, tile_shape=(4, 16, 16))
         assert not engine.is_exact
-        assert InferenceEngine(gmodel).is_exact  # direct mode is always exact
+        assert InferenceEngine(gmodel).is_exact  # a single tile is always exact
 
 
 # --------------------------------------------------------------------------- #
@@ -627,20 +627,24 @@ class TestFlatDecode:
         for i in range(len(coords)):
             assert np.array_equal(field.query(coords[i:i + 1]), reference[:, i:i + 1])
 
-    def test_direct_mode_extrapolates_where_tiled_mode_clamps(self):
-        """The two documented out-of-range behaviours, on a field that is linear in x."""
+    def test_engine_clamps_where_the_tape_extrapolates(self):
+        """The two documented out-of-range behaviours, on a field that is linear in x:
+        the engine clamps in every layout, one tile included, and the tape's
+        ``query_latent_grid`` continues the boundary cell."""
         lowres = np.zeros((1, 2, 2, 4, 9))
         lowres[:, 0] = np.arange(9.0)
         coords = np.array([[0.5, 0.5, 1.25], [0.5, 0.5, -0.125], [2.0, -1.0, 0.5]])
-        direct = InferenceEngine(GridStub()).open(lowres)
+        single = InferenceEngine(GridStub()).open(lowres)
         tiled = InferenceEngine(GridStub(), tile_shape=(2, 4, 6), ramp_width=0.0).open(lowres)
-        assert direct.layout.is_single_tile and tiled.layout.n_tiles == 2
+        assert single.layout.is_single_tile and tiled.layout.n_tiles == 2
         with inference_mode():
             whole = query_latent_grid(Tensor(lowres), Tensor(coords[None]), GridStub.imnet).data
-        assert np.array_equal(direct.query(coords), whole)
-        assert direct.query(coords)[0, :, 0].tolist() == [10.0, -1.0, 4.0]  # the boundary cell, continued
-        assert tiled.query(coords)[0, :, 0].tolist() == [8.0, 0.0, 4.0]     # the boundary value
-        assert np.array_equal(tiled.query(coords), direct.query(np.clip(coords, 0.0, 1.0)))
+            clamped = query_latent_grid(Tensor(lowres), Tensor(np.clip(coords, 0.0, 1.0)[None]),
+                                        GridStub.imnet).data
+        assert whole[0, :, 0].tolist() == [10.0, -1.0, 4.0]  # the boundary cell, continued
+        for field in (single, tiled):
+            assert field.query(coords)[0, :, 0].tolist() == [8.0, 0.0, 4.0]  # the boundary value
+            assert np.array_equal(field.query(coords), clamped)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_coalesced_query_equals_the_requests_alone(self, dtype):
@@ -848,8 +852,8 @@ class TestGridPlanReplay:
 class TestEngineAPI:
     @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
     @pytest.mark.parametrize("chunk_size", [48, 130, 4096])
-    def test_direct_mode_bounds_decoder_rows(self, interpolation, chunk_size, monkeypatch):
-        """Direct mode cuts a query so no decoder call sees more than
+    def test_single_tile_bounds_decoder_rows(self, interpolation, chunk_size, monkeypatch):
+        """A single tile cuts a query so no decoder call sees more than
         ``chunk_size`` rows (eight per point and sample under trilinear
         interpolation, one under nearest), and the cut moves no bits: the
         result is one whole-query ``query_latent_grid`` call, byte for byte."""
@@ -866,7 +870,7 @@ class TestEngineAPI:
                 model.imnet, interpolation=interpolation).data
         rows, forward = [], model.imnet.forward
         monkeypatch.setattr(model.imnet, "forward",
-                            lambda x: rows.append(x.shape[0] * x.shape[1]) or forward(x))
+                            lambda x: rows.append(int(np.prod(x.shape[:-1]))) or forward(x))
         out = engine.query_points(domain, points)
         assert rows and max(rows) <= chunk_size
         assert out.shape == whole.shape and np.array_equal(out.view(np.uint8), whole.view(np.uint8))
@@ -898,7 +902,7 @@ class TestEngineAPI:
 
     @pytest.mark.float64_default
     def test_direct_mode_matches_manual_decode(self, model, lowres):
-        """Direct mode reproduces encode-once + chunked-decode semantics."""
+        """A single tile reproduces encode-once + chunked-decode semantics."""
         from repro.autodiff import no_grad
 
         out_shape = (4, 24, 40)

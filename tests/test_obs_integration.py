@@ -2,9 +2,10 @@
 
 The acceptance test for the unified observability layer: a single serving
 request through the HTTP gateway must yield a single Chrome trace whose
-spans cover all four layers — gateway/scheduler, engine, compiled
-executor, and tape ops — correctly nested by parent links, while leaving
-every served value bit-identical to an uninstrumented run.
+spans cover its layers — gateway/scheduler, engine and compiled executor
+on a compiled server, tape ops on an uncompiled one — correctly nested by
+parent links, while leaving every served value bit-identical to an
+uninstrumented run.
 """
 
 import json
@@ -51,73 +52,95 @@ def _span_events(events, trace_id):
             if e["args"].get("trace_id") == trace_id}
 
 
+def _traced_request(tmp_path, model, domain, coords, compile):
+    """One HTTP request to a fresh one-worker server, traced after a warm-up.
+
+    Returns the request's spans keyed by span id and its gateway span.  The
+    warm-up runs with instrumentation off: a compiled decoder traces its plan
+    and the latent tile lands in the cache, so the traced request exercises
+    the steady-state path, and it must serve the warm-up's values.
+    """
+    server = ModelServer(model, n_workers=1, compile=compile)
+    server.register_domain("dom", domain)
+    httpd = start_http_server(server)
+    client = Client(port=httpd.server_address[1])
+    try:
+        warm = client.query_points("dom", coords)
+        assert warm.status == STATUS_OK
+
+        obs.clear_events()
+        obs.enable(trace=True, profile_ops=True, profile_kernels=True)
+        result = client.query_points("dom", coords)
+        obs.disable()
+        assert result.status == STATUS_OK
+        assert np.array_equal(result.values, warm.values)
+
+        path = obs.write_chrome_trace(str(tmp_path / f"trace-{compile}.json"))
+        with open(path) as fh:
+            events = json.load(fh)["traceEvents"]
+    finally:
+        stop_http_server(httpd)
+        server.close()
+    gateway = [e for e in events if e["name"] == "gateway.request"]
+    assert len(gateway) == 1, "one request must open exactly one gateway span"
+    return _span_events(events, gateway[0]["args"]["trace_id"]), gateway[0]
+
+
+def _chain_to_root(spans, event):
+    """Span id of the root reached by following ``event``'s parent links."""
+    seen = set()
+    while "parent_id" in event["args"]:
+        pid = event["args"]["parent_id"]
+        assert pid not in seen, "parent cycle"
+        seen.add(pid)
+        event = spans[pid]
+    return event["args"]["span_id"]
+
+
+def _first_by_layer(spans):
+    """The first span of each layer (the name's prefix before the first dot)."""
+    by_name = {}
+    for e in spans.values():
+        by_name.setdefault(e["name"].split(".", 1)[0], e)
+    return by_name
+
+
 class TestSingleRequestTrace:
     def test_four_layer_chrome_trace(self, tmp_path, model, domain):
-        server = ModelServer(model, n_workers=1, compile=True)
-        server.register_domain("dom", domain)
-        httpd = start_http_server(server)
-        client = Client(port=httpd.server_address[1])
         coords = np.random.default_rng(3).random((24, 3))
-        try:
-            # Warm once with instrumentation off: the compiled decoder
-            # traces its plan and the latent tile lands in the cache, so
-            # the traced request below exercises the steady-state path.
-            warm = client.query_points("dom", coords)
-            assert warm.status == STATUS_OK
+        spans, gateway = _traced_request(tmp_path, model, domain, coords, compile=True)
+        gateway_id = gateway["args"]["span_id"]
+        names = {e["name"] for e in spans.values()}
 
-            obs.enable(trace=True, profile_ops=True, profile_kernels=True)
-            result = client.query_points("dom", coords)
-            obs.disable()
-            assert result.status == STATUS_OK
-            assert np.array_equal(result.values, warm.values)
+        # The served layers are present in the single trace: the compiled
+        # request decodes through plan kernels, so it runs no tape op.
+        assert "scheduler.run_batch" in names
+        assert "engine.decode_tile" in names
+        assert "compile.plan_run" in names
+        assert any(n.startswith("kernel.") for n in names)
 
-            path = obs.write_chrome_trace(str(tmp_path / "trace.json"))
-            with open(path) as fh:
-                doc = json.load(fh)
-            events = doc["traceEvents"]
-            gateway = [e for e in events if e["name"] == "gateway.request"]
-            assert len(gateway) == 1, "one request must open exactly one gateway span"
-            trace_id = gateway[0]["args"]["trace_id"]
-            spans = _span_events(events, trace_id)
-            names = {e["name"] for e in spans.values()}
+        # Parent links chain every layer back up to the gateway span.
+        by_name = _first_by_layer(spans)
+        for layer in ("scheduler", "engine", "compile", "kernel"):
+            assert _chain_to_root(spans, by_name[layer]) == gateway_id, \
+                f"{layer} span does not chain to the gateway root"
 
-            # All four layers are present in the single trace.
-            assert "scheduler.run_batch" in names
-            assert "engine.decode_tile" in names
-            assert "compile.plan_run" in names
-            assert any(n.startswith("tape.") for n in names)
-            assert any(n.startswith("kernel.") for n in names)
+        # Nesting is structural, not just labels: the batch span is a
+        # direct child of the gateway span, and the engine decode span
+        # sits under the batch span.
+        batch = by_name["scheduler"]
+        assert batch["args"]["parent_id"] == gateway_id
+        decode = next(e for e in spans.values()
+                      if e["name"] == "engine.decode_tile")
+        assert spans[decode["args"]["parent_id"]]["name"] == "scheduler.run_batch"
 
-            # Parent links chain every layer back up to the gateway span.
-            gateway_id = gateway[0]["args"]["span_id"]
-
-            def chain_to_root(event):
-                seen = set()
-                while "parent_id" in event["args"]:
-                    pid = event["args"]["parent_id"]
-                    assert pid not in seen, "parent cycle"
-                    seen.add(pid)
-                    event = spans[pid]
-                return event["args"]["span_id"]
-
-            by_name = {}
-            for e in spans.values():
-                by_name.setdefault(e["name"].split(".", 1)[0], e)
-            for layer in ("scheduler", "engine", "compile", "tape", "kernel"):
-                assert chain_to_root(by_name[layer]) == gateway_id, \
-                    f"{layer} span does not chain to the gateway root"
-
-            # Nesting is structural, not just labels: the batch span is a
-            # direct child of the gateway span, and the engine decode span
-            # sits under the batch span.
-            batch = by_name["scheduler"]
-            assert batch["args"]["parent_id"] == gateway_id
-            decode = next(e for e in spans.values()
-                          if e["name"] == "engine.decode_tile")
-            assert spans[decode["args"]["parent_id"]]["name"] == "scheduler.run_batch"
-        finally:
-            stop_http_server(httpd)
-            server.close()
+        # The tape layer: the same request through an uncompiled server
+        # decodes with eager tape ops, whose spans chain to its gateway span.
+        spans, gateway = _traced_request(tmp_path, model, domain, coords, compile=False)
+        assert any(e["name"].startswith("tape.") for e in spans.values())
+        tape = _first_by_layer(spans)["tape"]
+        assert _chain_to_root(spans, tape) == gateway["args"]["span_id"]
+        assert spans[tape["args"]["parent_id"]]["name"] == "engine.decode_tile"
 
     def test_metrics_endpoint_scrapes_registries(self, model, domain):
         server = ModelServer(model, n_workers=1, compile=True)
