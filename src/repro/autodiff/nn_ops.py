@@ -1,4 +1,4 @@
-"""Neural-network specific primitives: 3D convolution, pooling, upsampling.
+"""Neural-network specific primitives: 3D convolution, pooling, upsampling, batch norm.
 
 These ops back the U-Net encoder (Context Generation Network) and the
 convolutional-decoder baseline.  The convolution family shares one
@@ -23,13 +23,26 @@ columns fit :data:`_COLS_BLOCK_BYTES`:
 A pointwise (1x1x1, stride-1, unpadded) convolution copies nothing: its
 columns are ``x`` with the spatial axes flattened, one batched GEMM.  Both
 paths compute the same bits.
-Backward rules are themselves *recorded primitives*
-(``Conv3dGradInput`` / ``Conv3dGradWeight`` and the pooling/upsampling
-adjoints below) whose forwards recompute everything from their live
-operands — no forward-cached arrays — so a :mod:`repro.compile` graph
-capture of a whole training step replays the encoder VJP correctly on new
-batches.  The grad primitives are first-order only (their own ``backward``
-raises), which is sufficient because the MeshfreeFlowNet equation loss only
+Training-mode batch normalisation is two primitives, :class:`BatchStats`
+(the per-channel batch mean and variance) and :class:`BatchNorm` (the
+normalisation on them), plus one gradient-free :class:`BatchNormRunningStat`
+per running buffer; each forward is one ``kernel`` call of ``out=`` backend
+kernels, which a compiled plan makes on arena buffers.
+
+Backward rules are themselves *recorded primitives* whose forwards
+recompute everything from their live operands — no forward-cached arrays —
+so a :mod:`repro.compile` graph capture of a whole training step replays
+the encoder VJP correctly on new batches.  The first-order primitives,
+whose own ``backward`` raises, are:
+
+* ``Conv3dGradInput`` / ``Conv3dGradWeight`` (the convolution's VJP);
+* ``MaxPool3dGrad``, ``AvgPool3dGrad`` and ``UpsampleNearest3dGrad``;
+* ``BatchNormGradWeight`` / ``BatchNormGradInput`` (with a ``Sum`` for the
+  bias, :class:`BatchNorm`'s closed-form VJP);
+* ``BatchStats`` and ``BatchNormRunningStat``, which carry no gradient of
+  their own.
+
+First order is sufficient because the MeshfreeFlowNet equation loss only
 needs higher-order derivatives through the continuous decoding MLP, never
 through the convolutional encoder (the latent context enters the MLP as an
 input, so the encoder only ever sees first-order gradients).
@@ -44,6 +57,7 @@ import math
 import numpy as np
 
 from ..backend import get_backend
+from . import ops as _ops
 from .tensor import Op, Tensor  # noqa: F401 - Tensor re-exported for callers
 
 __all__ = ["conv3d", "max_pool3d", "avg_pool3d", "upsample_nearest3d"]
@@ -446,6 +460,210 @@ class UpsampleNearest3dGrad(Op):
 
     def backward(self, grad):  # pragma: no cover - never on a differentiated path
         raise NotImplementedError("UpsampleNearest3dGrad is first-order only")
+
+
+#: The axes a batch-norm statistic reduces: every axis of ``(N, C, D, H, W)`` but ``C``.
+_NORM_AXES = (0, 2, 3, 4)
+
+
+def _channels(a: np.ndarray) -> np.ndarray:
+    """A per-channel ``(C,)`` array as a ``(1, C, 1, 1, 1)`` view."""
+    return a.reshape(1, -1, 1, 1, 1)
+
+
+def _inv_count(x: np.ndarray):
+    """``1 / n`` in ``x``'s dtype, ``n`` the elements per channel: the composed ``ops.mean`` factor."""
+    return x.dtype.type(1.0 / (x.size // x.shape[1]))
+
+
+def _normalise(x, stats, eps, out, std):
+    """``x_hat = (x - mean) / std`` into ``out``, and ``std = sqrt(var + eps)`` ``(1, C, 1, 1, 1)``."""
+    _B.subtract(x, _channels(stats[0]), out=out)
+    _B.add(_channels(stats[1]), eps, out=std)
+    _B.sqrt(std, out=std)
+    _B.divide(out, std, out=out)
+
+
+class BatchNormKernel(Op):
+    """A batch-norm primitive whose forward is one call of its :meth:`kernel`.
+
+    ``kernel(*operands, out, *scratch)`` writes the result into ``out``
+    through ``out=`` backend kernels only, using the buffers
+    :meth:`scratch_shapes` lists (in the first operand's dtype).  The eager
+    forward allocates them; a compiled plan passes arena buffers
+    (``repro.compile.codegen``), so both run the same kernels on the same
+    operands and produce the same bits.
+    """
+
+    def out_shape(self, shape) -> tuple:
+        """Result shape, from the first operand's ``shape``."""
+        return shape
+
+    def scratch_shapes(self, shape) -> list[tuple]:
+        """Shapes of the scratch buffers :meth:`kernel` takes after ``out``."""
+        return [(1, shape[1], 1, 1, 1)]
+
+    def forward(self, a, *operands):
+        out = np.empty(self.out_shape(a.shape), np.result_type(a, *operands))
+        self.kernel(a, *operands, out, *[np.empty(s, a.dtype) for s in self.scratch_shapes(a.shape)])
+        return out
+
+
+class BatchStats(BatchNormKernel):
+    """Per-channel batch mean and biased variance of ``x`` ``(N, C, D, H, W)``, as rows of a ``(2, C)`` array.
+
+    Kernel for kernel the composed ``ops.mean`` / ``ops.var``:
+    ``mean = sum(x) * (1/n)`` and ``var = sum((x - mean)**2) * (1/n)``.
+    No gradient flows into it: :class:`BatchNorm`'s VJP already accounts
+    for the statistics' dependence on ``x``, and a running-statistic update
+    is not part of the loss.
+    """
+
+    def out_shape(self, shape):
+        return (2, shape[1])
+
+    def scratch_shapes(self, shape):
+        return [tuple(shape)]
+
+    def kernel(self, x, out, centered):
+        mean, var = _channels(out[0]), _channels(out[1])
+        _B.sum(x, axis=_NORM_AXES, keepdims=True, out=mean)
+        _B.multiply(mean, _inv_count(x), out=mean)
+        _B.subtract(x, mean, out=centered)
+        _B.multiply(centered, centered, out=centered)
+        _B.sum(centered, axis=_NORM_AXES, keepdims=True, out=var)
+        _B.multiply(var, _inv_count(x), out=var)
+
+    def backward(self, grad):  # pragma: no cover - never on a differentiated path
+        raise NotImplementedError("BatchStats carries no gradient of its own")
+
+
+class BatchNorm(BatchNormKernel):
+    """Batch normalisation of ``x`` on its own statistics: ``(x - mean) / sqrt(var + eps) * weight + bias``.
+
+    Operands ``(x, stats)`` or ``(x, stats, weight, bias)``, where ``stats``
+    must be :class:`BatchStats` of ``x`` and the affine parameters are
+    ``(C,)``; the kernels are those of the composed ops it replaces.  The
+    VJP is the layer's, in the closed form of Ioffe & Szegedy (2015): with
+    ``x_hat`` the normalised input, ``g_bias = sum(g)``, ``g_weight =
+    sum(g * x_hat)`` and ``g_x = weight / std * (g - g_bias / n - x_hat *
+    g_weight / n)``, the last of which already carries the path through the
+    statistics, so ``stats`` gets no gradient.  It is recorded as a ``Sum``,
+    :class:`BatchNormGradWeight` and :class:`BatchNormGradInput`, which read
+    the forward's live ``stats`` instead of recomputing them.
+    """
+
+    def __init__(self, eps):
+        self.eps = float(eps)
+
+    def kernel(self, x, stats, *args):
+        *affine, out, std = args
+        _normalise(x, stats, self.eps, out, std)
+        if affine:
+            weight, bias = affine
+            _B.multiply(out, _channels(weight), out=out)
+            _B.add(out, _channels(bias), out=out)
+
+    def backward(self, grad):
+        x, stats, *affine = self.inputs
+        need_x = self.needs_input_grad(0)
+        need_w, need_b = (self.needs_input_grad(2), self.needs_input_grad(3)) if affine else (False, False)
+        sum_g = _ops.sum(grad, axis=_NORM_AXES) if need_x or need_b else None
+        sum_gx = (BatchNormGradWeight.apply(x, grad, stats, eps=self.eps)
+                  if need_x or need_w else None)
+        gx = (BatchNormGradInput.apply(x, grad, stats, sum_g, sum_gx, *affine[:1], eps=self.eps)
+              if need_x else None)
+        if not affine:
+            return gx, None
+        return gx, None, sum_gx if need_w else None, sum_g if need_b else None
+
+
+class BatchNormGradWeight(BatchNormKernel):
+    """``sum(g * x_hat)`` over ``(N, D, H, W)``: the weight gradient of :class:`BatchNorm`.
+
+    Operands ``(x, g, stats)``; ``x_hat`` is recomputed from the live
+    operands, so a captured plan replays it on new batches.  First-order
+    only.
+    """
+
+    def __init__(self, eps):
+        self.eps = float(eps)
+
+    def out_shape(self, shape):
+        return (shape[1],)
+
+    def scratch_shapes(self, shape):
+        return [tuple(shape), (1, shape[1], 1, 1, 1)]
+
+    def kernel(self, x, g, stats, out, x_hat, std):
+        _normalise(x, stats, self.eps, x_hat, std)
+        _B.multiply(x_hat, g, out=x_hat)
+        _B.sum(x_hat, axis=_NORM_AXES, out=out)
+
+    def backward(self, grad):  # pragma: no cover - never on a differentiated path
+        raise NotImplementedError("BatchNormGradWeight is first-order only")
+
+
+class BatchNormGradInput(BatchNormKernel):
+    """The input gradient of :class:`BatchNorm`: ``weight / std * (g - sum_g / n - x_hat * sum_gx / n)``.
+
+    Operands ``(x, g, stats, sum_g, sum_gx)``, plus ``weight`` when affine;
+    ``sum_g`` / ``sum_gx`` are the ``(C,)`` sums of ``g`` and ``g * x_hat``
+    (the bias and weight gradients, computed once for both uses).
+    First-order only.
+    """
+
+    def __init__(self, eps):
+        self.eps = float(eps)
+
+    def scratch_shapes(self, shape):
+        stat = (1, shape[1], 1, 1, 1)
+        return [stat, stat]
+
+    def kernel(self, x, g, stats, sum_g, sum_gx, *args):
+        *affine, out, std, coef = args
+        _normalise(x, stats, self.eps, out, std)
+        _B.multiply(_channels(sum_gx), _inv_count(x), out=coef)
+        _B.multiply(out, coef, out=out)
+        _B.subtract(g, out, out=out)
+        _B.multiply(_channels(sum_g), _inv_count(x), out=coef)
+        _B.subtract(out, coef, out=out)
+        if affine:
+            _B.divide(_channels(affine[0]), std, out=coef)
+            _B.multiply(out, coef, out=out)
+        else:
+            _B.divide(out, std, out=out)
+
+    def backward(self, grad):  # pragma: no cover - never on a differentiated path
+        raise NotImplementedError("BatchNormGradInput is first-order only")
+
+
+class BatchNormRunningStat(BatchNormKernel):
+    """A running statistic's next value, ``running * (1 - momentum) + stat * momentum``.
+
+    Operands ``(stats, running)``, ``stat`` being row 0 (mean) of the
+    :class:`BatchStats` ``stats``, or row 1 (variance) with ``variance=True``.
+    The update is a buffer write, not part of the loss, so the op carries no
+    gradient: its ``backward`` raises.
+    """
+
+    def __init__(self, momentum, variance):
+        self.momentum = float(momentum)
+        self.variance = bool(variance)
+
+    def out_shape(self, shape):
+        return (shape[1],)
+
+    def scratch_shapes(self, shape):
+        return [(shape[1],)]
+
+    def kernel(self, stats, running, out, step):
+        _B.multiply(running, 1 - self.momentum, out=out)
+        _B.multiply(stats[int(self.variance)], self.momentum, out=step)
+        _B.add(out, step, out=out)
+
+    def backward(self, grad):  # pragma: no cover - never on a differentiated path
+        raise NotImplementedError("BatchNormRunningStat carries no gradient")
 
 
 def conv3d(x, weight, stride=1, padding=0) -> Tensor:

@@ -533,6 +533,13 @@ class PutIndex(Op):
         return (getitem(grad, self.index),)
 
 
+def _vertex_rows(grid_shape, it, iz, ix) -> np.ndarray:
+    """``(N, M)`` row of each indexed vertex in the grid viewed as ``(N·n_t·n_z·n_x, C)``."""
+    n, nt, nz, nx = grid_shape[:4]
+    batch = np.arange(n)[:, None] * nt
+    return ((batch + it.astype(np.int64)) * nz + iz.astype(np.int64)) * nx + ix.astype(np.int64)
+
+
 class GatherVertices(Op):
     """Batched gather of latent-grid vertices at tape-computed indices.
 
@@ -546,13 +553,16 @@ class GatherVertices(Op):
     (its adjoint) the gather is differentiable with respect to the grid
     data to any order; the index operands are piecewise constant and
     receive no gradient.
+
+    The gather is one ``take`` of whole rows through the flat vertex index
+    (a strided grid, such as the channel-last view of an ``(N, C, ...)``
+    grid, is flattened into a copy first).
     """
 
     def forward(self, grid, it, iz, ix):
         self._grid_shape = grid.shape
-        batch = np.arange(grid.shape[0])[:, None]
-        # Advanced indexing already returns a fresh C-contiguous array.
-        return grid[batch, it.astype(np.int64), iz.astype(np.int64), ix.astype(np.int64)]
+        rows = _vertex_rows(grid.shape, it, iz, ix)
+        return grid.reshape(-1, grid.shape[-1]).take(rows, axis=0)
 
     def backward(self, grad):
         _, it, iz, ix = self.inputs
@@ -562,16 +572,25 @@ class GatherVertices(Op):
 
 
 class ScatterVertices(Op):
-    """Adjoint of :class:`GatherVertices`: scatter-add rows into a zero grid."""
+    """Adjoint of :class:`GatherVertices`: scatter-add rows into a zero grid.
+
+    One unbuffered ``np.add.at`` over the flat element index
+    ``row * C + channel``: each output element receives its addends in
+    ``(N, P)`` order onto ``+0.0``, exactly as the four-array ``np.add.at``
+    over ``(batch, it, iz, ix)`` adds them, but without its per-row
+    overhead.  (``np.bincount`` is as fast but accumulates float32 weights in
+    float64, which rounds differently.)
+    """
 
     def __init__(self, grid_shape):
         self.grid_shape = tuple(grid_shape)
 
     def forward(self, g, it, iz, ix):
         out = np.zeros(self.grid_shape, dtype=g.dtype)
-        batch = np.arange(self.grid_shape[0])[:, None]
-        index = (batch, it.astype(np.int64), iz.astype(np.int64), ix.astype(np.int64))
-        np.add.at(out, index, g)
+        channels = self.grid_shape[-1]
+        rows = _vertex_rows(self.grid_shape, it, iz, ix)
+        np.add.at(out.reshape(-1), (rows[..., None] * channels + np.arange(channels)).ravel(),
+                  g.reshape(-1))
         return out
 
     def backward(self, grad):

@@ -13,9 +13,9 @@ with respect to the network parameters) are obtained by simply calling
 :func:`grad` with ``create_graph=True``.
 
 Only the neural-network primitives that never participate in the second-order
-path (3D convolution, pooling, nearest-neighbour upsampling — see
-``repro.autodiff.nn_ops``) implement value-level backward rules and are
-therefore first-order only.
+path (3D convolution, pooling, nearest-neighbour upsampling, training-mode
+batch norm — see ``repro.autodiff.nn_ops``) implement value-level backward
+rules and are therefore first-order only.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..autodiff import ops as _ops
+from ..autodiff import nn_ops as _nn_ops, ops as _ops
 from ..backend import get_backend
 
 __all__ = ["LOWERINGS", "Lowering", "StepFunction", "lowering_of"]
@@ -117,10 +117,11 @@ class StepFunction:
             self._names[vid] = name
         return name
 
-    def scratch(self, like: str, dtype=None) -> str:
-        """Transient arena array shaped like the bound buffer ``like``."""
+    def scratch(self, like: str, dtype=None, shape=None) -> str:
+        """Transient arena array shaped like the bound buffer ``like`` (or ``shape``)."""
         buf = self._bindings[like]
-        array = self.arena.acquire(buf.shape, buf.dtype if dtype is None else dtype)
+        array = self.arena.acquire(buf.shape if shape is None else shape,
+                                   buf.dtype if dtype is None else dtype)
         self._transient.append(array)
         return self.bind(array)
 
@@ -260,6 +261,14 @@ def _put_index(fn, node, out, a):
     return [f"{out}.fill(0.0)", f"{fn.bind(np.add.at)}({out}, {fn.bind(index)}, {a})"]
 
 
+def _batch_norm_kernel(fn, node, out, *operands):
+    # The eager forward's own kernel call, on arena scratch instead of
+    # fresh arrays: the same kernels on the same operands.
+    first = fn.values[node.in_ids[0]]
+    scratch = [fn.scratch(out, first.dtype, shape) for shape in node.op.scratch_shapes(first.shape)]
+    return [f"{fn.bind(node.op.kernel)}({', '.join([*operands, out, *scratch])})"]
+
+
 def _standalone(emit: Callable) -> Lowering:
     """Kernel-bound ops: a function of their own, never in place."""
     return Lowering(emit, inplace=_never, region=False)
@@ -288,6 +297,10 @@ LOWERINGS: dict[type, Lowering] = {
     _ops.Concatenate: _standalone(_concatenate),
     _ops.Pad: _standalone(_pad),
     _ops.PutIndex: _standalone(_put_index),
+    **{cls: _standalone(_batch_norm_kernel) for cls in (
+        _nn_ops.BatchStats, _nn_ops.BatchNorm, _nn_ops.BatchNormGradWeight,
+        _nn_ops.BatchNormGradInput, _nn_ops.BatchNormRunningStat,
+    )},
 }
 
 

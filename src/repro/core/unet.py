@@ -40,8 +40,9 @@ def _conv_norm(conv: nn.Conv3d, norm: nn.Module, x: Tensor) -> Tensor:
     on the live parameters and buffers (a few hundred elements): nothing is
     cached, so there is nothing to invalidate, ``state_dict`` is untouched
     and gradients still reach ``conv`` and ``norm`` parameters.  Every other
-    case — train mode, batch statistics, GroupNorm, no norm — is the plain
-    composition.
+    case — train mode, batch statistics, GroupNorm, no norm — is ``norm``
+    applied to ``conv(x)`` (batch statistics make BatchNorm its recorded
+    primitives, :mod:`repro.autodiff.nn_ops`).
     """
     if not (isinstance(norm, nn.BatchNorm3d) and norm.track_running_stats and not norm.training):
         return norm(conv(x))

@@ -98,7 +98,15 @@ class Conv3d(Module):
 
 
 class BatchNorm3d(Module):
-    """Batch normalisation over (N, D, H, W) for 5-D inputs ``(N, C, D, H, W)``."""
+    """Batch normalisation over (N, D, H, W) for 5-D inputs ``(N, C, D, H, W)``.
+
+    On batch statistics (training mode, or no running statistics) the layer
+    is two primitives, :class:`repro.autodiff.nn_ops.BatchStats` and
+    :class:`~repro.autodiff.nn_ops.BatchNorm`, and each running-statistic
+    update one gradient-free primitive on those statistics; on running
+    statistics it is the composed affine map (which
+    :func:`repro.core.unet._conv_norm` folds into the preceding convolution).
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1,
                  affine: bool = True, track_running_stats: bool = True):
@@ -116,27 +124,19 @@ class BatchNorm3d(Module):
             self.register_buffer("running_var", np.ones(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        axes = (0, 2, 3, 4)
         if self.training or not self.track_running_stats:
-            mu = ops.mean(x, axis=axes, keepdims=True)
-            v = ops.var(x, axis=axes, keepdims=True)
-            if self.track_running_stats:
-                # The exponential update is expressed in differentiable ops
-                # and applied through record_state_update so that a
-                # repro.compile capture of a training step observes the
-                # buffer write as a traced output instead of an invisible
-                # side effect (the values are IEEE-identical to the former
-                # in-place numpy expression).
-                m = self.momentum
-                new_mean = ops.add(ops.mul(Tensor(self.running_mean), 1 - m),
-                                   ops.mul(ops.reshape(mu, (-1,)), m))
-                new_var = ops.add(ops.mul(Tensor(self.running_var), 1 - m),
-                                  ops.mul(ops.reshape(v, (-1,)), m))
-                record_state_update(self.running_mean, new_mean)
-                record_state_update(self.running_var, new_var)
-        else:
-            mu = Tensor(self.running_mean.reshape(1, -1, 1, 1, 1))
-            v = Tensor(self.running_var.reshape(1, -1, 1, 1, 1))
+            stats = nn_ops.BatchStats.apply(x)
+            if self.training and self.track_running_stats:
+                # Applied through record_state_update so that a repro.compile
+                # capture of a training step observes the buffer writes as
+                # traced outputs instead of invisible side effects.
+                for buffer, variance in ((self.running_mean, False), (self.running_var, True)):
+                    record_state_update(buffer, nn_ops.BatchNormRunningStat.apply(
+                        stats, Tensor(buffer), momentum=self.momentum, variance=variance))
+            affine = (self.weight, self.bias) if self.affine else ()
+            return nn_ops.BatchNorm.apply(x, stats, *affine, eps=self.eps)
+        mu = Tensor(self.running_mean.reshape(1, -1, 1, 1, 1))
+        v = Tensor(self.running_var.reshape(1, -1, 1, 1, 1))
         x_hat = ops.div(ops.sub(x, mu), ops.sqrt(ops.add(v, self.eps)))
         if self.affine:
             w = ops.reshape(self.weight, (1, self.num_features, 1, 1, 1))

@@ -371,8 +371,13 @@ class Client:
 
     @staticmethod
     def _to_result(data: dict) -> QueryResult:
+        """A decoded reply as a result: a frame's array, or the JSON body's flat ``values`` list."""
+        values = data.get("values")
+        if isinstance(values, list):  # described by "shape" / "dtype", as a frame's array is
+            dtype = np.dtype(_WIRE_DTYPES[data["dtype"]]).newbyteorder("=")
+            values = np.asarray(values, dtype=dtype).reshape(data["shape"])
         return QueryResult(
-            request_id=data["request_id"], status=data["status"], values=data.get("values"),
+            request_id=data["request_id"], status=data["status"], values=values,
             error=data.get("error"), queue_seconds=data.get("queue_seconds", 0.0),
             service_seconds=data.get("service_seconds", 0.0),
             batch_requests=data.get("batch_requests", 1),

@@ -35,6 +35,7 @@ from ..core.losses import LossBreakdown, LossWeights, compute_losses
 from ..data.dataset import Batch, SuperResolutionDataset
 from ..metrics.report import MetricReport
 from ..nn.module import Module
+from ..obs.trace import span as _span
 from ..optim import Adam, LRScheduler, Optimizer, SGD, build_scheduler, clip_grad_norm
 from ..optim.schedulers import SCHEDULERS
 from ..pde import PDESystem
@@ -215,16 +216,19 @@ class Trainer:
         Compiled, one plan replay: loss, scaled VJP and buffer effects in a
         single fused program, bit-identical to the eager sequence.  Eager,
         the loss is scaled by :meth:`_loss_scale` (``None``: not at all) and
-        backpropagated.  Either way the micro-batch's graph dies with this
-        call, before the next micro-batch's forward allocates its own.
+        backpropagated, inside ``train.forward`` / ``train.backward`` trace
+        spans.  Either way the micro-batch's graph dies with this call,
+        before the next micro-batch's forward allocates its own.
         """
         if self._compiled_step is not None:
             return self._compiled_step(batch)
-        total, breakdown = self._loss_for_batch(batch)
-        scale = self._loss_scale()
-        if scale is not None:
-            total = total * scale
-        total.backward()
+        with _span("train.forward"):
+            total, breakdown = self._loss_for_batch(batch)
+            scale = self._loss_scale()
+            if scale is not None:
+                total = total * scale
+        with _span("train.backward"):
+            total.backward()
         return breakdown
 
     def train_step(self, step_index: int, epoch: int) -> dict:

@@ -1,15 +1,18 @@
-"""Tests for the first-order NN primitives: conv3d, pooling, upsampling."""
+"""Tests for the first-order NN primitives: conv3d, pooling, upsampling, batch norm."""
 
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.autodiff import Tensor, avg_pool3d, conv3d, gradcheck, max_pool3d, nn_ops, ops, upsample_nearest3d
+from repro.autodiff import (
+    Tensor, avg_pool3d, conv3d, grad, gradcheck, max_pool3d, nn_ops, ops, upsample_nearest3d,
+)
+from repro.backend import precision
 
 
 def t(arr):
@@ -140,6 +143,108 @@ class TestUpsample:
 
 
 # ----------------------------------------------------- the Conv3d family vs direct loops
+def composed_batch_norm(bn, x):
+    """``bn(x)`` in tape ops, as the layer was written before it became primitives.
+
+    Returns the output tensor and, in training mode with running
+    statistics, the running buffers' next values (else ``None``s); the
+    buffers themselves are left alone.
+    """
+    axes = (0, 2, 3, 4)
+    mu, v = ops.mean(x, axis=axes, keepdims=True), ops.var(x, axis=axes, keepdims=True)
+    if bn.track_running_stats and not bn.training:
+        mu, v = (Tensor(buf.reshape(1, -1, 1, 1, 1)) for buf in (bn.running_mean, bn.running_var))
+    running = (None, None)
+    if bn.training and bn.track_running_stats:
+        m = bn.momentum
+        running = tuple(ops.add(ops.mul(Tensor(buf), 1 - m), ops.mul(ops.reshape(stat, (-1,)), m)).data
+                        for buf, stat in ((bn.running_mean, mu), (bn.running_var, v)))
+    x_hat = ops.div(ops.sub(x, mu), ops.sqrt(ops.add(v, bn.eps)))
+    if bn.affine:
+        shape = (1, bn.num_features, 1, 1, 1)
+        x_hat = ops.add(ops.mul(x_hat, ops.reshape(bn.weight, shape)), ops.reshape(bn.bias, shape))
+    return x_hat, running
+
+
+def _batch_norm_gradient_scales(bn, x, g):
+    """The magnitude of the terms each of ``(g_x, g_weight, g_bias)`` adds up.
+
+    A gradient near zero is a cancellation of terms this large, so their
+    scale, not the gradient's own, is what the rounding of either form of
+    the VJP is relative to.
+    """
+    x, g = x.astype(np.float64), np.abs(g.astype(np.float64))
+    axes = (0, 2, 3, 4)
+    std = np.sqrt(x.var(axis=axes, keepdims=True) + bn.eps)
+    x_hat = np.abs(x - x.mean(axis=axes, keepdims=True)) / std
+    weight = np.abs(bn.weight.data).reshape(1, -1, 1, 1, 1) if bn.affine else 1.0
+    return (np.max(weight / std) * g.max() * max(1.0, x_hat.max() ** 2),
+            np.max(np.sum(g * x_hat, axis=axes)), np.max(np.sum(g, axis=axes)))
+
+
+class TestBatchNormPrimitive:
+    """Training-mode :class:`~repro.nn.BatchNorm3d` is ``BatchStats`` + ``BatchNorm``
+    (+ two ``BatchNormRunningStat`` updates): the composed layer's forward and
+    running statistics byte for byte, and its gradients to rounding."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 3)] * 4, st.integers(1, 5)), affine=st.booleans(),
+           track=st.booleans(), training=st.booleans(), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from(["float64", "float32"]))
+    @example(shape=(1, 1, 1, 1, 1), affine=True, track=True, training=True, seed=0, dtype="float64")
+    @example(shape=(1, 1, 1, 2, 1), affine=False, track=True, training=True, seed=1, dtype="float32")
+    @example(shape=(2, 1, 1, 1, 1), affine=True, track=False, training=True, seed=2, dtype="float64")
+    def test_matches_the_composed_layer(self, shape, affine, track, training, seed, dtype):
+        rng = np.random.default_rng(seed)
+        with precision(dtype):
+            bn = nn.BatchNorm3d(shape[1], momentum=0.3, affine=affine, track_running_stats=track)
+        bn.train(training)
+        if affine:
+            bn.weight.data[...] = rng.standard_normal(shape[1])
+            bn.bias.data[...] = rng.standard_normal(shape[1])
+        if track:
+            bn.running_mean[...] = rng.standard_normal(shape[1])
+            bn.running_var[...] = rng.uniform(0.5, 2.0, shape[1])
+        data = (rng.standard_normal(shape) * 3.0 + 1.0).astype(dtype)
+        g = Tensor(rng.standard_normal(shape).astype(dtype))
+        params = [bn.weight, bn.bias] if affine else []
+
+        x_ref = Tensor(data, requires_grad=True)
+        want, running = composed_batch_norm(bn, x_ref)
+        want_grads = grad(want, [x_ref, *params], grad_outputs=g)
+        x = Tensor(data, requires_grad=True)
+        got = bn(x)
+        got_grads = grad(got, [x, *params], grad_outputs=g)
+
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert got.data.tobytes() == want.data.tobytes()
+        if running[0] is not None:
+            assert bn.running_mean.tobytes() == running[0].tobytes()
+            assert bn.running_var.tobytes() == running[1].tobytes()
+        tolerance = 1e-12 if dtype == "float64" else 1e-5
+        for got_g, want_g, scale in zip(got_grads, want_grads, _batch_norm_gradient_scales(bn, data, g.data)):
+            assert got_g.dtype == want_g.dtype
+            assert np.max(np.abs(got_g.data - want_g.data)) <= tolerance * scale
+
+    def test_gradcheck_with_running_statistics(self, rng):
+        """The layer that updates its running statistics: the updates are
+        buffer writes beside the graph and take no part in the gradient."""
+        bn = nn.BatchNorm3d(2, momentum=0.5)
+        bn.weight.data[...] = [1.5, -0.5]
+        bn.bias.data[...] = [0.2, 0.1]
+        x = t(rng.standard_normal((3, 2, 2, 2, 2)))
+        assert gradcheck(lambda a, w, b: ops.sum(ops.square(ops.mul(bn(a), ops.sin(a)))),
+                         [x, bn.weight, bn.bias], atol=2e-4)
+        assert not np.array_equal(bn.running_mean, np.zeros(2))
+
+    def test_statistics_take_no_gradient(self, rng):
+        x = t(rng.standard_normal((2, 2, 1, 2, 2)))
+        stats = nn_ops.BatchStats.apply(x)
+        new_mean = nn_ops.BatchNormRunningStat.apply(stats, Tensor(np.zeros(2)), momentum=0.1, variance=False)
+        with pytest.raises(NotImplementedError):
+            grad(ops.sum(new_mean), x)
+
+
 def _windows(x_padded, kernel, stride):
     """Output spatial shape, and ``(output index, window slices)`` for every output voxel."""
     out_shape = tuple((x_padded.shape[2 + a] - kernel[a]) // stride[a] + 1 for a in range(3))

@@ -300,6 +300,29 @@ class TestReductionsAndShape:
         assert out.dtype == dtype and out.shape == (2, 7, 6)
         assert np.array_equal(out.view(np.uint8), ref.view(np.uint8))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), sizes=st.tuples(*[st.integers(1, 3)] * 3), channels=st.integers(1, 4),
+           n_points=st.integers(1, 12), duplicate=st.booleans(), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    def test_scatter_vertices_is_the_four_array_add_at(self, n, sizes, channels, n_points,
+                                                        duplicate, seed, dtype):
+        """The flat-index scatter adds each element's rows in the same order
+        as ``np.add.at`` over ``(batch, it, iz, ix)``: byte-equal, signed
+        zeros included, with every row on one vertex when ``duplicate``."""
+        rng = np.random.default_rng(seed)
+        shape = (n, *sizes, channels)
+        index = [np.zeros((n, n_points)) if duplicate else
+                 np.floor(rng.uniform(0, m, (n, n_points))) for m in sizes]
+        g = rng.standard_normal((n, n_points, channels)) * 10.0 ** rng.integers(-8, 9, (n, n_points, 1))
+        g[rng.random(g.shape) < 0.3] = -0.0
+        g = g.astype(dtype)
+        it, iz, ix = (i.astype(dtype) for i in index)
+        out = ops.ScatterVertices(grid_shape=shape).forward(g, it, iz, ix)
+        ref = np.zeros(shape, dtype=dtype)
+        np.add.at(ref, (np.arange(n)[:, None], *(i.astype(np.int64) for i in index)), g)
+        assert out.dtype == dtype and out.shape == shape
+        assert out.tobytes() == ref.tobytes()
+
 # --------------------------------------------------------------------------- higher order
 class TestHigherOrder:
     def test_second_derivative_polynomial(self):

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro import compile as rc
 from repro import nn, obs
-from repro.autodiff import Tensor, grad, inference_mode, no_grad, ops
+from repro.autodiff import Tensor, grad, inference_mode, nn_ops, no_grad, ops
 from repro.autodiff.tensor import Op
 from repro.backend import precision
 from repro.compile.codegen import LOWERINGS, lowering_of
@@ -281,6 +281,17 @@ def _case(build, *shapes, positive=False):
     return build, shapes or (_S,), positive
 
 
+_X, _C = (2, 3, 2, 3, 4), (3,)  # a batch-norm input and its per-channel shape
+
+
+def _bn_grad_input(x, g, w=None):
+    stats, eps = nn_ops.BatchStats.apply(x), 1e-5
+    affine = () if w is None else (w,)
+    return nn_ops.BatchNormGradInput.apply(
+        x, g, stats, ops.sum(g, axis=(0, 2, 3, 4)),
+        nn_ops.BatchNormGradWeight.apply(x, g, stats, eps=eps), *affine, eps=eps)
+
+
 #: At least one case per key of ``codegen.LOWERINGS`` — the parametrised
 #: test below fails for a table entry that has none.
 LOWERING_CASES = {
@@ -323,6 +334,17 @@ LOWERING_CASES = {
                    _case(lambda a: ops.put_index(a, (slice(1, 4),), (5, 4, 5))),
                    _case(lambda a: ops.put_index(a, (slice(None), slice(None), 1), (3, 4, 2)), (3, 4)),
                    _case(lambda a: ops.put_index(a, (1, 2, 0), _S), ())],
+    nn_ops.BatchStats: [_case(nn_ops.BatchStats.apply, _X)],
+    nn_ops.BatchNorm: [
+        _case(lambda x: nn_ops.BatchNorm.apply(x, nn_ops.BatchStats.apply(x), eps=1e-5), _X),
+        _case(lambda x, w, b: nn_ops.BatchNorm.apply(x, nn_ops.BatchStats.apply(x), w, b, eps=0.1),
+              _X, _C, _C)],
+    nn_ops.BatchNormGradWeight: [_case(lambda x, g: nn_ops.BatchNormGradWeight.apply(
+        x, g, nn_ops.BatchStats.apply(x), eps=1e-5), _X, _X)],
+    nn_ops.BatchNormGradInput: [_case(_bn_grad_input, _X, _X), _case(_bn_grad_input, _X, _X, _C)],
+    nn_ops.BatchNormRunningStat: [
+        _case(lambda x, r, v=v: nn_ops.BatchNormRunningStat.apply(
+            nn_ops.BatchStats.apply(x), r, momentum=0.1, variance=v), _X, _C) for v in (False, True)],
 }
 
 
@@ -503,6 +525,48 @@ class TestValueNumbering:
         assert plan.stats.n_merged == 2
         for c, e in zip(compiled, eager):
             assert np.array_equal(c.data, e.data)
+
+    @pytest.mark.parametrize("first, second", [
+        (lambda x, g, s, sg, sgx: nn_ops.BatchNorm.apply(x, s, eps=1e-5),
+         lambda x, g, s, sg, sgx: nn_ops.BatchNorm.apply(x, s, eps=1e-3)),
+        (lambda x, g, s, sg, sgx: nn_ops.BatchNormGradWeight.apply(x, g, s, eps=1e-5),
+         lambda x, g, s, sg, sgx: nn_ops.BatchNormGradWeight.apply(x, g, s, eps=1e-3)),
+        (lambda x, g, s, sg, sgx: nn_ops.BatchNormGradInput.apply(x, g, s, sg, sgx, eps=1e-5),
+         lambda x, g, s, sg, sgx: nn_ops.BatchNormGradInput.apply(x, g, s, sg, sgx, eps=1e-3)),
+        (lambda x, g, s, sg, sgx: nn_ops.BatchNormRunningStat.apply(s, sg, momentum=0.1, variance=False),
+         lambda x, g, s, sg, sgx: nn_ops.BatchNormRunningStat.apply(s, sg, momentum=0.2, variance=False)),
+        (lambda x, g, s, sg, sgx: nn_ops.BatchNormRunningStat.apply(s, sg, momentum=0.1, variance=False),
+         lambda x, g, s, sg, sgx: nn_ops.BatchNormRunningStat.apply(s, sg, momentum=0.1, variance=True)),
+    ], ids=["batch-norm-eps", "grad-weight-eps", "grad-input-eps", "running-momentum",
+            "running-moment"])
+    def test_batch_norm_static_arguments_are_part_of_the_value_number(self, first, second):
+        """The batch-norm primitives over one shared set of operands: two
+        applications merge exactly when their static arguments agree."""
+        rng = np.random.default_rng(3)
+        x, g = rng.standard_normal(_X), rng.standard_normal(_X)
+
+        def operands(x, g):
+            stats = nn_ops.BatchStats.apply(x)
+            return (x, g, stats, ops.sum(g, axis=(0, 2, 3, 4)),
+                    nn_ops.BatchNormGradWeight.apply(x, g, stats, eps=1e-5))
+
+        def differ(x, g):
+            shared = operands(x, g)
+            return first(*shared), second(*shared)
+
+        def same(x, g):
+            shared = operands(x, g)
+            return first(*shared), first(*shared)
+
+        compiled, eager, plan = self.replay(differ, x, g)
+        assert plan.stats.n_merged == 0
+        for c, e in zip(compiled, eager):
+            assert c.data.tobytes() == e.data.tobytes()
+        assert not np.array_equal(compiled[0].data, compiled[1].data)
+        compiled, eager, plan = self.replay(same, x, g)
+        assert plan.stats.n_merged == 1
+        for c, e in zip(compiled, eager):
+            assert c.data.tobytes() == e.data.tobytes()
 
     def test_byte_equal_linear_layers_stay_distinct(self):
         """Two layers initialised alike are two values: an in-place optimizer

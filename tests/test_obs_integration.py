@@ -188,3 +188,31 @@ class TestBitIdenticalUnderInstrumentation:
             obs.disable()
         assert baseline.status == STATUS_OK and instrumented.status == STATUS_OK
         assert np.array_equal(instrumented.values, baseline.values)
+
+
+class TestTrainingSpans:
+    def test_eager_micro_steps_are_forward_and_backward_spans(self, tiny_dataset):
+        """An eager step traces one ``train.forward`` and one ``train.backward``
+        per micro-batch, the backward after its forward; untraced, it emits
+        nothing and trains the same bits."""
+        from repro.training import Trainer, TrainerConfig
+
+        def trained(trace):
+            model = MeshfreeFlowNet(MeshfreeFlowNetConfig.tiny(seed=3))
+            trainer = Trainer(model, tiny_dataset,
+                              config=TrainerConfig(batch_size=1, world_size=2, gamma=0.0))
+            if trace:
+                obs.enable(trace=True)
+            trainer.train_step(0, 0)
+            obs.disable()
+            return model, obs.take_events()
+
+        quiet, untraced = trained(False)
+        model, events = trained(True)
+        assert untraced == []
+        spans = [e for e in events if e["name"].startswith("train.")]
+        assert [e["name"] for e in spans] == ["train.forward", "train.backward"] * 2
+        for forward, backward in zip(spans[::2], spans[1::2]):
+            assert forward["ts"] + forward["dur"] <= backward["ts"]
+        for a, b in zip(model.parameters(), quiet.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()

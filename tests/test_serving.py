@@ -12,6 +12,8 @@ from http.client import HTTPConnection
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import precision
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
@@ -36,7 +38,7 @@ from repro.serving import (
     start_http_server,
     stop_http_server,
 )
-from repro.serving.api import FRAME_TYPE, MAX_BODY_BYTES, _pack, _unpack
+from repro.serving.api import FRAME_TYPE, MAX_BODY_BYTES, _encode_result, _pack, _unpack
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +531,48 @@ class TestFrame:
         frame = mutate(_frame({}, np.zeros(5)))
         with pytest.raises((ValueError, KeyError)):
             _unpack(io.BytesIO(frame), len(frame))
+
+
+class TestCodecAgreement:
+    """The frame and the JSON fallback are two encodings of one result."""
+
+    @staticmethod
+    def _decode(framed, result):
+        content_type, *parts = _encode_result(result, framed)
+        body = b"".join(bytes(p) for p in parts)
+        if content_type == FRAME_TYPE:
+            data, data["values"] = _unpack(io.BytesIO(body), len(body))
+        else:
+            data = json.loads(body)
+        return Client._to_result(data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(status=st.sampled_from([STATUS_OK, STATUS_TIMEOUT, STATUS_CANCELLED, STATUS_ERROR]),
+           dtype=st.sampled_from(["float64", "float32"]),
+           shape=st.none() | st.lists(st.integers(0, 3), max_size=4),
+           error=st.none() | st.text(max_size=20), seed=st.integers(0, 2**16))
+    def test_frame_and_json_decode_to_the_same_result(self, status, dtype, shape, error, seed):
+        rng = np.random.default_rng(seed)
+        values = None
+        if shape is not None:
+            pool = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1 / 3, 1e-300, -7.5e30])
+            values = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                              rng.standard_normal(shape)).astype(dtype)
+        result = QueryResult(request_id=f"r{seed}", status=status, values=values, error=error,
+                             queue_seconds=rng.random(), service_seconds=rng.random() * 1e-3,
+                             batch_requests=int(rng.integers(1, 9)))
+        framed, from_json = self._decode(True, result), self._decode(False, result)
+        for decoded in (framed, from_json):
+            assert (decoded.request_id, decoded.status, decoded.error, decoded.queue_seconds,
+                    decoded.service_seconds, decoded.batch_requests) == (
+                result.request_id, result.status, result.error, result.queue_seconds,
+                result.service_seconds, result.batch_requests)
+            if values is None:
+                assert decoded.values is None
+            else:
+                assert isinstance(decoded.values, np.ndarray)
+                assert decoded.values.dtype == values.dtype and decoded.values.shape == values.shape
+                assert decoded.values.tobytes() == values.tobytes()
 
 
 # --------------------------------------------------------------------------- #
