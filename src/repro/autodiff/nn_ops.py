@@ -26,8 +26,12 @@ paths compute the same bits.
 Training-mode batch normalisation is two primitives, :class:`BatchStats`
 (the per-channel batch mean and variance) and :class:`BatchNorm` (the
 normalisation on them), plus one gradient-free :class:`BatchNormRunningStat`
-per running buffer; each forward is one ``kernel`` call of ``out=`` backend
-kernels, which a compiled plan makes on arena buffers.
+per running buffer.  They and their VJP primitives are
+:class:`~repro.autodiff.ops.KernelOp` s: each forward is one ``kernel``
+call of ``out=`` backend kernels, which a compiled plan makes on arena
+buffers.  The convolution, pooling and upsampling ops are not (yet): each
+states why in its ``eager_only`` reason, and a compiled plan runs its
+eager forward.
 
 Backward rules are themselves *recorded primitives* whose forwards
 recompute everything from their live operands — no forward-cached arrays —
@@ -58,6 +62,7 @@ import numpy as np
 
 from ..backend import get_backend
 from . import ops as _ops
+from .ops import KernelOp
 from .tensor import Op, Tensor  # noqa: F401 - Tensor re-exported for callers
 
 __all__ = ["conv3d", "max_pool3d", "avg_pool3d", "upsample_nearest3d"]
@@ -211,6 +216,8 @@ class Conv3d(Op):
     the eager layout must match or the two drift by ~1 ulp.
     """
 
+    eager_only = "im2col columns of a shape-dependent size, built per call (index map or cache-sized blocks)"
+
     def __init__(self, stride=1, padding=0):
         self.stride = _triple(stride)
         self.padding = _triple(padding)
@@ -255,6 +262,8 @@ class Conv3dGradInput(Op):
     otherwise as ``kd*kh*kw`` strided adds of contiguous column rows into a
     padded buffer.  First-order only.
     """
+
+    eager_only = "col2im through the geometry's index map or strided adds into a fresh padded buffer"
 
     def __init__(self, stride, padding, x_shape):
         self.stride = _triple(stride)
@@ -302,6 +311,8 @@ class Conv3dGradWeight(Op):
     (samples in order, so with one block per sample this is the per-sample
     GEMMs summed over ``N``).  First-order only.
     """
+
+    eager_only = "re-gathers the input's im2col columns per call"
 
     def __init__(self, stride, padding, kernel):
         self.stride = _triple(stride)
@@ -351,6 +362,8 @@ def _max_pool(x: np.ndarray, kernel: tuple[int, int, int]) -> np.ndarray:
 class MaxPool3d(Op):
     """Non-overlapping max pooling (kernel == stride), per-axis kernel sizes."""
 
+    eager_only = "a running maximum over strided window views, into a fresh array"
+
     def __init__(self, kernel_size=2):
         self.kernel = _triple(kernel_size)
 
@@ -376,6 +389,8 @@ class MaxPool3dGrad(Op):
     NaN equals nothing and routes nothing.  First-order only.
     """
 
+    eager_only = "routes each window's gradient through a per-call first-maximum mask"
+
     def __init__(self, kernel_size=2):
         self.kernel = _triple(kernel_size)
 
@@ -395,6 +410,8 @@ class MaxPool3dGrad(Op):
 
 class AvgPool3d(Op):
     """Non-overlapping average pooling (kernel == stride)."""
+
+    eager_only = "a windowed mean over a reshaped view, into a fresh array"
 
     def __init__(self, kernel_size=2):
         self.kernel = _triple(kernel_size)
@@ -416,6 +433,8 @@ class AvgPool3d(Op):
 class AvgPool3dGrad(Op):
     """VJP of :class:`AvgPool3d`: spread ``grad / window_volume`` uniformly."""
 
+    eager_only = "three np.repeat copies of the scaled gradient"
+
     def __init__(self, kernel_size=2):
         self.kernel = _triple(kernel_size)
 
@@ -431,6 +450,8 @@ class AvgPool3dGrad(Op):
 
 class UpsampleNearest3d(Op):
     """Nearest-neighbour upsampling by integer scale factors."""
+
+    eager_only = "three np.repeat copies, one per axis"
 
     def __init__(self, scale_factor=2):
         self.scale = _triple(scale_factor)
@@ -448,6 +469,8 @@ class UpsampleNearest3d(Op):
 
 class UpsampleNearest3dGrad(Op):
     """VJP of :class:`UpsampleNearest3d`: sum each upsampled block."""
+
+    eager_only = "a block sum over a reshaped view, into a fresh array"
 
     def __init__(self, scale_factor=2):
         self.scale = _triple(scale_factor)
@@ -484,32 +507,12 @@ def _normalise(x, stats, eps, out, std):
     _B.divide(out, std, out=out)
 
 
-class BatchNormKernel(Op):
-    """A batch-norm primitive whose forward is one call of its :meth:`kernel`.
-
-    ``kernel(*operands, out, *scratch)`` writes the result into ``out``
-    through ``out=`` backend kernels only, using the buffers
-    :meth:`scratch_shapes` lists (in the first operand's dtype).  The eager
-    forward allocates them; a compiled plan passes arena buffers
-    (``repro.compile.codegen``), so both run the same kernels on the same
-    operands and produce the same bits.
-    """
-
-    def out_shape(self, shape) -> tuple:
-        """Result shape, from the first operand's ``shape``."""
-        return shape
-
-    def scratch_shapes(self, shape) -> list[tuple]:
-        """Shapes of the scratch buffers :meth:`kernel` takes after ``out``."""
-        return [(1, shape[1], 1, 1, 1)]
-
-    def forward(self, a, *operands):
-        out = np.empty(self.out_shape(a.shape), np.result_type(a, *operands))
-        self.kernel(a, *operands, out, *[np.empty(s, a.dtype) for s in self.scratch_shapes(a.shape)])
-        return out
+def _stat(x) -> tuple:
+    """``(shape, dtype)`` of one per-channel ``(1, C, 1, 1, 1)`` scratch vector of ``x``."""
+    return (1, x.shape[1], 1, 1, 1), x.dtype
 
 
-class BatchStats(BatchNormKernel):
+class BatchStats(KernelOp):
     """Per-channel batch mean and biased variance of ``x`` ``(N, C, D, H, W)``, as rows of a ``(2, C)`` array.
 
     Kernel for kernel the composed ``ops.mean`` / ``ops.var``:
@@ -519,11 +522,13 @@ class BatchStats(BatchNormKernel):
     is not part of the loss.
     """
 
-    def out_shape(self, shape):
-        return (2, shape[1])
+    inplace = elementwise = False
 
-    def scratch_shapes(self, shape):
-        return [tuple(shape)]
+    def out_shape(self, x):
+        return (2, x.shape[1])
+
+    def scratch_shapes(self, x):
+        return [(x.shape, x.dtype)]
 
     def kernel(self, x, out, centered):
         mean, var = _channels(out[0]), _channels(out[1])
@@ -538,7 +543,7 @@ class BatchStats(BatchNormKernel):
         raise NotImplementedError("BatchStats carries no gradient of its own")
 
 
-class BatchNorm(BatchNormKernel):
+class BatchNorm(KernelOp):
     """Batch normalisation of ``x`` on its own statistics: ``(x - mean) / sqrt(var + eps) * weight + bias``.
 
     Operands ``(x, stats)`` or ``(x, stats, weight, bias)``, where ``stats``
@@ -553,8 +558,13 @@ class BatchNorm(BatchNormKernel):
     the forward's live ``stats`` instead of recomputing them.
     """
 
+    inplace = elementwise = False
+
     def __init__(self, eps):
         self.eps = float(eps)
+
+    def scratch_shapes(self, x, *rest):
+        return [_stat(x)]
 
     def kernel(self, x, stats, *args):
         *affine, out, std = args
@@ -578,7 +588,7 @@ class BatchNorm(BatchNormKernel):
         return gx, None, sum_gx if need_w else None, sum_g if need_b else None
 
 
-class BatchNormGradWeight(BatchNormKernel):
+class BatchNormGradWeight(KernelOp):
     """``sum(g * x_hat)`` over ``(N, D, H, W)``: the weight gradient of :class:`BatchNorm`.
 
     Operands ``(x, g, stats)``; ``x_hat`` is recomputed from the live
@@ -586,14 +596,16 @@ class BatchNormGradWeight(BatchNormKernel):
     only.
     """
 
+    inplace = elementwise = False
+
     def __init__(self, eps):
         self.eps = float(eps)
 
-    def out_shape(self, shape):
-        return (shape[1],)
+    def out_shape(self, x, *rest):
+        return (x.shape[1],)
 
-    def scratch_shapes(self, shape):
-        return [tuple(shape), (1, shape[1], 1, 1, 1)]
+    def scratch_shapes(self, x, *rest):
+        return [(x.shape, x.dtype), _stat(x)]
 
     def kernel(self, x, g, stats, out, x_hat, std):
         _normalise(x, stats, self.eps, x_hat, std)
@@ -604,7 +616,7 @@ class BatchNormGradWeight(BatchNormKernel):
         raise NotImplementedError("BatchNormGradWeight is first-order only")
 
 
-class BatchNormGradInput(BatchNormKernel):
+class BatchNormGradInput(KernelOp):
     """The input gradient of :class:`BatchNorm`: ``weight / std * (g - sum_g / n - x_hat * sum_gx / n)``.
 
     Operands ``(x, g, stats, sum_g, sum_gx)``, plus ``weight`` when affine;
@@ -613,12 +625,13 @@ class BatchNormGradInput(BatchNormKernel):
     First-order only.
     """
 
+    inplace = elementwise = False
+
     def __init__(self, eps):
         self.eps = float(eps)
 
-    def scratch_shapes(self, shape):
-        stat = (1, shape[1], 1, 1, 1)
-        return [stat, stat]
+    def scratch_shapes(self, x, *rest):
+        return [_stat(x), _stat(x)]
 
     def kernel(self, x, g, stats, sum_g, sum_gx, *args):
         *affine, out, std, coef = args
@@ -638,7 +651,7 @@ class BatchNormGradInput(BatchNormKernel):
         raise NotImplementedError("BatchNormGradInput is first-order only")
 
 
-class BatchNormRunningStat(BatchNormKernel):
+class BatchNormRunningStat(KernelOp):
     """A running statistic's next value, ``running * (1 - momentum) + stat * momentum``.
 
     Operands ``(stats, running)``, ``stat`` being row 0 (mean) of the
@@ -647,15 +660,17 @@ class BatchNormRunningStat(BatchNormKernel):
     gradient: its ``backward`` raises.
     """
 
+    inplace = elementwise = False
+
     def __init__(self, momentum, variance):
         self.momentum = float(momentum)
         self.variance = bool(variance)
 
-    def out_shape(self, shape):
-        return (shape[1],)
+    def out_shape(self, stats, running):
+        return (stats.shape[1],)
 
-    def scratch_shapes(self, shape):
-        return [(shape[1],)]
+    def scratch_shapes(self, stats, running):
+        return [((stats.shape[1],), stats.dtype)]
 
     def kernel(self, stats, running, out, step):
         _B.multiply(running, 1 - self.momentum, out=out)

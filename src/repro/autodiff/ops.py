@@ -64,68 +64,124 @@ def sum_to_shape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     return t
 
 
+# --------------------------------------------------------------------------- kernel contract
+class KernelOp(Op):
+    """An op whose forward is a fixed sequence of backend kernels: one :meth:`kernel` call.
+
+    ``kernel(*operands, out, *scratch)`` writes the result into ``out`` (in
+    the first operand's dtype) through ``out=`` kernels only, using the buffers
+    :meth:`scratch_shapes` lists.  The eager :meth:`forward` allocates
+    ``out`` and the scratch; a compiled plan (:mod:`repro.compile.codegen`)
+    makes the same call on arena buffers, so eager and compiled run the
+    same kernels on the same operands and agree bit for bit by
+    construction.  An op that *is* one backend kernel names it in
+    :attr:`kernel_name` instead, and ``kernel(*operands, out)`` is that
+    kernel.
+
+    Beside the kernel the class states the two facts the compiled executor
+    reads, :attr:`inplace` and :attr:`elementwise`.
+    """
+
+    #: The backend kernel a one-call op is, by name (``None``: ``kernel`` is a method).
+    kernel_name: Optional[str] = None
+    #: ``kernel`` is done reading an operand element before it writes ``out``
+    #: there, so ``out`` may be a dying same-shape operand's buffer.
+    inplace = True
+    #: Elementwise: consecutive elementwise ops share one generated function.
+    elementwise = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kernel_name" in cls.__dict__:
+            cls.kernel = staticmethod(getattr(_B, cls.kernel_name))
+
+    def out_shape(self, *operands) -> tuple:
+        """Shape of ``out`` (by default the first operand's)."""
+        return operands[0].shape
+
+    def scratch_shapes(self, *operands) -> list:
+        """``(shape, dtype)`` of each scratch buffer ``kernel`` takes after ``out``.
+
+        ``operands`` need only ``shape`` and ``dtype``: a compiled plan passes
+        its traced values.
+        """
+        return []
+
+    def forward(self, *operands):
+        # Scratch before ``out``: the kept result then lands above the freed
+        # scratch in the heap, which holds a training step's peak RSS down.
+        scratch = [np.empty(shape, dtype) for shape, dtype in self.scratch_shapes(*operands)]
+        out = np.empty(self.out_shape(*operands), operands[0].dtype)
+        self.kernel(*operands, out, *scratch)
+        return out
+
+
+class UfuncOp(KernelOp):
+    """A :class:`KernelOp` whose kernel has ufunc ``out`` semantics and no scratch.
+
+    Passed ``out=None``, the kernel allocates and returns the very array its
+    ``out=`` form writes, so the eager forward lets it.
+    """
+
+    def forward(self, *operands):
+        return self.kernel(*operands, None)
+
+
 # --------------------------------------------------------------------------- arithmetic
-class Add(Op):
+class Add(UfuncOp):
     """Elementwise addition with broadcasting."""
-    def forward(self, a, b):
-        self._a_shape, self._b_shape = a.shape, b.shape
-        return _B.add(a, b)
+    kernel_name = "add"
 
     def backward(self, grad):
-        ga = sum_to_shape(grad, self._a_shape) if self.needs_input_grad(0) else None
-        gb = sum_to_shape(grad, self._b_shape) if self.needs_input_grad(1) else None
+        a, b = self.inputs
+        ga = sum_to_shape(grad, a.shape) if self.needs_input_grad(0) else None
+        gb = sum_to_shape(grad, b.shape) if self.needs_input_grad(1) else None
         return ga, gb
 
 
-class Sub(Op):
+class Sub(UfuncOp):
     """Elementwise subtraction with broadcasting."""
-    def forward(self, a, b):
-        self._a_shape, self._b_shape = a.shape, b.shape
-        return _B.subtract(a, b)
+    kernel_name = "subtract"
 
     def backward(self, grad):
-        ga = sum_to_shape(grad, self._a_shape) if self.needs_input_grad(0) else None
-        gb = sum_to_shape(neg(grad), self._b_shape) if self.needs_input_grad(1) else None
+        a, b = self.inputs
+        ga = sum_to_shape(grad, a.shape) if self.needs_input_grad(0) else None
+        gb = sum_to_shape(neg(grad), b.shape) if self.needs_input_grad(1) else None
         return ga, gb
 
 
-class Mul(Op):
+class Mul(UfuncOp):
     """Elementwise multiplication with broadcasting."""
-    def forward(self, a, b):
-        self._a_shape, self._b_shape = a.shape, b.shape
-        return _B.multiply(a, b)
+    kernel_name = "multiply"
 
     def backward(self, grad):
         a, b = self.inputs
-        ga = sum_to_shape(mul(grad, b), self._a_shape) if self.needs_input_grad(0) else None
-        gb = sum_to_shape(mul(grad, a), self._b_shape) if self.needs_input_grad(1) else None
+        ga = sum_to_shape(mul(grad, b), a.shape) if self.needs_input_grad(0) else None
+        gb = sum_to_shape(mul(grad, a), b.shape) if self.needs_input_grad(1) else None
         return ga, gb
 
 
-class Div(Op):
+class Div(UfuncOp):
     """Elementwise division with broadcasting."""
-    def forward(self, a, b):
-        self._a_shape, self._b_shape = a.shape, b.shape
-        return _B.divide(a, b)
+    kernel_name = "divide"
 
     def backward(self, grad):
         a, b = self.inputs
-        ga = sum_to_shape(div(grad, b), self._a_shape) if self.needs_input_grad(0) else None
-        gb = (sum_to_shape(neg(div(mul(grad, a), mul(b, b))), self._b_shape)
+        ga = sum_to_shape(div(grad, b), a.shape) if self.needs_input_grad(0) else None
+        gb = (sum_to_shape(neg(div(mul(grad, a), mul(b, b))), b.shape)
               if self.needs_input_grad(1) else None)
         return ga, gb
 
 
-class Neg(Op):
+class Neg(UfuncOp):
     """Elementwise negation."""
-    def forward(self, a):
-        return _B.negative(a)
+    kernel_name = "negative"
 
     def backward(self, grad):
         return (neg(grad),)
 
 
-class Pow(Op):
+class Pow(KernelOp):
     """Elementwise power with a constant (python scalar) exponent.
 
     Small integer exponents are lowered to multiplies: ``a**2`` and ``a**3``
@@ -139,17 +195,24 @@ class Pow(Op):
     def __init__(self, exponent: float):
         self.exponent = float(exponent)
 
-    def forward(self, a):
+    @property
+    def inplace(self):
+        """``a**3`` reads ``a`` again after its first write to ``out``."""
+        return self.exponent != 3.0
+
+    def kernel(self, a, out):
         p = self.exponent
         if p == 2.0:
-            return _B.multiply(a, a)
-        if p == 3.0:
-            return _B.multiply(_B.multiply(a, a), a)
-        if p == 1.0:
-            return np.array(a, copy=True)
-        if p == 0.5:
-            return _B.sqrt(a)
-        return _B.power(a, p)
+            _B.multiply(a, a, out=out)
+        elif p == 3.0:
+            _B.multiply(a, a, out=out)
+            _B.multiply(out, a, out=out)
+        elif p == 1.0:
+            _B.copyto(out, a)
+        elif p == 0.5:
+            _B.sqrt(a, out=out)
+        else:
+            _B.power(a, p, out=out)
 
     def backward(self, grad):
         (a,) = self.inputs
@@ -163,50 +226,45 @@ class Pow(Op):
         return (mul(grad, mul(pow(a, p - 1.0), p)),)
 
 
-class Exp(Op):
+class Exp(UfuncOp):
     """Elementwise natural exponential."""
-    def forward(self, a):
-        return _B.exp(a)
+    kernel_name = "exp"
 
     def backward(self, grad):
         (a,) = self.inputs
         return (mul(grad, exp(a)),)
 
 
-class Log(Op):
+class Log(UfuncOp):
     """Elementwise natural logarithm."""
-    def forward(self, a):
-        return _B.log(a)
+    kernel_name = "log"
 
     def backward(self, grad):
         (a,) = self.inputs
         return (div(grad, a),)
 
 
-class Sin(Op):
+class Sin(UfuncOp):
     """Elementwise sine."""
-    def forward(self, a):
-        return _B.sin(a)
+    kernel_name = "sin"
 
     def backward(self, grad):
         (a,) = self.inputs
         return (mul(grad, cos(a)),)
 
 
-class Cos(Op):
+class Cos(UfuncOp):
     """Elementwise cosine."""
-    def forward(self, a):
-        return _B.cos(a)
+    kernel_name = "cos"
 
     def backward(self, grad):
         (a,) = self.inputs
         return (neg(mul(grad, sin(a))),)
 
 
-class Tanh(Op):
+class Tanh(UfuncOp):
     """Elementwise hyperbolic tangent."""
-    def forward(self, a):
-        return _B.tanh(a)
+    kernel_name = "tanh"
 
     def backward(self, grad):
         (a,) = self.inputs
@@ -214,20 +272,32 @@ class Tanh(Op):
         return (mul(grad, sub(1.0, mul(t, t))),)
 
 
-class Sigmoid(Op):
+def _same(a) -> list:
+    """One scratch buffer shaped and typed like ``a``."""
+    return [(a.shape, a.dtype)]
+
+
+def _mask(a) -> list:
+    """One boolean scratch buffer shaped like ``a``."""
+    return [(a.shape, np.bool_)]
+
+
+class Sigmoid(KernelOp):
     """Elementwise logistic sigmoid."""
-    def forward(self, a):
+
+    scratch_shapes = staticmethod(_same)
+
+    def kernel(self, a, out, t):
         # Two-sided stable form in one divide: with t = exp(-|a|) <= 1,
         # a >= 0 -> 1/(1+t) and a < 0 -> t/(1+t), no overflow on either
         # side; max(t, a >= 0) selects the numerator 1 or t exactly.
-        t, num = np.empty_like(a), np.empty_like(a)
-        np.abs(a, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.greater_equal(a, 0.0, out=num)
-        np.maximum(t, num, out=num)
-        np.add(t, 1.0, out=t)
-        return np.divide(num, t, out=num)
+        _B.abs(a, out=t)
+        _B.negative(t, out=t)
+        _B.exp(t, out=t)
+        _B.greater_equal(a, 0.0, out=out)
+        _B.maximum(t, out, out=out)
+        _B.add(t, 1.0, out=t)
+        _B.divide(out, t, out=out)
 
     def backward(self, grad):
         (a,) = self.inputs
@@ -235,208 +305,219 @@ class Sigmoid(Op):
         return (mul(grad, mul(s, sub(1.0, s))),)
 
 
-class Softplus(Op):
+class Softplus(KernelOp):
     """Numerically stable ``log(1 + exp(x))``; derivative is ``sigmoid(x)``."""
 
-    def forward(self, a):
-        t, out = np.empty_like(a), np.empty_like(a)
-        np.abs(a, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        np.maximum(a, 0.0, out=out)
-        return np.add(out, t, out=out)
+    scratch_shapes = staticmethod(_same)
+
+    def kernel(self, a, out, t):
+        _B.abs(a, out=t)
+        _B.negative(t, out=t)
+        _B.exp(t, out=t)
+        _B.log1p(t, out=t)
+        _B.maximum(a, 0.0, out=out)
+        _B.add(out, t, out=out)
 
     def backward(self, grad):
         (a,) = self.inputs
         return (mul(grad, sigmoid(a)),)
 
 
-class ReLU(Op):
+class ReLU(KernelOp):
     """Elementwise rectified linear unit."""
-    def forward(self, a):
-        # a * (a > 0), not max(a, 0): negative inputs give -0.0, which the
-        # compiled lowering reproduces bit for bit.  The mask is written in
-        # a's dtype and reused as the result.
-        out = np.empty_like(a)
-        np.greater(a, 0, out=out)
-        return np.multiply(a, out, out=out)
+
+    inplace = False  # reads ``a`` after writing the mask into ``out``
+
+    def kernel(self, a, out):
+        # a * (a > 0), not max(a, 0): negative inputs give -0.0.
+        _B.greater(a, 0.0, out=out)
+        _B.multiply(a, out, out=out)
 
     def backward(self, grad):
         (a,) = self.inputs
         return (mul(grad, greater_mask(a, 0.0)),)
 
 
-class LeakyReLU(Op):
-    """Elementwise leaky ReLU with configurable negative slope."""
+def _leaky_slopes(a, slope, out, positive):
+    """``where(a > 0, 1, slope)`` into ``out``: fill with the slope, then copy 1 where positive."""
+    _B.greater(a, 0.0, out=positive)
+    out.fill(slope)
+    _B.copyto(out, 1.0, where=positive)
+
+
+class LeakyReLU(KernelOp):
+    """Elementwise leaky ReLU with configurable negative slope: ``a * where(a > 0, 1, slope)``."""
+
+    inplace = False  # reads ``a`` after writing the slopes into ``out``
+    scratch_shapes = staticmethod(_mask)
+
     def __init__(self, negative_slope: float = 0.01):
         self.negative_slope = float(negative_slope)
 
-    def forward(self, a):
-        return a * np.where(a > 0, 1.0, self.negative_slope).astype(a.dtype)
+    def kernel(self, a, out, positive):
+        _leaky_slopes(a, self.negative_slope, out, positive)
+        _B.multiply(a, out, out=out)
 
     def backward(self, grad):
         (a,) = self.inputs
         return (mul(grad, leaky_relu_mask(a, self.negative_slope)),)
 
 
-class Abs(Op):
+class Abs(UfuncOp):
     """Elementwise absolute value (subgradient 0 at the origin)."""
-    def forward(self, a):
-        return np.abs(a)
+    kernel_name = "abs"
 
     def backward(self, grad):
         (a,) = self.inputs
         return (mul(grad, sign(a)),)
 
 
-class Maximum(Op):
+class Maximum(UfuncOp):
     """Elementwise maximum of two tensors (ties split the gradient)."""
-    def forward(self, a, b):
-        self._a_shape, self._b_shape = a.shape, b.shape
-        return _B.maximum(a, b)
+    kernel_name = "maximum"
 
     def backward(self, grad):
         a, b = self.inputs
         mask = greater_equal_mask(a, b)
-        ga = sum_to_shape(mul(grad, mask), self._a_shape) if self.needs_input_grad(0) else None
-        gb = (sum_to_shape(mul(grad, sub(1.0, mask)), self._b_shape)
+        ga = sum_to_shape(mul(grad, mask), a.shape) if self.needs_input_grad(0) else None
+        gb = (sum_to_shape(mul(grad, sub(1.0, mask)), b.shape)
               if self.needs_input_grad(1) else None)
         return ga, gb
 
 
-class Minimum(Op):
+class Minimum(UfuncOp):
     """Elementwise minimum of two tensors (ties split the gradient)."""
-    def forward(self, a, b):
-        self._a_shape, self._b_shape = a.shape, b.shape
-        return _B.minimum(a, b)
+    kernel_name = "minimum"
 
     def backward(self, grad):
         a, b = self.inputs
         mask = less_equal_mask(a, b)
-        ga = sum_to_shape(mul(grad, mask), self._a_shape) if self.needs_input_grad(0) else None
-        gb = (sum_to_shape(mul(grad, sub(1.0, mask)), self._b_shape)
+        ga = sum_to_shape(mul(grad, mask), a.shape) if self.needs_input_grad(0) else None
+        gb = (sum_to_shape(mul(grad, sub(1.0, mask)), b.shape)
               if self.needs_input_grad(1) else None)
         return ga, gb
 
 
-class Floor(Op):
+class Floor(UfuncOp):
     """Elementwise floor (piecewise constant — zero gradient everywhere)."""
-    def forward(self, a):
-        return _B.floor(a)
+    kernel_name = "floor"
 
     def backward(self, grad):
         return (None,)
 
 
-class Sign(Op):
+class Sign(UfuncOp):
     """Elementwise sign (piecewise constant — zero gradient everywhere)."""
-    def forward(self, a):
-        return _B.sign(a)
+    kernel_name = "sign"
 
     def backward(self, grad):
         return (None,)
 
 
-class GreaterMask(Op):
-    """``(a > b)`` as a 0/1 mask in ``a``'s dtype (piecewise constant).
+class _Mask(KernelOp):
+    """A comparison as a 0/1 mask in ``a``'s dtype (piecewise constant).
 
-    The mask backwards of :class:`ReLU` / :class:`Maximum` etc. are
-    expressed through these primitives instead of forward-cached arrays so
-    that a captured backward program recomputes every mask from the live
+    The comparison kernel writes its booleans straight into the float
+    ``out``.  The mask backwards of :class:`ReLU` / :class:`Maximum` etc.
+    are expressed through these primitives instead of forward-cached arrays
+    so that a captured backward program recomputes every mask from the live
     batch instead of replaying the trace batch's masks.
     """
-    def forward(self, a, b):
-        return (a > b).astype(a.dtype)
+
+    def out_shape(self, a, b):
+        return np.broadcast(a, b).shape
 
     def backward(self, grad):
         return (None, None)
 
 
-class GreaterEqualMask(Op):
-    """``(a >= b)`` as a 0/1 mask in ``a``'s dtype (piecewise constant)."""
-    def forward(self, a, b):
-        return (a >= b).astype(a.dtype)
-
-    def backward(self, grad):
-        return (None, None)
+class GreaterMask(_Mask):
+    """``(a > b)`` as a 0/1 mask in ``a``'s dtype."""
+    kernel_name = "greater"
 
 
-class LessEqualMask(Op):
-    """``(a <= b)`` as a 0/1 mask in ``a``'s dtype (piecewise constant)."""
-    def forward(self, a, b):
-        return (a <= b).astype(a.dtype)
-
-    def backward(self, grad):
-        return (None, None)
+class GreaterEqualMask(_Mask):
+    """``(a >= b)`` as a 0/1 mask in ``a``'s dtype."""
+    kernel_name = "greater_equal"
 
 
-class LeakyReLUMask(Op):
+class LessEqualMask(_Mask):
+    """``(a <= b)`` as a 0/1 mask in ``a``'s dtype."""
+    kernel_name = "less_equal"
+
+
+class LeakyReLUMask(KernelOp):
     """Derivative mask of leaky ReLU: 1 where ``a > 0``, else the slope."""
+
+    scratch_shapes = staticmethod(_mask)
+
     def __init__(self, negative_slope: float = 0.01):
         self.negative_slope = float(negative_slope)
 
-    def forward(self, a):
-        return np.where(a > 0, 1.0, self.negative_slope).astype(a.dtype)
+    def kernel(self, a, out, positive):
+        _leaky_slopes(a, self.negative_slope, out, positive)
 
     def backward(self, grad):
         return (None,)
 
 
 # --------------------------------------------------------------------------- linear algebra
-class MatMul(Op):
+class MatMul(UfuncOp):
     """Matrix product over the trailing two axes, with batching."""
-    def forward(self, a, b):
-        self._a_shape, self._b_shape = a.shape, b.shape
-        return _B.matmul(a, b)
+    kernel_name = "matmul"
+    inplace = elementwise = False
 
     def backward(self, grad):
         a, b = self.inputs
         ga = gb = None
         if self.needs_input_grad(0):
-            ga = sum_to_shape(matmul(grad, swap_last_axes(b)), self._a_shape)
+            ga = sum_to_shape(matmul(grad, swap_last_axes(b)), a.shape)
         if self.needs_input_grad(1):
-            gb = sum_to_shape(matmul(swap_last_axes(a), grad), self._b_shape)
+            gb = sum_to_shape(matmul(swap_last_axes(a), grad), b.shape)
         return ga, gb
 
 
 # --------------------------------------------------------------------------- reductions & shape
-class Sum(Op):
+class Sum(UfuncOp):
     """Reduction by summation over the given axes, onto ``initial``."""
+    inplace = elementwise = False
+
     def __init__(self, axis=None, keepdims: bool = False, initial: float = 0.0):
         self.axis = axis
         self.keepdims = keepdims
         self.initial = initial
 
-    def forward(self, a):
-        self._in_shape = a.shape
-        return _B.sum(a, axis=self.axis, keepdims=self.keepdims, initial=self.initial)
+    def kernel(self, a, out):
+        return _B.sum(a, axis=self.axis, keepdims=self.keepdims, out=out, initial=self.initial)
 
     def backward(self, grad):
+        in_shape = self.inputs[0].shape
         if self.axis is None:
-            kept_shape = (1,) * len(self._in_shape)
+            kept_shape = (1,) * len(in_shape)
         else:
             axes = self.axis if isinstance(self.axis, tuple) else (self.axis,)
-            axes = tuple(ax % len(self._in_shape) for ax in axes)
-            kept_shape = tuple(
-                1 if i in axes else d for i, d in enumerate(self._in_shape)
-            )
+            axes = tuple(ax % len(in_shape) for ax in axes)
+            kept_shape = tuple(1 if i in axes else d for i, d in enumerate(in_shape))
         # With keepdims the gradient already has the kept shape.
         g = grad if self.keepdims else reshape(grad, kept_shape)
-        return (broadcast_to(g, self._in_shape),)
+        return (broadcast_to(g, in_shape),)
 
 
-class BroadcastTo(Op):
+class BroadcastTo(KernelOp):
     """Broadcast to a target shape (gradient sums back)."""
+    inplace = False
+
     def __init__(self, shape):
         self.shape = tuple(shape)
 
-    def forward(self, a):
-        self._in_shape = a.shape
-        return np.broadcast_to(a, self.shape).copy()
+    def out_shape(self, a):
+        return self.shape
+
+    def kernel(self, a, out):
+        _B.copyto(out, a)
 
     def backward(self, grad):
-        return (sum_to_shape(grad, self._in_shape),)
+        return (sum_to_shape(grad, self.inputs[0].shape),)
 
 
 class Reshape(Op):
@@ -489,6 +570,8 @@ def _basic_view(array, index):
 class GetIndex(Op):
     """``a[index]`` for arbitrary numpy indexing expressions."""
 
+    eager_only = "an advanced index gathers data-dependent rows (a basic one is a view)"
+
     def __init__(self, index):
         self.index = index
 
@@ -501,7 +584,7 @@ class GetIndex(Op):
         return (put_index(grad, self.index, self._in_shape),)
 
 
-class PutIndex(Op):
+class PutIndex(KernelOp):
     """Scatter-add ``a`` into a zero array of ``shape`` at ``index``.
 
     This is the adjoint of :class:`GetIndex`; the pair makes gather/scatter
@@ -516,18 +599,22 @@ class PutIndex(Op):
     leaves it.  Advanced indices may repeat elements and keep ``np.add.at``.
     """
 
+    inplace = elementwise = False
+
     def __init__(self, index, shape):
         self.index = index
         self.shape = tuple(shape)
 
-    def forward(self, a):
-        out = np.zeros(self.shape, dtype=a.dtype)
+    def out_shape(self, a):
+        return self.shape
+
+    def kernel(self, a, out):
+        out.fill(0.0)
         view = _basic_view(out, self.index)
         if view is not None:
-            np.add(view, a, out=view)
+            _B.add(view, a, out=view)
         else:
             np.add.at(out, self.index, a)
-        return out
 
     def backward(self, grad):
         return (getitem(grad, self.index),)
@@ -559,6 +646,8 @@ class GatherVertices(Op):
     grid, is flattened into a copy first).
     """
 
+    eager_only = "a row gather through tape-computed indices, into a fresh array"
+
     def forward(self, grid, it, iz, ix):
         self._grid_shape = grid.shape
         rows = _vertex_rows(grid.shape, it, iz, ix)
@@ -582,6 +671,8 @@ class ScatterVertices(Op):
     float64, which rounds differently.)
     """
 
+    eager_only = "an unbuffered scatter-add through tape-computed indices"
+
     def __init__(self, grid_shape):
         self.grid_shape = tuple(grid_shape)
 
@@ -599,44 +690,51 @@ class ScatterVertices(Op):
         return (g, None, None, None)
 
 
-class Concatenate(Op):
+class Concatenate(UfuncOp):
     """Concatenation of tensors along one axis."""
+    inplace = elementwise = False
+
     def __init__(self, axis: int = 0):
         self.axis = axis
 
-    def forward(self, *arrays):
-        self._sizes = [a.shape[self.axis] for a in arrays]
-        return np.concatenate(arrays, axis=self.axis)
+    def kernel(self, *args):
+        *arrays, out = args
+        return np.concatenate(arrays, axis=self.axis, out=out)
 
     def backward(self, grad):
-        grads = []
-        start = 0
-        for i, size in enumerate(self._sizes):
+        grads, start = [], 0
+        for i, a in enumerate(self.inputs):
+            stop = start + a.shape[self.axis]
             if self.needs_input_grad(i):
                 index = [slice(None)] * grad.ndim
-                index[self.axis] = slice(start, start + size)
+                index[self.axis] = slice(start, stop)
                 grads.append(getitem(grad, tuple(index)))
             else:
                 grads.append(None)
-            start += size
+            start = stop
         return tuple(grads)
 
 
-class Pad(Op):
-    """Constant (zero) padding."""
+class Pad(KernelOp):
+    """Constant (zero) padding, one ``(before, after)`` pair per axis: a zero fill and an interior copy."""
+    inplace = elementwise = False
 
     def __init__(self, pad_width):
         self.pad_width = tuple(tuple(p) for p in pad_width)
 
-    def forward(self, a):
-        self._in_shape = a.shape
-        return np.pad(a, self.pad_width, mode="constant")
+    def _interior(self, shape):
+        """The index of the input's place in the padded result."""
+        return tuple(slice(lo, lo + d) for (lo, _), d in zip(self.pad_width, shape, strict=True))
+
+    def out_shape(self, a):
+        return tuple(lo + d + hi for (lo, hi), d in zip(self.pad_width, a.shape, strict=True))
+
+    def kernel(self, a, out):
+        out.fill(0.0)
+        _B.copyto(out[self._interior(a.shape)], a)
 
     def backward(self, grad):
-        index = tuple(
-            slice(p[0], p[0] + d) for p, d in zip(self.pad_width, self._in_shape)
-        )
-        return (getitem(grad, index),)
+        return (getitem(grad, self._interior(self.inputs[0].shape)),)
 
 
 # --------------------------------------------------------------------------- functional wrappers

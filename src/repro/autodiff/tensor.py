@@ -231,6 +231,9 @@ class Op:
 
     #: Inputs captured by :meth:`apply`.
     inputs: tuple["Tensor", ...]
+    #: Why a compiled plan runs this op's eager ``forward`` (an op that is
+    #: neither a ``KernelOp`` nor a view states one).
+    eager_only: Optional[str] = None
 
     def forward(self, *xs: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -20,8 +20,9 @@ ImNet decode and derivative stacks.  This subsystem removes it:
 3. **Lower** (:mod:`~repro.compile.codegen`,
    :mod:`~repro.compile.executor`) — one walk over the program assigns
    every node an arena buffer (writing in place over a dying operand
-   where the op allows) and emits its lines from the op's single entry in
-   :data:`~repro.compile.codegen.LOWERINGS`; each maximal run of
+   where the op allows) and emits its kernel call: a
+   :class:`~repro.autodiff.ops.KernelOp`'s own ``kernel``, the call its
+   eager forward makes, on arena buffers; each maximal run of
    elementwise nodes becomes one generated Python function (compiled
    once, kept with the plan) whose body is a flat sequence of bound
    ``out=`` kernel calls.  Steady-state execution allocates nothing.
@@ -32,11 +33,15 @@ ImNet decode and derivative stacks.  This subsystem removes it:
    wrapper warns once per reason (:class:`CompileFallbackWarning`) and
    counts occurrences in the observability registry.
 
-**Adding an op** is one ``LOWERINGS`` entry — its emitter, whether it may
-write over a dying same-shape operand, whether it joins elementwise
-regions — plus a case in ``tests/test_compile.py::LOWERING_CASES``; the
-test parametrised over the table's keys fails until the case exists.  An
-op without an entry still runs, as an eager-fallback step.
+**Adding an op** is its class plus a case in
+``tests/test_compile.py::LOWERING_CASES``.  A
+:class:`~repro.autodiff.ops.KernelOp` states its ``kernel`` (or the
+``kernel_name`` of the one backend kernel it is), its scratch, whether
+``out`` may be a dying same-shape operand's buffer (``inplace``) and
+whether it joins elementwise regions (``elementwise``);
+:data:`~repro.compile.codegen.LOWERINGS` is read off those classes, and
+the test parametrised over it fails until the case exists.  Any other op
+states an ``eager_only`` reason and runs as an eager-fallback step.
 
 **Three entry points**, each with a caller — there is no other way onto
 a plan:

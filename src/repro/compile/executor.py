@@ -5,16 +5,16 @@ into a :class:`CompiledPlan` — a flat list of steps plus a set of
 pre-allocated arena buffers — in **one walk** over the program that
 assigns each node's storage and emits its code in the same step:
 
-* an op with an entry in :data:`repro.compile.codegen.LOWERINGS` writes
-  into an arena buffer through the backend's ``out=`` **in-place kernel
-  registry** (:class:`repro.backend.ArrayBackend`); its lines come from
-  that entry and nowhere else;
+* a :class:`~repro.autodiff.ops.KernelOp` writes into an arena buffer
+  through its own ``kernel`` — the call its eager forward makes — built
+  on the backend's ``out=`` **in-place kernel registry**
+  (:class:`repro.backend.ArrayBackend`);
 * when an operand's storage dies at the node that consumes it (liveness
-  pass), shapes match and the entry allows it, the node writes straight
-  over the operand's buffer, so a whole Linear-bias-softplus chain flows
-  through one buffer with zero transient arrays;
-* each maximal run of consecutive region-eligible (elementwise) nodes —
-  of any length — becomes one generated function; matmuls, reductions,
+  pass), shapes match and the op's ``inplace`` allows it, the node writes
+  straight over the operand's buffer, so a whole Linear-bias-softplus
+  chain flows through one buffer with zero transient arrays;
+* each maximal run of consecutive ``elementwise`` nodes — of any
+  length — becomes one generated function; matmuls, reductions,
   concatenations, pads and scatters get a function each, and per-run
   views and fallbacks end a run because they rebind ``env`` slots
   generated code must observe;
@@ -24,8 +24,9 @@ assigns each node's storage and emits its code in the same step:
   **bound once** at compile time: it is no step at all and ends no run.
   Only views of plan inputs and fallback outputs (fresh arrays every
   run) rebind per run;
-* ops with no table entry (or with data-dependent fancy indexing) fall
-  back to the recorded op's eager ``forward`` — counted in
+* every other op (its class states an ``eager_only`` reason; an
+  advanced-index ``GetIndex`` is one) falls back to the recorded op's
+  eager ``forward`` — counted in
   ``runtime_allocs`` so the allocation-regression test can pin hot plans
   at zero.
 
@@ -45,8 +46,9 @@ from typing import Callable
 import numpy as np
 
 from ..autodiff import ops as _ops
+from ..autodiff.ops import KernelOp
 from ..obs import runtime as _obs
-from .codegen import StepFunction, lowering_of
+from .codegen import StepFunction
 from .passes import (
     alias_roots,
     common_subexpr_elim,
@@ -295,8 +297,7 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
             fn = region = None
 
     for j, node in enumerate(program.nodes):
-        out_val = values[node.out_id]
-        lowering = lowering_of(node.op)
+        out_val, op = values[node.out_id], node.op
         buf = None
         if is_view_node(node):
             kind = "view"
@@ -304,24 +305,24 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
             if not _bind_view(node, env):
                 close()
                 steps.append(_view_step(node))
-                step_names.append(f"view:{type(node.op).__name__}")
-        elif lowering is None:
-            # No table entry lowers it: run the recorded op eagerly (fresh
-            # output array each run) and count the allocation.
+                step_names.append(f"view:{type(op).__name__}")
+        elif not isinstance(op, KernelOp):
+            # Not lowered: run the recorded op eagerly (fresh output array
+            # each run) and count the allocation.
             close()
             kind = "fallback"
-            in_ids, out_id, op = node.in_ids, node.out_id, node.op
+            in_ids, out_id = node.in_ids, node.out_id
 
             def step(env, in_ids=in_ids, out_id=out_id, op=op):
                 env[out_id] = op.forward(*(env[i] for i in in_ids))
                 alloc_cell[0] += 1
 
             steps.append(step)
-            step_names.append(f"fallback:{type(node.op).__name__}")
+            step_names.append(f"fallback:{type(op).__name__}")
             stats.n_fallback += 1
         else:
             kind = "kernel"
-            if lowering.inplace(node.op):
+            if op.inplace:
                 for vid in node.in_ids:
                     root = roots.get(vid, vid)
                     source = values[vid]
@@ -335,16 +336,16 @@ def compile_program(program: Program, pinned=()) -> CompiledPlan:
             if buf is None:
                 buf = arena.acquire(out_val.shape, out_val.dtype)
             buffers[node.out_id] = env[node.out_id] = buf
-            if region is None or not lowering.region:
+            if region is None or not op.elementwise:
                 close()
                 fn = StepFunction(values, env, arena)
-                if lowering.region:
+                if op.elementwise:
                     region = stats.n_codegen_regions
                     stats.n_codegen_regions += 1
             # Scratch the node takes is back in the arena before the next
             # node's output is assigned (see repro.compile.codegen).
-            fn.add(node, lowering)
-            stats.n_codegen_ops += lowering.region
+            fn.add(node)
+            stats.n_codegen_ops += op.elementwise
         layout.append({
             "index": j,
             "op": node.op_name,

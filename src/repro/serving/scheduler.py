@@ -109,9 +109,36 @@ class _PendingItem:
     #: worker-side batch span can stitch onto the gateway's trace across the
     #: queue handoff.
     trace_ctx: object = field(compare=False, default=None, repr=False)
+    #: Whether the request has its terminal status (and was counted).
+    settled: bool = field(compare=False, default=False)
 
     def __post_init__(self):
         self.sort_key = (-self.request.priority, self.seq)
+
+
+# Every path that ends an accepted request -- a batch, a worker crash,
+# ``close(drain=False)`` -- goes through ``_claim`` / ``settle``, so each one
+# is counted exactly once.
+def _count(item: _PendingItem, result: QueryResult, telemetry) -> None:
+    item.settled = True
+    if telemetry is not None:
+        telemetry.record_result(result)
+
+
+def _claim(item: _PendingItem, telemetry=None) -> bool:
+    """Start ``item``; ``False`` when its client cancelled it first (it then ends, counted, as cancelled)."""
+    if item.future.set_running_or_notify_cancel():
+        return True
+    _count(item, QueryResult(request_id=item.request.request_id, status=STATUS_CANCELLED), telemetry)
+    return False
+
+
+def settle(item: _PendingItem, result: QueryResult, telemetry=None) -> None:
+    """End ``item`` with ``result`` and count it, unless it has already ended."""
+    if item.settled or not (item.future.running() or _claim(item, telemetry)):
+        return
+    item.future.set_result(result)
+    _count(item, result, telemetry)
 
 
 class MicroBatchScheduler:
@@ -276,24 +303,15 @@ def _run_batch_impl(engine, items: List[_PendingItem],
     executed_points = 0
     executed_requests = 0
 
-    def resolve(item: _PendingItem, result: QueryResult) -> None:
-        if not item.future.done():
-            item.future.set_result(result)
-        if telemetry is not None:
-            telemetry.record_result(result)
-
     for item in items:
-        if not item.future.set_running_or_notify_cancel():
-            if telemetry is not None:
-                telemetry.record_result(QueryResult(
-                    request_id=item.request.request_id, status=STATUS_CANCELLED))
+        if not _claim(item, telemetry):
             continue
         if item.request.expired(start):
-            resolve(item, QueryResult(
+            settle(item, QueryResult(
                 request_id=item.request.request_id, status=STATUS_TIMEOUT,
                 queue_seconds=start - item.enqueued_at,
                 batch_requests=n_batch_requests,
-                error="deadline expired before execution"))
+                error="deadline expired before execution"), telemetry)
             continue
         dtype_name = item.request.dtype or default_dtype
         live.setdefault((item.request.domain_id, dtype_name), []).append(item)
@@ -303,21 +321,21 @@ def _run_batch_impl(engine, items: List[_PendingItem],
             lowres, domain_key = resolve_domain(domain_id)
         except KeyError:
             for item in domain_items:
-                resolve(item, QueryResult(
+                settle(item, QueryResult(
                     request_id=item.request.request_id, status=STATUS_ERROR,
                     queue_seconds=start - item.enqueued_at,
                     batch_requests=n_batch_requests,
-                    error=f"unknown domain '{domain_id}'"))
+                    error=f"unknown domain '{domain_id}'"), telemetry)
             continue
         group_engine = engines.get(dtype_name)
         if group_engine is None:
             for item in domain_items:
-                resolve(item, QueryResult(
+                settle(item, QueryResult(
                     request_id=item.request.request_id, status=STATUS_ERROR,
                     queue_seconds=start - item.enqueued_at,
                     batch_requests=n_batch_requests,
                     error=f"no engine replica serves precision '{dtype_name}' "
-                          f"(available: {sorted(engines)})"))
+                          f"(available: {sorted(engines)})"), telemetry)
             continue
         try:
             # Injection site "serving.batch": a fail rule poisons only this
@@ -345,20 +363,19 @@ def _run_batch_impl(engine, items: List[_PendingItem],
             for item, values in outputs:
                 executed_points += item.request.n_points
                 executed_requests += 1
-                resolve(item, QueryResult(
+                settle(item, QueryResult(
                     request_id=item.request.request_id, status=STATUS_OK,
                     values=values,
                     queue_seconds=start - item.enqueued_at,
                     service_seconds=done - start,
-                    batch_requests=n_batch_requests))
+                    batch_requests=n_batch_requests), telemetry)
         except Exception as exc:  # noqa: BLE001 - worker must never die
-            for item in domain_items:
-                if not item.future.done():
-                    resolve(item, QueryResult(
-                        request_id=item.request.request_id, status=STATUS_ERROR,
-                        queue_seconds=start - item.enqueued_at,
-                        batch_requests=n_batch_requests,
-                        error=f"{type(exc).__name__}: {exc}"))
+            for item in domain_items:  # those not resolved yet
+                settle(item, QueryResult(
+                    request_id=item.request.request_id, status=STATUS_ERROR,
+                    queue_seconds=start - item.enqueued_at,
+                    batch_requests=n_batch_requests,
+                    error=f"{type(exc).__name__}: {exc}"), telemetry)
 
     if telemetry is not None and executed_requests:
         telemetry.record_batch(executed_requests, executed_points)

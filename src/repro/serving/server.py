@@ -26,7 +26,7 @@ import dataclasses
 import logging
 import threading
 import time
-from concurrent.futures import CancelledError, InvalidStateError
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, Optional, Sequence
 
@@ -44,6 +44,7 @@ from .scheduler import (
     SchedulerClosedError,
     ServerOverloadedError,
     run_batch,
+    settle,
 )
 from .telemetry import ServerTelemetry
 
@@ -329,18 +330,11 @@ class ModelServer:
         logger.warning("serving worker %d crashed on a %d-request batch (%s); restarting",
                        index, len(batch), summary)
         self.telemetry.record_worker_crash()
-        for item in batch:
-            if item.future.done():
-                continue
-            result = QueryResult(
+        for item in batch:  # those the batch did not settle
+            settle(item, QueryResult(
                 request_id=item.request.request_id, status=STATUS_ERROR,
                 batch_requests=len(batch),
-                error=f"worker-{index} crashed: {summary}")
-            try:
-                item.future.set_result(result)
-            except InvalidStateError:  # cancelled under our feet
-                continue
-            self.telemetry.record_result(result)
+                error=f"worker-{index} crashed: {summary}"), self.telemetry)
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> dict:
@@ -379,11 +373,9 @@ class ModelServer:
         self.scheduler.close()
         if not drain:
             for item in self.scheduler.drain_pending():
-                result = QueryResult(request_id=item.request.request_id,
-                                     status=STATUS_CANCELLED, error="server shut down")
-                if item.future.set_running_or_notify_cancel():
-                    item.future.set_result(result)
-                self.telemetry.record_result(result)
+                settle(item, QueryResult(request_id=item.request.request_id,
+                                         status=STATUS_CANCELLED, error="server shut down"),
+                       self.telemetry)
         drained = True
         for worker in self._workers:
             worker.join(timeout=timeout)

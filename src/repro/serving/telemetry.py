@@ -14,6 +14,11 @@ registry is private per telemetry instance so several servers in one
 process never interleave their counts; process-wide series (plan caches,
 tile caches, profilers) live in the global :data:`repro.obs.REGISTRY` and
 are merged at scrape time.
+
+The counters conserve: every accepted request ends exactly once, so once
+the server is closed ``accepted == completed + timed_out + errors +
+cancelled``.  ``rejected`` counts backpressure rejections and load sheds
+alike, so ``rejected >= shed``.
 """
 
 from __future__ import annotations

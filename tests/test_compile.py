@@ -22,9 +22,11 @@ The contract under test (ISSUE 5 acceptance criteria):
 * the module-state guard has one owner, ``CompiledFunction``, and the
   same invalidation rules behind both module-bound entry points
   (ISSUE 20);
-* every kernel step is a generated function built from the one lowering
-  table (``repro.compile.codegen.LOWERINGS``, each entry checked against
-  eager by a test parametrised over its keys), maximal elementwise runs
+* every kernel step is a generated function making each op's own kernel
+  call (``repro.compile.codegen.LOWERINGS``, read off the op classes; each
+  lowered class checked against eager by a test parametrised over it, and
+  every other op class accounted for as a view or an eager-only op),
+  maximal elementwise runs
   sharing one function, preserving both bit-exactness and the
   steady-state zero-allocation pin (ISSUE 8, ISSUE 14).
 """
@@ -37,13 +39,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import compile as rc
 from repro import nn, obs
 from repro.autodiff import Tensor, grad, inference_mode, nn_ops, no_grad, ops
+from repro.autodiff.ops import KernelOp
 from repro.autodiff.tensor import Op
-from repro.backend import precision
-from repro.compile.codegen import LOWERINGS, lowering_of
+from repro.backend import get_backend, precision
+from repro.compile.codegen import LOWERINGS
+from repro.compile.passes import VIEW_OPS
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
 from repro.core.imnet import ImNet
 from repro.inference import InferenceEngine
@@ -292,8 +297,9 @@ def _bn_grad_input(x, g, w=None):
         nn_ops.BatchNormGradWeight.apply(x, g, stats, eps=eps), *affine, eps=eps)
 
 
-#: At least one case per key of ``codegen.LOWERINGS`` — the parametrised
-#: test below fails for a table entry that has none.
+#: At least one case per class in ``codegen.LOWERINGS`` — the parametrised
+#: test below fails for a lowered op that has none.  The random-DAG tests
+#: draw their builders from the same list.
 LOWERING_CASES = {
     ops.Neg: [_case(ops.neg)],
     ops.Exp: [_case(ops.exp)],
@@ -305,7 +311,7 @@ LOWERING_CASES = {
     ops.Sign: [_case(ops.sign)],
     ops.Floor: [_case(ops.floor)],
     ops.Add: [_case(ops.add, _S, _S), _case(ops.add, _S, (5,))],
-    ops.Sub: [_case(ops.sub, _S, _S)],
+    ops.Sub: [_case(ops.sub, _S, _S), _case(lambda a: ops.sub(1.0, a))],
     ops.Mul: [_case(ops.mul, _S, _S), _case(lambda a: ops.mul(a, 0.3))],
     ops.Div: [_case(ops.div, _S, _S)],
     ops.Maximum: [_case(ops.maximum, _S, _S)],
@@ -378,14 +384,233 @@ class TestLoweringTable:
                 assert type(op) is cls
                 assert replay.dtype == eager.dtype == np.dtype(policy)
                 assert np.array_equal(replay.data, eager.data), (cls.__name__, label)
-                if lowering_of(op) is None:
-                    assert plan.stats.n_fallback == 1 and plan.runtime_allocs == 1
-                    continue
                 assert plan.stats.n_fallback == 0 and plan.runtime_allocs == 0
-                # The rule is the entry's: in place exactly when it says so
-                # and the dying intermediate has the output's shape.
+                # The rule is the op's: in place exactly when it says so and
+                # the dying intermediate has the output's shape.
                 fits = label != "alone" and eager.shape == arrays[0].shape
-                assert plan.stats.n_inplace == int(fits and LOWERINGS[cls].inplace(op))
+                assert plan.stats.n_inplace == int(fits and op.inplace)
+
+
+def _op_classes(root=Op):
+    """Every ``Op`` subclass the package defines, at any depth."""
+    for cls in root.__subclasses__():
+        if cls.__module__.startswith("repro."):
+            yield cls
+        yield from _op_classes(cls)
+
+
+class TestEveryOpAccountedFor:
+    """Each op class either lowers (a ``KernelOp`` with a kernel, and then a
+    ``LOWERING_CASES`` entry), is a view, or says why it stays eager."""
+
+    def test_every_op_class_lowers_is_a_view_or_states_why_not(self):
+        unaccounted = []
+        for cls in _op_classes():
+            if issubclass(cls, KernelOp):
+                # A KernelOp without a kernel is a shared base (UfuncOp, the masks' base).
+                accounted = cls in LOWERINGS or bool(cls.__subclasses__())
+            else:
+                accounted = cls in VIEW_OPS or cls is ops.GetIndex or bool(cls.eager_only)
+            if not accounted:
+                unaccounted.append(cls.__name__)
+        assert unaccounted == []
+
+    def test_every_lowered_class_has_cases(self):
+        assert [cls.__name__ for cls in LOWERINGS if cls not in LOWERING_CASES] == []
+        assert set(LOWERING_CASES) <= set(LOWERINGS)
+
+
+def _as_bytes(array) -> np.ndarray:
+    """``array``'s bytes as a flat ``uint8`` array (signed zeros and NaN payloads included)."""
+    return np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+
+
+def _assert_same_bytes(got, want, label):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), label
+    assert np.array_equal(_as_bytes(got), _as_bytes(want)), label
+
+
+# The NumPy expressions these ops' forwards were before each became one
+# kernel call: the references the kernels must match byte for byte.
+def _ref_pow(a, exponent):
+    if exponent == 2.0:
+        return np.multiply(a, a)
+    if exponent == 3.0:
+        return np.multiply(np.multiply(a, a), a)
+    if exponent == 1.0:
+        return np.array(a, copy=True)
+    return np.sqrt(a) if exponent == 0.5 else np.power(a, exponent)
+
+
+def _ref_relu(a):
+    out = np.empty_like(a)
+    np.greater(a, 0, out=out)
+    return np.multiply(a, out, out=out)
+
+
+def _ref_leaky_relu_mask(a, negative_slope):
+    return np.where(a > 0, 1.0, negative_slope).astype(a.dtype)
+
+
+def _ref_sigmoid(a):
+    t, num = np.empty_like(a), np.empty_like(a)
+    np.abs(a, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.greater_equal(a, 0.0, out=num)
+    np.maximum(t, num, out=num)
+    np.add(t, 1.0, out=t)
+    return np.divide(num, t, out=num)
+
+
+def _ref_softplus(a):
+    t, out = np.empty_like(a), np.empty_like(a)
+    np.abs(a, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    np.maximum(a, 0.0, out=out)
+    return np.add(out, t, out=out)
+
+
+def _ref_put_index(a, index, shape):
+    out = np.zeros(shape, dtype=a.dtype)
+    view = ops._basic_view(out, index)
+    if view is not None:
+        np.add(view, a, out=view)
+    else:
+        np.add.at(out, index, a)
+    return out
+
+
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
+
+
+def _values(data, dtype, shape):
+    """Drawn values: any float of ``dtype`` (±0.0, ±inf and NaNs included)."""
+    return data.draw(hnp.arrays(dtype, shape, elements=st.floats(width=8 * np.dtype(dtype).itemsize)))
+
+
+def _draw_elementwise(data, dtype):
+    a = _values(data, dtype, data.draw(_SHAPES))
+    return [a], {}
+
+
+def _draw_pow(data, dtype):
+    arrays, _ = _draw_elementwise(data, dtype)
+    return arrays, {"exponent": data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 2.5]))}
+
+
+def _draw_slope(data, dtype):
+    arrays, _ = _draw_elementwise(data, dtype)
+    return arrays, {"negative_slope": data.draw(st.sampled_from([0.1, 1.5]))}
+
+
+def _draw_pair(data, dtype):
+    shape = data.draw(_SHAPES)
+    other = data.draw(st.sampled_from([shape, shape[1:], ()]))
+    return [_values(data, dtype, shape), _values(data, dtype, other)], {}
+
+
+def _draw_sum(data, dtype):
+    shape = data.draw(_SHAPES)
+    ndim = len(shape)
+    axes = [None]
+    if ndim:
+        axes += [data.draw(st.integers(-ndim, ndim - 1)),
+                 tuple(data.draw(st.lists(st.integers(0, ndim - 1), min_size=1, unique=True)))]
+    kwargs = {"axis": data.draw(st.sampled_from(axes)), "keepdims": data.draw(st.booleans()),
+              "initial": data.draw(st.sampled_from([0.0, -0.0]))}
+    return [_values(data, dtype, shape)], kwargs
+
+
+def _draw_put_index(data, dtype):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+    if data.draw(st.booleans()):  # basic: a slice or an integer per leading axis
+        index = tuple(data.draw(st.one_of(st.integers(0, d - 1), st.builds(slice, st.integers(0, d - 1))))
+                      for d in shape[:data.draw(st.integers(1, len(shape)))])
+    else:  # advanced, rows repeated
+        rows = data.draw(st.lists(st.integers(0, shape[0] - 1), min_size=2, max_size=5))
+        index = (rows + rows[:1],)
+    a = _values(data, dtype, np.zeros(shape)[index].shape)
+    return [a], {"index": index, "shape": shape}
+
+
+def _draw_broadcast(data, dtype):
+    shape = data.draw(_SHAPES)
+    source = data.draw(st.sampled_from([shape, shape[1:], (1,) * len(shape), ()]))
+    return [_values(data, dtype, source)], {"shape": shape}
+
+
+def _draw_concatenate(data, dtype):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    parts = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        part = list(shape)
+        part[axis] = data.draw(st.integers(1, 3))
+        parts.append(_values(data, dtype, tuple(part)))
+    return parts, {"axis": axis}
+
+
+def _draw_pad(data, dtype):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3))
+    widths = tuple(tuple(data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=2))) for _ in shape)
+    return [_values(data, dtype, shape)], {"pad_width": widths}
+
+
+#: ``op class -> (draw(data, dtype) -> (operands, kwargs), reference(*operands, **kwargs))``.
+KERNEL_REFERENCES = {
+    ops.Pow: (_draw_pow, _ref_pow),
+    ops.ReLU: (_draw_elementwise, _ref_relu),
+    ops.LeakyReLU: (_draw_slope, lambda a, negative_slope: a * _ref_leaky_relu_mask(a, negative_slope)),
+    ops.LeakyReLUMask: (_draw_slope, _ref_leaky_relu_mask),
+    ops.Sigmoid: (_draw_elementwise, _ref_sigmoid),
+    ops.Softplus: (_draw_elementwise, _ref_softplus),
+    ops.GreaterMask: (_draw_pair, lambda a, b: (a > b).astype(a.dtype)),
+    ops.GreaterEqualMask: (_draw_pair, lambda a, b: (a >= b).astype(a.dtype)),
+    ops.LessEqualMask: (_draw_pair, lambda a, b: (a <= b).astype(a.dtype)),
+    ops.Sum: (_draw_sum, get_backend().sum),
+    ops.PutIndex: (_draw_put_index, _ref_put_index),
+    ops.BroadcastTo: (_draw_broadcast, lambda a, shape: np.broadcast_to(a, shape).copy()),
+    ops.Concatenate: (_draw_concatenate, lambda *arrays, axis: np.concatenate(arrays, axis=axis)),
+    ops.Pad: (_draw_pad, lambda a, pad_width: np.pad(a, pad_width, mode="constant")),
+}
+
+
+class TestKernelsMatchTheirReferences:
+    """Each op that became one kernel call computes, eagerly and through a
+    compiled plan (out of place and in place over a dying intermediate),
+    the bytes of the NumPy expression its forward used to be."""
+
+    @pytest.mark.parametrize("cls", list(KERNEL_REFERENCES), ids=lambda cls: cls.__name__)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float64, np.float32]))
+    def test_kernel_bytes(self, cls, data, dtype):
+        draw, reference = KERNEL_REFERENCES[cls]
+        arrays, kwargs = draw(data, dtype)
+        one = np.ones((), dtype)
+        variants = {
+            "out of place": (lambda *ts: cls.apply(*ts, **kwargs), arrays),
+            # x * 1.0 on both sides: it may quiet a signalling NaN.
+            "in place": (lambda a, *ts: cls.apply(ops.mul(a, one), *ts, **kwargs),
+                         [np.multiply(arrays[0], one), *arrays[1:]]),
+        }
+        with np.errstate(all="ignore"), no_grad():
+            want = reference(*arrays, **kwargs)
+            _assert_same_bytes(cls.apply(*map(Tensor, arrays), **kwargs).data, want, "eager")
+            for label, (fn, inputs) in variants.items():
+                want = reference(*inputs, **kwargs)
+                cf = rc.compile_fn(fn)
+                tensors = [Tensor(a) for a in arrays]
+                cf(*tensors)                      # served by the trace
+                _assert_same_bytes(cf(*tensors).data, want, label)
+                plan = cf.plans[0]
+                op = plan.program.nodes[-1].op
+                assert type(op) is cls and plan.stats.n_fallback == 0
+                fits = label == "in place" and want.shape == arrays[0].shape
+                assert plan.stats.n_inplace == int(fits and op.inplace), label
 
 
 class TestKernelExactness:
@@ -402,13 +627,15 @@ class TestKernelExactness:
 
     @pytest.mark.parametrize("slope", [0.01, 1.0, 1.5, -0.5])
     def test_leaky_relu_all_slopes_match_eager(self, slope):
-        """Slopes outside [0, 1] break the fused max identity and must take
-        the eager fallback path instead of silently diverging."""
+        """One formula, ``a * where(a > 0, 1, slope)``, for every slope: no
+        slope takes the eager fallback, and none diverges."""
         x = Tensor(np.random.default_rng(0).standard_normal(128))
         cf = rc.compile_fn(lambda t: ops.leaky_relu(t, slope))
         with no_grad():
+            cf(x)
             compiled = cf(x)
         assert np.array_equal(ops.leaky_relu(x, slope).data, compiled.data)
+        assert cf.plans[0].stats.n_fallback == 0
 
     def test_live_buffer_constants_are_not_folded(self):
         """Eval-mode BatchNorm arithmetic on running statistics is all-constant
@@ -685,23 +912,45 @@ class TestValueNumbering:
         assert scaler.calls == 2
 
 
+def _square_builders(n):
+    """The ``LOWERING_CASES`` builders whose operands fit ``(n, n)``, by operand count.
+
+    A case fits when its builder maps ``(n, n)`` operands to a value that
+    broadcasts to ``(n, n)``; as a DAG node the value is broadcast back (so
+    reductions join), and a positive-domain case reads ``|a| + 0.5``.
+    """
+    def node(build, positive):
+        def apply(*xs):
+            y = build(*(ops.add(ops.abs(x), 0.5) if positive else x for x in xs))
+            return y if y.shape == (n, n) else ops.broadcast_to(y, (n, n))
+        return apply
+
+    square = Tensor(np.ones((n, n)))
+    builders = {1: [], 2: []}
+    for cases in LOWERING_CASES.values():
+        for build, shapes, positive in cases:
+            try:
+                with no_grad():
+                    fits = np.broadcast_shapes(build(*[square] * len(shapes)).shape, (n, n)) == (n, n)
+            except (ValueError, IndexError):  # shapes that do not fit
+                continue
+            if fits:
+                builders[len(shapes)].append(node(build, positive))
+    return builders
+
+
 class TestGeneratedPrograms:
     """Random DAGs over two inputs: every node draws its operands from *all*
     earlier values, so duplicate nodes and shared subexpressions occur by
     construction.  Every value stays ``(N, N)`` so any builder composes with
-    any operand; the reductions broadcast back."""
+    any operand; the builders are the lowering cases that fit, plus views."""
 
     N = 4
-    UNARY = [ops.neg, ops.sin, ops.cos, ops.tanh, ops.abs, ops.sigmoid, ops.softplus, ops.relu,
-             lambda a: ops.mul(a, 0.3), lambda a: ops.sub(1.0, a), lambda a: ops.pow(a, 2.0),
+    UNARY = [*_square_builders(N)[1],
              # views
              ops.transpose, lambda a: a[::-1], lambda a: a[:, ::-1],
-             lambda a: ops.reshape(ops.reshape(a, (-1,)), a.shape),
-             # Sum, over each axis and over both
-             lambda a: ops.broadcast_to(ops.sum(a, axis=0, keepdims=True), a.shape),
-             lambda a: ops.broadcast_to(ops.sum(a, axis=1, keepdims=True), a.shape),
-             lambda a: ops.mul(a, ops.sum(a))]
-    BINARY = [ops.add, ops.sub, ops.mul, ops.maximum, ops.minimum, ops.matmul]
+             lambda a: ops.reshape(ops.reshape(a, (-1,)), a.shape)]
+    BINARY = _square_builders(N)[2]
 
     @classmethod
     def draw_dag(cls, data):
@@ -1278,6 +1527,44 @@ class TestCompiledTrainingStep:
         stats = step.stats()
         assert stats["n_plans"] == 0
         assert stats["fallbacks"]["impure"] == 1
+
+
+class TestTrainingPlanCounts:
+    """Deterministic gate on the compiled ``train-eqloss`` plan: the
+    benchmark workload's trainer (tiny model, ``gamma = 0.0125``, 2 nodes x
+    2 ranks, batch 2, 128 points, ``(4, 4, 8)`` crops of a ``(16, 16, 32)``
+    simulation) at seed 3, built here through the package's own APIs."""
+
+    #: The plan's counts before every lowered op's kernel moved onto its op
+    #: class; none of them may get worse.
+    FALLBACKS, ALLOCS_PER_REPLAY, STEPS = 41, 41, 345
+    INPLACE, ARENA_BYTES = 204, 16_527_896
+
+    def test_counts_are_no_worse(self):
+        from repro.scenarios import get_scenario
+
+        sc = get_scenario("rayleigh_benard")
+        data = sc.generate(seed=3, nt=16, nz=16, nx=32)
+        dataset = sc.make_dataset(data, lr_factors=(2, 2, 2), crop_shape_lr=(4, 4, 8),
+                                  n_points=128, samples_per_epoch=256)
+        model = sc.build_model("tiny")
+        model.train()
+        config = TrainerConfig(batch_size=2, world_size=4, nodes=2, gamma=0.0125,
+                               learning_rate=1e-3, compile=True)
+        trainer = DistributedTrainer(model, dataset, pde_system=sc.make_pde_system(), config=config)
+        for step in range(2):  # the first step traces
+            trainer.train_step(step, 0)
+        compiled = trainer._compiled_step
+        (plan,) = compiled.plans
+        hits, allocs = compiled.stats()["plan_hits"], plan.runtime_allocs
+        trainer.train_step(2, 0)
+        replays = compiled.stats()["plan_hits"] - hits
+        assert replays >= 1
+        assert plan.stats.n_fallback <= self.FALLBACKS
+        assert (plan.runtime_allocs - allocs) / replays <= self.ALLOCS_PER_REPLAY
+        assert len(plan.step_names) <= self.STEPS
+        assert plan.stats.n_inplace >= self.INPLACE
+        assert plan.stats.arena_bytes <= self.ARENA_BYTES
 
 
 class TestModuleStateGuard:

@@ -1,6 +1,7 @@
 """Serving subsystem: requests, scheduler, coalescing exactness, server, HTTP."""
 
 import asyncio
+import collections
 import io
 import json
 import logging
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.backend import precision
 from repro.core import MeshfreeFlowNet, MeshfreeFlowNetConfig
+from repro.faults import FaultPlan
 from repro.inference import InferenceEngine
 from repro.serving import (
     STATUS_CANCELLED,
@@ -311,6 +313,58 @@ class TestCoalescingExactness:
             fut_b = server.submit(QueryRequest("b", coords=coords))
             assert np.array_equal(fut_a.result(60).values, want_a)
             assert np.array_equal(fut_b.result(60).values, want_b)
+
+
+# --------------------------------------------------------------------------- #
+# Counter conservation over generated schedules                               #
+# --------------------------------------------------------------------------- #
+class TestCounterConservation:
+    """Every admitted request reaches exactly one terminal status, whatever
+    the schedule.  ``rejected`` counts backpressure rejections and sheds
+    alike, so once ``close()`` returns the counters conserve as
+    ``accepted == completed + timed_out + errors + cancelled`` and
+    ``rejected >= shed``; each terminal counter equals the number of
+    futures that ended that way."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(schedule=st.lists(st.tuples(st.sampled_from(["serve", "expired", "cancel"]),
+                                       st.integers(0, 1)), min_size=1, max_size=12),
+           n_workers=st.sampled_from([1, 2]), shed=st.booleans(),
+           crash_at=st.sampled_from([None, 1, 2]), drain=st.booleans())
+    def test_counters_conserve_after_close(self, model, domain, schedule, n_workers, shed,
+                                           crash_at, drain):
+        plan = FaultPlan(seed=0)
+        plan.delay("serving.worker", 0.005, every=1)  # a backlog forms: backpressure, sheds
+        if crash_at is not None:
+            plan.fail("serving.worker", at=(crash_at,), message="generated crash")
+        server = make_server(model, n_workers=n_workers, max_pending=4,
+                             policy=BatchPolicy(max_requests=2),
+                             shed_watermark=0.5 if shed else 1.0, shed_priority=0)
+        server.register_domain("dom", domain)
+        coords = np.random.default_rng(5).random((3, 3))
+        futures = []
+        with plan:
+            for kind, priority in schedule:
+                request = QueryRequest("dom", coords=coords, priority=priority)
+                try:
+                    future = server.submit(request, timeout=0.0 if kind == "expired" else None)
+                except ServerOverloadedError:
+                    continue
+                if kind == "cancel":
+                    future.cancel()
+                futures.append(future)
+            assert server.close(drain=drain)
+        stats = server.stats()
+        assert all(future.done() for future in futures)
+        ended = collections.Counter(STATUS_CANCELLED if future.cancelled() else future.result().status
+                                    for future in futures)
+        assert stats["accepted"] == len(futures)
+        assert stats["accepted"] + stats["rejected"] == len(schedule)
+        assert stats["rejected"] >= stats["shed"]
+        assert stats["accepted"] == (stats["completed"] + stats["timed_out"] + stats["errors"]
+                                     + stats["cancelled"])
+        assert (stats["completed"], stats["timed_out"], stats["errors"], stats["cancelled"]) == (
+            ended[STATUS_OK], ended[STATUS_TIMEOUT], ended[STATUS_ERROR], ended[STATUS_CANCELLED])
 
 
 # --------------------------------------------------------------------------- #
