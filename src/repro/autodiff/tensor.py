@@ -229,8 +229,9 @@ class Op:
     asks for and returns ``None`` in the other slots.
     """
 
-    #: Inputs captured by :meth:`apply`.
-    inputs: tuple["Tensor", ...]
+    #: Inputs captured by :meth:`apply`; ``None`` once a
+    #: :meth:`Tensor.backward` has swept the op and freed its graph.
+    inputs: Optional[tuple["Tensor", ...]]
     #: Why a compiled plan runs this op's eager ``forward`` (an op that is
     #: neither a ``KernelOp`` nor a view states one).
     eager_only: Optional[str] = None
@@ -387,7 +388,14 @@ class Tensor:
         """Accumulate gradients of ``self`` into every reachable leaf ``.grad``.
 
         ``grad_output`` defaults to ones (so scalar losses can simply call
-        ``loss.backward()``).
+        ``loss.backward()``).  The sweep frees the graph as it goes: each
+        intermediate gradient is dropped once its op's rule has used it, and
+        each op drops its ``inputs`` once its rule has run (or been skipped),
+        so an activation dies as soon as the rule of its last consumer has
+        run.  Only the leaf gradients survive, added to ``.grad``.  The
+        graph is therefore good for one ``backward``: a second sweep that
+        reaches a freed op raises ``RuntimeError``.  To differentiate one
+        graph more than once, call :func:`grad`, which keeps it.
         """
         if grad_output is None:
             grad_output = Tensor(np.ones_like(self.data))
@@ -466,7 +474,11 @@ def _coerce_operands(inputs) -> tuple[Tensor, ...]:
 
 
 def _topological_order(roots: Iterable[Tensor]) -> list[Tensor]:
-    """Return tensors in topological order (inputs before outputs)."""
+    """Return tensors in topological order (inputs before outputs).
+
+    Raises ``RuntimeError`` on reaching an op whose graph a
+    :meth:`Tensor.backward` has already freed.
+    """
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(r, False) for r in roots]
@@ -479,8 +491,15 @@ def _topological_order(roots: Iterable[Tensor]) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        if node._op is not None:
-            for parent in node._op.inputs:
+        op = node._op
+        if op is not None:
+            if op.inputs is None:
+                raise RuntimeError(
+                    f"cannot differentiate through {type(op).__name__} again: a backward() "
+                    "already swept this graph and freed it; to differentiate one graph "
+                    "more than once, call repro.autodiff.grad, which keeps it"
+                )
+            for parent in op.inputs:
                 if id(parent) not in visited:
                     stack.append((parent, False))
     return order
@@ -490,12 +509,27 @@ def _backward_pass(
     outputs: Sequence[Tensor],
     grad_outputs: Sequence[Tensor],
     create_graph: bool,
+    inputs: Optional[Sequence[Tensor]] = None,
 ) -> dict[Tensor, Tensor]:
     """Core reverse-mode sweep shared by :func:`grad` and ``Tensor.backward``.
 
-    Returns a mapping from every visited tensor that requires grad to its
-    accumulated gradient tensor.
+    Visits the graph in reverse topological order and runs each op's rule
+    on its accumulated gradient.  A non-leaf's gradient is dropped once its
+    rule has used it, unless it is one of ``inputs``.  Returns the gradients
+    the caller asked for, each mapped from its tensor: those of ``inputs``
+    that a gradient reached (:func:`grad`), or with ``inputs=None`` those of
+    the reached leaves (``Tensor.backward``).
+
+    With ``inputs=None`` the sweep also frees the graph: once a node's rule
+    has run (or been skipped because no gradient reached it) its op drops
+    ``inputs`` and the sweep drops its own references to the node, so each
+    activation dies when the rule of its last consumer has run.
+    :func:`_topological_order` refuses a freed op.  :func:`grad` passes
+    ``inputs`` and keeps the graph, which ``create_graph=True``
+    differentiates again.
     """
+    free = inputs is None
+    keep = set() if free else {id(t) for t in inputs}
     grads: dict[int, Tensor] = {}
     nodes: dict[int, Tensor] = {}
 
@@ -509,20 +543,36 @@ def _backward_pass(
     order = _topological_order(outputs)
     ctx = enable_grad() if create_graph else no_grad()
     with ctx:
-        for node in reversed(order):
-            if node._op is None:
+        while order:
+            node = order.pop()
+            op, key = node._op, id(node)
+            del node  # the rule reads the op's inputs, never its output
+            if op is None:
                 continue
-            gout = grads.get(id(node))
-            if gout is None:
-                continue
-            input_grads = node._op.backward(gout)
-            for parent, g in zip(node._op.inputs, input_grads):
-                if g is None:
-                    continue
-                if not (parent.requires_grad or parent._op is not None):
-                    continue
-                _accumulate(grads, nodes, parent, g, create_graph)
-    return {nodes[k]: v for k, v in grads.items()}
+            if key in keep:
+                gout = grads.get(key)
+            else:
+                gout = grads.pop(key, None)
+                nodes.pop(key, None)
+            if gout is not None:
+                _run_rule(op, gout, grads, nodes, create_graph)
+            if free:
+                op.inputs = None
+    return {nodes[k]: v for k, v in grads.items() if free or k in keep}
+
+
+def _run_rule(op: Op, gout: Tensor, grads, nodes, create_graph: bool) -> None:
+    """Run ``op``'s rule on ``gout`` and accumulate what its inputs receive.
+
+    A function of its own so the rule's outputs and the loop's last operand
+    die on return, before the sweep moves on.
+    """
+    for parent, g in zip(op.inputs, op.backward(gout)):
+        if g is None:
+            continue
+        if not (parent.requires_grad or parent._op is not None):
+            continue
+        _accumulate(grads, nodes, parent, g, create_graph)
 
 
 def _accumulate(grads, nodes, node: Tensor, g: Tensor, create_graph: bool) -> None:
@@ -557,6 +607,12 @@ def grad(
     ``d(residual)/d(parameters)`` where the residual already contains
     ``dy/dx`` and ``d2y/dx2`` terms.
 
+    Unlike :meth:`Tensor.backward`, ``grad`` keeps the graph: the ops keep
+    their ``inputs``, so the same outputs can be differentiated again (a
+    second ``grad``, or a ``backward`` of a ``create_graph=True`` result).
+    Intermediate gradients still die once their rule has used them; only
+    those of ``inputs`` are kept and returned.
+
     Parameters
     ----------
     outputs:
@@ -587,7 +643,7 @@ def grad(
     if len(grad_outputs_seq) != len(outputs_seq):
         raise ValueError("grad_outputs must match outputs in length")
 
-    grads_map = _backward_pass(outputs_seq, grad_outputs_seq, create_graph)
+    grads_map = _backward_pass(outputs_seq, grad_outputs_seq, create_graph, inputs_seq)
     by_id = {id(k): v for k, v in grads_map.items()}
 
     results: list[Optional[Tensor]] = []

@@ -217,8 +217,11 @@ class Trainer:
         single fused program, bit-identical to the eager sequence.  Eager,
         the loss is scaled by :meth:`_loss_scale` (``None``: not at all) and
         backpropagated, inside ``train.forward`` / ``train.backward`` trace
-        spans.  Either way the micro-batch's graph dies with this call,
-        before the next micro-batch's forward allocates its own.
+        spans.  ``Tensor.backward`` frees the graph as it sweeps: each
+        activation dies once the rule of its last consumer has run and
+        each intermediate gradient once its own rule has, so when this
+        call returns only the parameter gradients are left, before the
+        next micro-batch's forward allocates its own graph.
         """
         if self._compiled_step is not None:
             return self._compiled_step(batch)

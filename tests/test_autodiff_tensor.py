@@ -1,5 +1,8 @@
 """Graph mechanics: Tensor, backward, grad(), no_grad."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,79 @@ class TestGradAPI:
         y = Tensor([2.0], requires_grad=True)
         out = ops.sum(ops.mul(x, y))
         assert grad(out, x) is None
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestGraphLifetime:
+    """``backward`` frees the graph as it sweeps; ``grad`` keeps it."""
+
+    @staticmethod
+    def leaf(shape=(256, 256)):
+        data = np.random.default_rng(0).standard_normal(shape).astype(default_dtype())
+        return Tensor(data, requires_grad=True)
+
+    @pytest.mark.parametrize("sweep", ["backward", "grad"])
+    def test_sweep_peak_is_a_few_arrays_whatever_the_depth(self, sweep):
+        """Each intermediate gradient dies once its rule has used it: a
+        16-op chain's sweep holds ~4 arrays at its peak, not one per op
+        (19 when every gradient lived until the sweep returned)."""
+        x = self.leaf()
+        h = x
+        for _ in range(16):
+            h = ops.tanh(h)
+        loss = ops.sum(h)
+        del h
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            kept = loss.backward() if sweep == "backward" else grad(loss, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del kept
+        assert (peak - start) / x.data.nbytes <= 5
+
+    def test_backward_frees_the_activations_while_the_loss_lives(self):
+        x = self.leaf((8, 8))
+        mid = ops.tanh(ops.tanh(x))
+        loss = ops.sum(ops.tanh(mid))
+        activation = weakref.ref(mid.data)
+        del mid
+        assert activation() is not None  # the graph holds it until the sweep
+        loss.backward()
+        assert activation() is None
+        assert loss._op.inputs is None
+
+    def test_a_second_backward_through_a_swept_graph_raises(self):
+        x = self.leaf((8, 8))
+        y = ops.tanh(x)
+        first, second = ops.sum(y), ops.sum(ops.square(y))
+        first.backward()
+        swept = x.grad.copy()
+        with pytest.raises(RuntimeError, match=r"Sum .*grad"):
+            first.backward()
+        with pytest.raises(RuntimeError, match=r"Tanh .*grad"):
+            second.backward()
+        assert _same_bytes(x.grad, swept)  # the refused sweeps added nothing
+
+    def test_grad_twice_keeps_the_graph(self):
+        x = self.leaf((8, 8))
+        loss = ops.sum(ops.tanh(ops.tanh(x)))
+        g1, g2 = grad(loss, x), grad(loss, x)
+        assert _same_bytes(g1.data, g2.data)
+        loss.backward()  # the graph is intact for a final sweep
+        assert _same_bytes(x.grad, g1.data)
+
+    def test_double_backward_keeps_the_first_graph(self):
+        x = self.leaf((8, 8))
+        loss = ops.sum(ops.tanh(ops.tanh(x)))
+        gx = grad(loss, x, create_graph=True)
+        assert _same_bytes(gx.data, grad(loss, x).data)
+        curvature = ops.sum(ops.square(gx))
+        h1, h2 = grad(curvature, x), grad(curvature, x)
+        assert _same_bytes(h1.data, h2.data)
+        curvature.backward()
+        assert _same_bytes(x.grad, h1.data)

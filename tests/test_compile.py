@@ -1567,6 +1567,43 @@ class TestTrainingPlanCounts:
         assert plan.stats.arena_bytes <= self.ARENA_BYTES
 
 
+class TestEagerStepMemory:
+    """Deterministic gate on the eager ``train-ddp`` step: the benchmark
+    workload's trainer (small model, ``gamma = 0``, 4 nodes x 2 ranks,
+    batch 2, 256 points, ``(4, 8, 16)`` crops of a ``(16, 32, 64)``
+    simulation) at seed 3, built here through the package's own APIs.
+
+    ``Tensor.backward`` frees each micro-batch's graph as it sweeps, so an
+    activation dies once the rule of its last consumer has run and an
+    intermediate gradient once its own rule has.  The tracemalloc peak of
+    step 1 read 70.24 MiB when the sweep held every activation and gradient
+    until it returned, 45.12 MiB with a first prototype of the freeing
+    sweep, and 43.10 MiB with this one (float64)."""
+
+    PEAK_MIB = 44.0
+
+    def test_step_peak_is_no_worse(self):
+        from repro.scenarios import get_scenario
+
+        sc = get_scenario("rayleigh_benard")
+        data = sc.generate(seed=3, nt=16, nz=32, nx=64)
+        dataset = sc.make_dataset(data, lr_factors=(2, 2, 2), crop_shape_lr=(4, 8, 16),
+                                  n_points=256, samples_per_epoch=256)
+        model = sc.build_model("small")
+        model.train()
+        config = TrainerConfig(batch_size=2, world_size=8, nodes=4, gamma=0.0, compile=False)
+        trainer = DistributedTrainer(model, dataset, pde_system=sc.make_pde_system(), config=config)
+        trainer.train_step(0, 0)  # warm-up: optimizer state, kernel caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            trainer.train_step(1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / 2**20 <= self.PEAK_MIB
+
+
 class TestModuleStateGuard:
     """``CompiledFunction.check_module_state`` is the one guard behind both
     module-bound entry points, so the same changes invalidate behind each."""
